@@ -37,7 +37,8 @@ from dataclasses import dataclass
 
 from .core import TileSet, make_tileset, normalize_tileset
 from .errors import InvalidInput
-from .solve import SAT, UNKNOWN, UNSAT, SearchBudget, solve_rectangle, solve_torus
+from .solve import (SAT, UNKNOWN, SearchBudget, SharedBudget, solve_rectangle,
+                    solve_torus)
 
 ROBINSON_TILE_COUNT = 104
 
@@ -149,6 +150,7 @@ class EvidenceReport:
     torus_verdicts: tuple[tuple[int, int, str], ...]
     periodic_found: tuple[int, int] | None
     budget_exhausted: bool
+    nodes: int = 0  # search nodes spent by all squares and tori together
 
     @property
     def consistent_with_aperiodicity(self) -> bool:
@@ -157,32 +159,34 @@ class EvidenceReport:
 
 def aperiodicity_evidence(tileset: TileSet, max_square: int, max_period: int,
                           budget: SearchBudget = SearchBudget()) -> EvidenceReport:
-    """Run the square/torus evidence suite against any tile set."""
+    """Run the square/torus evidence suite against any tile set.  All
+    searches share one node total and one deadline."""
     if max_square < 1 or max_period < 1:
         raise InvalidInput("bounds must be positive")
+    shared = SharedBudget(budget)
     squares = []
     largest = 0
     exhausted = False
     for n in range(1, max_square + 1):
-        r = solve_rectangle(tileset, n, n, budget=budget)
-        squares.append((n, r.status))
-        if r.status == SAT:
+        status = shared.status(solve_rectangle, tileset, n, n)
+        squares.append((n, status))
+        if status == SAT:
             largest = n
         else:
-            if r.status != UNSAT:
-                exhausted = True
+            exhausted = status == UNKNOWN
             break  # an UNSAT (or unknown) square rules out larger ones
     tori = []
     periodic = None
     for p in range(1, max_period + 1):
         for q in range(1, max_period + 1):
-            r = solve_torus(tileset, p, q, budget=budget)
-            tori.append((p, q, r.status))
-            if r.status == SAT and periodic is None:
+            status = shared.status(solve_torus, tileset, p, q)
+            tori.append((p, q, status))
+            if status == SAT and periodic is None:
                 periodic = (p, q)
-            if r.status == UNKNOWN:
+            if status == UNKNOWN:
                 exhausted = True
-    return EvidenceReport(largest, tuple(squares), tuple(tori), periodic, exhausted)
+    return EvidenceReport(largest, tuple(squares), tuple(tori), periodic, exhausted,
+                          shared.spent)
 
 
 def format_evidence(report: EvidenceReport) -> str:

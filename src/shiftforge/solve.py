@@ -6,6 +6,16 @@ after every assignment.  Variable order and ascending tile-index value
 order are fixed, so a SAT answer is always the lexicographically least
 witness and identical inputs give identical results.
 
+Domains are tile bitsets.  The support a domain gives its neighbor across
+one side is memoized per side, keyed by the domain alone; a miss ORs the
+opposite side's color class for each distinct color the domain shows on
+that side, one step per color rather than per tile.  Revised cells go
+through a FIFO queue.  Arc consistency has a unique greatest fixpoint;
+every revision order reaches it, stopping early only when it holds an
+empty domain.  So the queue order changes neither a wipeout verdict nor
+the domains the search continues from, and node counts and witnesses do
+not depend on it.
+
 Budgets are counted in search nodes (one node per attempted assignment)
 first and wall-clock milliseconds second; node counts are machine
 independent, which keeps golden tests stable.
@@ -14,6 +24,7 @@ independent, which keeps golden tests stable.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -96,6 +107,25 @@ class _BudgetExceeded(Exception):
     pass
 
 
+class SharedBudget:
+    """One node total and one deadline spent by a sequence of searches."""
+
+    def __init__(self, budget: SearchBudget):
+        self.max_nodes = budget.max_nodes
+        self.spent = 0
+        self.deadline = time.monotonic() + budget.max_millis / 1000.0
+
+    def status(self, solver, tileset: TileSet, w: int, h: int) -> str:
+        """Status of `solver` on a w x h grid under what is left; UNKNOWN
+        without searching once the nodes or the time are spent."""
+        ms = int((self.deadline - time.monotonic()) * 1000)
+        if self.spent >= self.max_nodes or ms < 1:
+            return UNKNOWN
+        r = solver(tileset, w, h, budget=SearchBudget(self.max_nodes - self.spent, ms))
+        self.spent += r.nodes
+        return r.status
+
+
 class _Grid:
     """Shared search engine for rectangles (open edges) and tori (wrap)."""
 
@@ -103,60 +133,59 @@ class _Grid:
                  boundary: BoundaryConstraint | None, budget: SearchBudget):
         if w < 1 or h < 1:
             raise InvalidInput("grid dimensions must be positive")
-        self.w, self.h, self.wrap = w, h, wrap
-        self.tiles = tileset.tiles
-        n = len(self.tiles)
-        self.n = n
-        self.full = (1 << n) - 1
+        self.w, self.h = w, h
+        tiles = tileset.tiles
+        n = len(tiles)
         self.budget = budget
         self.nodes = 0
         self.deadline = time.monotonic() + budget.max_millis / 1000.0
 
         ncolors = len(tileset.colors)
         by_side = {s: [0] * ncolors for s in "nesw"}
-        for i, t in enumerate(self.tiles):
+        for i, t in enumerate(tiles):
             bit = 1 << i
             by_side["n"][t.north] |= bit
             by_side["e"][t.east] |= bit
             by_side["s"][t.south] |= bit
             by_side["w"][t.west] |= bit
-        self.by_side = by_side
-        # colors of tile i, for aggregating neighbor-compatibility masks
-        self.side_color = {
-            "n": [t.north for t in self.tiles],
-            "e": [t.east for t in self.tiles],
-            "s": [t.south for t in self.tiles],
-            "w": [t.west for t in self.tiles],
+        # per side: (memo domain -> tiles allowed on the neighbor across that
+        # side, color of each tile on that side, tiles by color on that side,
+        # tiles by color on the opposite side); shared by every cell
+        opp = {"n": "s", "e": "w", "s": "n", "w": "e"}
+        info = {
+            side: ({}, [getattr(t, name) for t in tiles], by_side[side],
+                   by_side[opp[side]])
+            for side, name in (("n", "north"), ("e", "east"),
+                               ("s", "south"), ("w", "west"))
         }
-        # memo: (my side, domain) -> mask of tiles allowed on the neighbor
-        # across that side (matching opposite side color)
-        self._compat_memo: dict[tuple[str, int], int] = {}
 
-        dom = [self.full] * (w * h)
+        # wrap on a period-1 axis makes each cell its own neighbor across it
+        start = (1 << n) - 1
+        if wrap:
+            for i, t in enumerate(tiles):
+                if (w == 1 and t.east != t.west) or (h == 1 and t.north != t.south):
+                    start &= ~(1 << i)
+        dom = [start] * (w * h)
         if boundary is not None:
             boundary.check_dimensions(w, h)
-            if boundary.south:
-                for x, c in enumerate(boundary.south):
-                    dom[x] &= self._side_mask("s", c)
-            if boundary.north:
-                for x, c in enumerate(boundary.north):
-                    dom[(h - 1) * w + x] &= self._side_mask("n", c)
-            if boundary.west:
-                for y, c in enumerate(boundary.west):
-                    dom[y * w] &= self._side_mask("w", c)
-            if boundary.east:
-                for y, c in enumerate(boundary.east):
-                    dom[y * w + w - 1] &= self._side_mask("e", c)
+            for side, seq, cells in (
+                ("s", boundary.south, range(w)),
+                ("n", boundary.north, range((h - 1) * w, h * w)),
+                ("w", boundary.west, range(0, w * h, w)),
+                ("e", boundary.east, range(w - 1, w * h, w)),
+            ):
+                for c, color in zip(cells, seq or ()):
+                    if not 0 <= color < ncolors:
+                        raise InvalidInput(f"boundary color {color} outside universe")
+                    dom[c] &= by_side[side][color]
             for x, y, ti in boundary.forced_cells:
                 if not 0 <= ti < n:
                     raise InvalidInput(f"forced tile index {ti} out of range")
                 dom[y * w + x] &= 1 << ti
         self.init_dom = dom
 
-        # neighbor lists: (cell, my side, opposite side)
-        opp = {"n": "s", "e": "w", "s": "n", "w": "e"}
-        self.opp = opp
-        nbrs: list[list[tuple[int, str]]] = [[] for _ in range(w * h)]
+        # neighbor lists: (neighbor cell, info of the side it lies across)
+        nbrs: list[list[tuple[int, tuple]]] = [[] for _ in range(w * h)]
         for y in range(h):
             for x in range(w):
                 c = y * w + x
@@ -167,71 +196,41 @@ class _Grid:
                     elif not (0 <= nx < w and 0 <= ny < h):
                         continue
                     nc = ny * w + nx
-                    if nc != c:  # wrap on a period-1 axis self-constrains; handled below
-                        nbrs[c].append((nc, side))
+                    if nc != c:
+                        nbrs[c].append((nc, info[side]))
         self.nbrs = nbrs
-        # self-loop constraints from period-1 wrap: east color must equal west color, etc.
-        self.self_mask = self.full
-        if wrap:
-            if w == 1:
-                m = 0
-                for i, t in enumerate(self.tiles):
-                    if t.east == t.west:
-                        m |= 1 << i
-                self.self_mask &= m
-            if h == 1:
-                m = 0
-                for i, t in enumerate(self.tiles):
-                    if t.north == t.south:
-                        m |= 1 << i
-                self.self_mask &= m
-
-    def _side_mask(self, side: str, color: int) -> int:
-        table = self.by_side[side]
-        if not 0 <= color < len(table):
-            raise InvalidInput(f"boundary color {color} outside universe")
-        return table[color]
-
-    def _compat(self, side: str, dom: int) -> int:
-        """Mask of tiles allowed on the neighbor across `side`, given my domain."""
-        key = (side, dom)
-        m = self._compat_memo.get(key)
-        if m is None:
-            colors = self.side_color[side]
-            table = self.by_side[self.opp[side]]
-            seen: set[int] = set()
-            m = 0
-            d = dom
-            while d:
-                lsb = d & -d
-                i = lsb.bit_length() - 1
-                c = colors[i]
-                if c not in seen:
-                    seen.add(c)
-                    m |= table[c]
-                d ^= lsb
-            self._compat_memo[key] = m
-        return m
 
     def _propagate(self, dom: list[int], dirty: list[int]) -> bool:
         """AC to fixpoint starting from `dirty` cells.  False on wipeout."""
-        queue = list(dirty)
-        in_queue = set(queue)
+        queue = deque(dirty)
+        in_queue = bytearray(len(dom))
+        for c in dirty:
+            in_queue[c] = 1
+        nbrs = self.nbrs
         while queue:
-            c = queue.pop()
-            in_queue.discard(c)
+            c = queue.popleft()
+            in_queue[c] = 0
             dc = dom[c]
             if dc == 0:
                 return False
-            for nc, side in self.nbrs[c]:
-                allowed = self._compat(side, dc)
+            for nc, (memo, colors, mine, theirs) in nbrs[c]:
+                allowed = memo.get(dc)
+                if allowed is None:
+                    # one step per distinct color on this side of dc
+                    allowed = 0
+                    d = dc
+                    while d:
+                        col = colors[(d & -d).bit_length() - 1]
+                        allowed |= theirs[col]
+                        d &= ~mine[col]
+                    memo[dc] = allowed
                 nd = dom[nc] & allowed
                 if nd != dom[nc]:
                     if nd == 0:
                         return False
                     dom[nc] = nd
-                    if nc not in in_queue:
-                        in_queue.add(nc)
+                    if not in_queue[nc]:
+                        in_queue[nc] = 1
                         queue.append(nc)
         return True
 
@@ -247,7 +246,7 @@ class _Grid:
 
         Raises _BudgetExceeded if the budget runs out mid-search.
         """
-        dom = [d & self.self_mask for d in self.init_dom]
+        dom = self.init_dom.copy()
         if not self._propagate(dom, list(range(self.w * self.h))):
             return
         yield from self._search(dom, 0)
@@ -363,33 +362,24 @@ def domino_semidecide(tileset: TileSet, max_n: int,
     """
     if max_n < 1:
         raise InvalidInput("max_n must be positive")
-    spent = 0
-    deadline = time.monotonic() + budget.max_millis / 1000.0
-
-    def remaining() -> SearchBudget:
-        ms = max(1, int((deadline - time.monotonic()) * 1000))
-        return SearchBudget(max(1, budget.max_nodes - spent), ms)
-
-    tried: set[tuple[int, int]] = set()
+    shared = SharedBudget(budget)
     completed = 0
     for n in range(1, max_n + 1):
-        r = solve_rectangle(tileset, n, n, budget=remaining())
-        spent += r.nodes
-        if r.status == UNKNOWN:
-            return DominoVerdict("UNDETERMINED", completed_n=completed, nodes=spent)
-        if r.status == UNSAT:
-            return DominoVerdict("NO_TILING", n=n, completed_n=completed, nodes=spent)
+        status = shared.status(solve_rectangle, tileset, n, n)
+        if status == UNKNOWN:
+            return DominoVerdict("UNDETERMINED", completed_n=completed, nodes=shared.spent)
+        if status == UNSAT:
+            return DominoVerdict("NO_TILING", n=n, completed_n=completed, nodes=shared.spent)
         for p in range(1, n + 1):
             for q in range(1, n + 1):
-                if (p, q) in tried:
-                    continue
-                tried.add((p, q))
-                t = solve_torus(tileset, p, q, budget=remaining())
-                spent += t.nodes
-                if t.status == UNKNOWN:
-                    return DominoVerdict("UNDETERMINED", completed_n=completed, nodes=spent)
-                if t.status == SAT:
+                if max(p, q) < n:
+                    continue  # tried at an earlier n
+                status = shared.status(solve_torus, tileset, p, q)
+                if status == UNKNOWN:
+                    return DominoVerdict("UNDETERMINED", completed_n=completed,
+                                         nodes=shared.spent)
+                if status == SAT:
                     return DominoVerdict("TILES_PERIODICALLY", p=p, q=q,
-                                         completed_n=completed, nodes=spent)
+                                         completed_n=completed, nodes=shared.spent)
         completed = n
-    return DominoVerdict("UNDETERMINED", completed_n=completed, nodes=spent)
+    return DominoVerdict("UNDETERMINED", completed_n=completed, nodes=shared.spent)

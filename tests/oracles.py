@@ -160,3 +160,83 @@ def window_has_pattern(grid, pat) -> bool:
             ):
                 return True
     return False
+
+
+def naive_solve(ts: TileSet, w: int, h: int, torus: bool = False,
+                boundary=None):
+    """(status, cells, nodes) of the documented search, computed naively.
+
+    Cells are tried in row-major order (bottom row first) and tiles in
+    ascending index order; a cell whose domain is already a single tile is
+    skipped.  Every attempted assignment is one node and is followed by arc
+    consistency recomputed from scratch to a full fixpoint.  `cells` is the
+    first solution as rows of tile indices, or None.
+    """
+    tiles = ts.tiles
+    doms = [set(range(len(tiles))) for _ in range(w * h)]
+    if boundary is not None:
+        for x in range(w):
+            if boundary.south is not None:
+                doms[x] = {i for i in doms[x] if tiles[i].south == boundary.south[x]}
+            if boundary.north is not None:
+                c = (h - 1) * w + x
+                doms[c] = {i for i in doms[c] if tiles[i].north == boundary.north[x]}
+        for y in range(h):
+            if boundary.west is not None:
+                c = y * w
+                doms[c] = {i for i in doms[c] if tiles[i].west == boundary.west[y]}
+            if boundary.east is not None:
+                c = y * w + w - 1
+                doms[c] = {i for i in doms[c] if tiles[i].east == boundary.east[y]}
+        for x, y, i in boundary.forced_cells:
+            doms[y * w + x] &= {i}
+    # (cell, its side, neighbor, the neighbor's facing side)
+    arcs = []
+    for y in range(h):
+        for x in range(w):
+            if torus or x + 1 < w:
+                arcs.append((y * w + x, "east", y * w + (x + 1) % w, "west"))
+            if torus or y + 1 < h:
+                arcs.append((y * w + x, "north", ((y + 1) % h) * w + x, "south"))
+
+    def fits(a, side_a, b, side_b):
+        return getattr(tiles[a], side_a) == getattr(tiles[b], side_b)
+
+    def consistent(doms):
+        changed = True
+        while changed:
+            changed = False
+            for a, sa, b, sb in arcs:
+                if a == b:  # period-1 axis: the tile meets itself
+                    new_a = {i for i in doms[a] if fits(i, sa, i, sb)}
+                    new_b = new_a
+                else:
+                    new_a = {i for i in doms[a] if any(fits(i, sa, j, sb) for j in doms[b])}
+                    new_b = {j for j in doms[b] if any(fits(i, sa, j, sb) for i in doms[a])}
+                if new_a != doms[a] or new_b != doms[b]:
+                    doms[a], doms[b] = new_a, new_b
+                    changed = True
+        return all(doms)
+
+    nodes = 0
+
+    def search(doms, cell):
+        nonlocal nodes
+        while cell < w * h and len(doms[cell]) == 1:
+            cell += 1
+        if cell == w * h:
+            return [min(d) for d in doms]
+        for i in sorted(doms[cell]):
+            nodes += 1
+            trial = [set(d) for d in doms]
+            trial[cell] = {i}
+            if consistent(trial):
+                found = search(trial, cell + 1)
+                if found is not None:
+                    return found
+        return None
+
+    found = search(doms, 0) if consistent(doms) else None
+    if found is None:
+        return "UNSAT", None, nodes
+    return "SAT", tuple(tuple(found[y * w:(y + 1) * w]) for y in range(h)), nodes

@@ -4,7 +4,8 @@ from shiftforge.aperiodic import (ROBINSON_TILE_COUNT, aperiodicity_evidence,
                                   format_evidence, robinson_tileset)
 from shiftforge.core import make_tileset, normalize_tileset, validate_tiling
 from shiftforge.errors import InvalidInput
-from shiftforge.solve import SAT, UNSAT, solve_rectangle, solve_torus
+from shiftforge.solve import (SAT, UNKNOWN, UNSAT, SearchBudget, solve_rectangle,
+                             solve_torus)
 
 
 def test_tile_count_and_normal_form():
@@ -66,3 +67,21 @@ def test_evidence_rejects_bad_bounds():
     ts = make_tileset("free", [(0, 0, 0, 0)])
     with pytest.raises(InvalidInput):
         aperiodicity_evidence(ts, 0, 2)
+
+
+def test_evidence_shares_one_node_budget():
+    free = make_tileset("free", [(0, 0, 0, 0), (0, 1, 0, 1), (1, 0, 1, 0), (1, 1, 1, 1)])
+    rep = aperiodicity_evidence(free, max_square=4, max_period=2,
+                                budget=SearchBudget(max_nodes=2))
+    assert rep.budget_exhausted
+    assert rep.nodes <= 2 + 1  # _tick counts the node it refuses
+    assert rep.square_verdicts == ((1, SAT), (2, UNKNOWN))
+    assert all(st == UNKNOWN for _, _, st in rep.torus_verdicts)
+    assert "inconclusive (budget exhausted)" in format_evidence(rep)
+    # a budget that is not hit gives each search what it gets on its own
+    rep = aperiodicity_evidence(free, max_square=4, max_period=2)
+    alone = [solve_rectangle(free, n, n) for n in range(1, 5)]
+    alone += [solve_torus(free, p, q) for p in (1, 2) for q in (1, 2)]
+    assert not rep.budget_exhausted and rep.nodes == sum(r.nodes for r in alone)
+    assert [st for _, st in rep.square_verdicts] == [r.status for r in alone[:4]]
+    assert [st for _, _, st in rep.torus_verdicts] == [r.status for r in alone[4:]]

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import naive_count_tilings
+from oracles import naive_count_tilings, naive_solve
 from shiftforge.core import make_tileset, validate_tiling, validate_torus_tiling
 from shiftforge.errors import InvalidInput
 from shiftforge.solve import (SAT, UNKNOWN, UNSAT, BoundaryConstraint,
@@ -162,3 +164,52 @@ def test_determinism_identical_runs():
         a = solve_rectangle(ts, 3, 2)
         b = solve_rectangle(ts, 3, 2)
         assert a == b
+
+
+@st.composite
+def solve_instances(draw):
+    """(tile set, w, h, torus, boundary) with <= 6 tiles and <= 3 colors."""
+    c = draw(st.integers(1, 3))
+    color = st.integers(0, c - 1)
+    tiles = draw(st.lists(st.tuples(color, color, color, color),
+                          min_size=1, max_size=6, unique=True))
+    w, h = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return make_tileset("h", tiles, num_colors=c), w, h, True, None
+
+    def edge(n):
+        return st.none() | st.tuples(*[color] * n)
+
+    forced = st.tuples(st.integers(0, w - 1), st.integers(0, h - 1),
+                       st.integers(0, len(tiles) - 1))
+    boundary = draw(st.none() | st.builds(
+        BoundaryConstraint, north=edge(w), south=edge(w), east=edge(h), west=edge(h),
+        forced_cells=st.lists(forced, max_size=3).map(tuple)))
+    return make_tileset("h", tiles, num_colors=c), w, h, False, boundary
+
+
+@settings(max_examples=300, deadline=None)
+@given(solve_instances())
+@example((make_tileset("t", [(0, 0, 0, 0), (1, 1, 1, 1)]), 2, 2, False,
+          BoundaryConstraint(forced_cells=((1, 1, 0), (1, 1, 1)))))
+@example((make_tileset("t", [(0, 1, 0, 2), (1, 1, 1, 1)]), 1, 3, True, None))
+def test_search_matches_naive_reference_solver(instance):
+    ts, w, h, torus, boundary = instance
+    if torus:
+        r = solve_torus(ts, w, h)
+    else:
+        r = solve_rectangle(ts, w, h, boundary=boundary)
+    got = (r.status, r.tiling.cells if r.tiling else None, r.nodes)
+    assert got == naive_solve(ts, w, h, torus=torus, boundary=boundary)
+
+
+def test_domino_honours_shared_node_budget():
+    # the first squares of this set take 1 node and its thin tori none, so
+    # a sweep that kept issuing searches past the budget would overspend
+    costly = make_tileset("t", [(0, 0, 2, 2), (0, 1, 0, 2), (0, 1, 1, 2),
+                                (0, 1, 2, 2), (1, 1, 2, 1), (2, 2, 2, 0)])
+    free = make_tileset("t", [(0, 0, 0, 0), (0, 1, 0, 1), (1, 0, 1, 0), (1, 1, 1, 1)])
+    for ts in (costly, free):
+        for max_nodes in range(1, 12):
+            v = domino_semidecide(ts, 4, budget=SearchBudget(max_nodes=max_nodes))
+            assert v.nodes <= max_nodes + 1  # _tick counts the node it refuses
