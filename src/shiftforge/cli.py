@@ -42,6 +42,13 @@ def _budget(args) -> SearchBudget:
     return SearchBudget(max_nodes=args.budget_nodes, max_millis=args.budget_ms)
 
 
+def _int_arg(tok: str, what: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise InvalidInput(f"{what} must be an integer, got {tok!r}") from None
+
+
 def cmd_compile(args) -> int:
     text = Path(args.input).read_text()
     if args.kind == "sft":
@@ -58,7 +65,7 @@ def cmd_solve(args) -> int:
     ts, _ = parse_tileset(Path(args.tileset).read_text())
     budget = _budget(args)
     mode = args.mode[0]
-    dims = [int(x) for x in args.mode[1:]]
+    dims = [_int_arg(x, f"{mode} dimension") for x in args.mode[1:]]
     if mode == "rect":
         if len(dims) != 2:
             raise InvalidInput("rect mode takes width and height")

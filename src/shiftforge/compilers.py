@@ -73,27 +73,37 @@ class TileCompilation:
             raise InvalidSpec("provenance must be total on the tile set")
 
 
-def _block_ok(spec: SftSpec, block: Block, kb: int) -> bool:
-    for p in spec.forbidden:
-        for y in range(kb - p.height + 1):
-            for x in range(kb - p.width + 1):
-                if all(
-                    block[y + dy][x + dx] == p.cells[dy][dx]
-                    for dy in range(p.height)
-                    for dx in range(p.width)
-                ):
-                    return False
-    return True
-
-
 def legal_blocks(spec: SftSpec, kb: int) -> list[Block]:
     """All kb x kb letter blocks with no forbidden-pattern occurrence,
-    in lexicographic order (rows bottom-up, alphabet order as given)."""
-    out = []
-    for flat in itertools.product(spec.alphabet, repeat=kb * kb):
-        block = tuple(flat[y * kb:(y + 1) * kb] for y in range(kb))
-        if _block_ok(spec, block, kb):
+    in lexicographic order (rows bottom-up, alphabet order as given).
+
+    Blocks grow one row at a time, depth first.  Once row y is placed,
+    only the pattern placements whose top row lands on y are new, so
+    those are checked and a partial block with a hit is pruned.
+    """
+    rows = list(itertools.product(spec.alphabet, repeat=kb))
+    # (height, x, width, cells) for every in-block placement of a pattern
+    placements = [
+        (p.height, x, p.width, p.cells)
+        for p in spec.forbidden
+        for x in range(kb - p.width + 1)
+    ]
+    out: list[Block] = []
+
+    def grow(block: Block) -> None:
+        placed = len(block)
+        for h, x, w, cells in placements:
+            if h <= placed and all(
+                row[x:x + w] == prow for row, prow in zip(block[placed - h:], cells)
+            ):
+                return
+        if placed == kb:
             out.append(block)
+            return
+        for row in rows:
+            grow(block + (row,))
+
+    grow(())
     return out
 
 

@@ -117,6 +117,18 @@ class Window:
         return Window(len(cells[0]), len(cells), cells)
 
 
+def check_alphabet(alphabet: tuple[str, ...]) -> None:
+    """Letters are distinct single characters, because grids and words
+    store one letter per character; there must be at least one."""
+    if not alphabet:
+        raise InvalidSpec("alphabet must be nonempty")
+    for a in alphabet:
+        if len(a) != 1:
+            raise InvalidSpec(f"alphabet letter {a!r} must be a single character")
+    if len(set(alphabet)) != len(alphabet):
+        raise InvalidSpec("alphabet letters must be distinct")
+
+
 @dataclass(frozen=True)
 class SftSpec:
     """A 2D subshift of finite type: alphabet plus forbidden patterns."""
@@ -125,10 +137,7 @@ class SftSpec:
     forbidden: tuple[Pattern, ...]
 
     def __post_init__(self):
-        if not self.alphabet:
-            raise InvalidSpec("alphabet must be nonempty")
-        if len(set(self.alphabet)) != len(self.alphabet):
-            raise InvalidSpec("alphabet letters must be distinct")
+        check_alphabet(self.alphabet)
         letters = set(self.alphabet)
         for p in self.forbidden:
             for row in p.cells:

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from .core import Pattern, SftSpec, Window
+from .core import Pattern, SftSpec, Window, check_alphabet
 from .errors import InvalidInput, InvalidSpec, UnsupportedSpec
 
 DEFAULT_STREAM_BUDGET = 10_000
@@ -53,10 +53,7 @@ class Subshift1dSpec:
     source: ExplicitWords | WordStream
 
     def __post_init__(self):
-        if not self.alphabet:
-            raise InvalidSpec("alphabet must be nonempty")
-        if len(set(self.alphabet)) != len(self.alphabet):
-            raise InvalidSpec("alphabet letters must be distinct")
+        check_alphabet(self.alphabet)
         if isinstance(self.source, ExplicitWords):
             letters = set(self.alphabet)
             for w in self.source.words:

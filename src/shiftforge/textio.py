@@ -275,6 +275,8 @@ def parse_window(text: str) -> Window:
             if toks[0] != "window" or len(toks) != 3:
                 raise ParseError("expected: window <width> <height>", ln)
             header = (_int(toks[1], "width", ln), _int(toks[2], "height", ln))
+            if min(header) < 1:
+                raise ParseError("window width and height must be positive", ln)
         else:
             if len(line) != header[0]:
                 raise ParseError(f"window row must have {header[0]} letters", ln)

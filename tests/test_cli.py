@@ -150,6 +150,36 @@ def test_exit_codes(tmp_path, spec_file, capsys):
     capsys.readouterr()
 
 
+def assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_verify_rejects_empty_window(tmp_path, spec_file, capsys):
+    empty = tmp_path / "empty.window"
+    empty.write_text("window 0 0\n")
+    assert main(["verify", str(spec_file), str(empty)]) == 2
+    assert_one_error_line(capsys)
+
+
+def test_solve_rejects_non_integer_dimension(tiles_file, capsys):
+    assert main(["solve", str(tiles_file), "--mode", "rect", "2", "x"]) == 2
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("kind,text", [
+    ("subshift1d", "subshift alphabet=\n"),
+    ("sft", "sft alphabet=a,,b\n"),
+    ("sft", "sft alphabet=ab,c\n"),
+])
+def test_compile_rejects_letters_that_do_not_round_trip(tmp_path, capsys, kind, text):
+    spec = tmp_path / "spec.txt"
+    spec.write_text(text)
+    assert main(["compile", str(spec), "--kind", kind]) == 2
+    assert_one_error_line(capsys)
+
+
 def test_cli_outputs_are_deterministic(tmp_path, spec_file):
     outs = []
     for name in ("a", "b"):

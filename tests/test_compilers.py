@@ -47,18 +47,37 @@ def test_lifted_golden_word_spec_tile_count_matches_block_oracle():
     assert len(comp.tileset.tiles) == len(oracle) == 3
 
 
+def random_pattern(rng, alphabet, w, h):
+    return Pattern(w, h, tuple(
+        tuple(rng.choice(alphabet) for _ in range(w)) for _ in range(h)))
+
+
 def test_legal_blocks_matches_brute_force():
+    # alphabets of 1-3 letters, patterns up to 3x3, every block size from
+    # the spec's window up to 3, each also with one pattern of the full
+    # block size (whose only placement is the whole block)
     rng = random.Random(2)
-    for _ in range(20):
-        a = tuple("ab"[: rng.randint(1, 2)])
-        pats = []
-        for _ in range(rng.randint(0, 3)):
-            w, h = rng.randint(1, 2), rng.randint(1, 2)
-            pats.append(Pattern(w, h, tuple(
-                tuple(rng.choice(a) for _ in range(w)) for _ in range(h))))
-        spec = SftSpec(a, tuple(pats))
-        kb = max(spec.window, 2)
-        assert legal_blocks(spec, kb) == brute_legal_blocks(spec, kb)
+    for i in range(12):
+        a = tuple("abc"[: 1 + i % 3])
+        pats = tuple(random_pattern(rng, a, rng.randint(1, 3), rng.randint(1, 3))
+                     for _ in range(rng.randint(0, 3)))
+        spec = SftSpec(a, pats)
+        for kb in range(spec.window, 4):
+            full = SftSpec(a, pats + (random_pattern(rng, a, kb, kb),))
+            for s in (spec, full):
+                assert legal_blocks(s, kb) == brute_legal_blocks(s, kb)
+
+
+def test_binary_k5_lift_blocks_are_constant_columns_of_legal_words():
+    for seed in range(3):
+        rng = random.Random(seed)
+        short = "".join(rng.choice("01") for _ in range(rng.randint(2, 4)))
+        words = ("11111", short)
+        spec = lift_1d(Subshift1dSpec(("0", "1"), ExplicitWords(words)))
+        assert spec.window == 5
+        legal = [w for w in map("".join, itertools.product("01", repeat=5))
+                 if not any(f in w for f in words)]
+        assert legal_blocks(spec, 5) == [(tuple(w),) * 5 for w in legal]
 
 
 def test_decode_is_bottom_left_letter():
