@@ -6,16 +6,15 @@ from .aperiodic import (ROBINSON_TILE_COUNT, EvidenceReport, RobinsonSet,
                         aperiodicity_evidence, robinson_tileset)
 from .compilers import (TileCompilation, TmSpec, decode_row, sft_to_wang,
                         tm_initial_boundary, tm_to_tileset)
-from .core import (Color, Pattern, SftSpec, Tile, TileSet, Tiling,
-                   TorusTiling, Window, make_tileset, normalize_tileset,
-                   validate_tiling, validate_torus_tiling)
+from .core import (Color, Grid, SftSpec, Tile, TileSet, make_tileset,
+                   normalize_tileset, validate_tiling)
 from .errors import (InvalidInput, InvalidSpec, MalformedInput, ParseError,
                      ShiftforgeError, UnsupportedSpec)
 from .macrotile import (BUDGET_EXCEEDED, MacroTileSet, TileSetMap,
                         check_isomorphism, find_simulation, macro_tiles)
 from .solve import (SAT, UNKNOWN, UNSAT, BoundaryConstraint, SearchBudget,
-                    count_rectangle, domino_semidecide, enumerate_rectangle,
-                    enumerate_torus, solve_rectangle, solve_torus)
+                    SearchResult, count_rectangle, domino_semidecide,
+                    enumerate_tilings, solve_rectangle, solve_torus)
 from .subshift import (BUDGET_EXHAUSTED_CLEAN, CLEAN, VIOLATION,
                        ExplicitWords, MatchAutomaton, Subshift1dSpec,
                        WordStream, build_matcher, check_sequence,

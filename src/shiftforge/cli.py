@@ -12,9 +12,8 @@ from pathlib import Path
 
 from .aperiodic import aperiodicity_evidence, format_evidence, robinson_tileset
 from .compilers import sft_to_wang, tm_to_tileset
-from .core import Window, validate_tiling
-from .errors import (InvalidInput, InvalidSpec, ParseError, ShiftforgeError,
-                     UnsupportedSpec)
+from .core import Grid, validate_tiling
+from .errors import InvalidInput, ShiftforgeError, UnsupportedSpec
 from .macrotile import BUDGET_EXCEEDED, macro_tiles
 from .render import RenderSpec, render
 from .solve import (SAT, SearchBudget, domino_semidecide, solve_rectangle,
@@ -22,8 +21,8 @@ from .solve import (SAT, SearchBudget, domino_semidecide, solve_rectangle,
 from .subshift import (BUDGET_EXHAUSTED_CLEAN, CLEAN, DEFAULT_STREAM_BUDGET,
                        VIOLATION, check_sequence, lift_1d)
 from .textio import (parse_sft, parse_subshift, parse_tiling, parse_tileset,
-                     parse_tm, serialize_compilation, serialize_tileset,
-                     serialize_tiling)
+                     parse_tm, parse_window, serialize_compilation,
+                     serialize_tileset, serialize_tiling)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -66,22 +65,13 @@ def cmd_solve(args) -> int:
     budget = _budget(args)
     mode = args.mode[0]
     dims = [_int_arg(x, f"{mode} dimension") for x in args.mode[1:]]
-    if mode == "rect":
+    if mode in ("rect", "torus"):
         if len(dims) != 2:
-            raise InvalidInput("rect mode takes width and height")
-        r = solve_rectangle(ts, dims[0], dims[1], budget=budget)
+            raise InvalidInput("rect mode takes width and height" if mode == "rect"
+                               else "torus mode takes two periods")
+        solver = solve_rectangle if mode == "rect" else solve_torus
+        r = solver(ts, dims[0], dims[1], budget=budget)
         body = serialize_tiling(r.tiling) if r.status == SAT else r.status + "\n"
-    elif mode == "torus":
-        if len(dims) != 2:
-            raise InvalidInput("torus mode takes two periods")
-        r = solve_torus(ts, dims[0], dims[1], budget=budget)
-        if r.status == SAT:
-            t = r.tiling
-            body = "SAT\n" + "\n".join(
-                " ".join(str(i) for i in row) for row in t.cells
-            ) + "\n"
-        else:
-            body = r.status + "\n"
     elif mode == "domino":
         if len(dims) != 1:
             raise InvalidInput("domino mode takes max_n")
@@ -101,10 +91,9 @@ def cmd_solve(args) -> int:
 def cmd_render(args) -> int:
     ts, _ = parse_tileset(Path(args.tileset).read_text())
     tiling = parse_tiling(Path(args.tiling).read_text())
+    spec = RenderSpec(args.cell_pixels, args.format)
     try:
-        if not validate_tiling(ts, tiling):
-            raise InvalidInput("tiling does not validate against the tile set")
-        data = render(ts, tiling, RenderSpec(args.cell_pixels, args.format))
+        data = render(ts, tiling, spec)
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -116,8 +105,6 @@ def cmd_verify(args) -> int:
     spec = parse_subshift(Path(args.spec).read_text())
     artifact = Path(args.artifact).read_text()
     if artifact.lstrip().startswith("window"):
-        from .textio import parse_window
-
         window = parse_window(artifact)
     else:
         if not args.tileset:
@@ -130,7 +117,7 @@ def cmd_verify(args) -> int:
             print("error: tiling does not validate against the tile set",
                   file=sys.stderr)
             return EXIT_VALIDATION
-        window = Window.from_rows(
+        window = Grid.from_rows(
             [tuple(decode[i] for i in row) for row in tiling.cells]
         )
     letters = set(spec.alphabet)
@@ -264,21 +251,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as exc:
+    except (ShiftforgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except UnsupportedSpec as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except (InvalidSpec, InvalidInput) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ShiftforgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return EXIT_UNSUPPORTED if isinstance(exc, UnsupportedSpec) else EXIT_PARSE
 
 
 if __name__ == "__main__":

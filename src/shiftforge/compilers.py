@@ -19,11 +19,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import SftSpec, TileSet, Tiling, make_tileset
+from .core import Grid, SftSpec, TileSet, make_tileset
 from .errors import InvalidInput, InvalidSpec
 from .solve import BoundaryConstraint
 
-Block = tuple[tuple[str, ...], ...]  # rows bottom-up, like Window cells
+Block = tuple[tuple[str, ...], ...]  # rows bottom-up, like Grid cells
 
 
 @dataclass(frozen=True)
@@ -312,6 +312,6 @@ def tm_initial_boundary(
     )
 
 
-def decode_row(comp: TileCompilation, tiling: Tiling, row: int) -> tuple[str, ...]:
+def decode_row(comp: TileCompilation, tiling: Grid, row: int) -> tuple[str, ...]:
     """Decode one row of a tiling through the compilation's d-map."""
     return tuple(comp.decode[i] for i in tiling.cells[row])

@@ -79,49 +79,41 @@ def make_tileset(
 
 
 @dataclass(frozen=True)
-class Pattern:
-    """A forbidden rectangle of letters; rows are bottom-up."""
+class Grid:
+    """A finite rectangle of cells, rows bottom-up: a tiling or torus of
+    tile indices, or a forbidden pattern or window of letters."""
 
     width: int
     height: int
-    cells: tuple[tuple[str, ...], ...]
+    cells: tuple[tuple, ...]
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
-            raise InvalidSpec("pattern dimensions must be positive")
+            raise InvalidSpec("grid dimensions must be positive")
         if len(self.cells) != self.height or any(len(r) != self.width for r in self.cells):
-            raise InvalidSpec("pattern grid does not match its declared dimensions")
+            raise InvalidSpec("grid does not match its declared dimensions")
 
     @staticmethod
-    def from_rows(rows: list[str]) -> "Pattern":
-        """Rows given bottom-up, each a string of single-letter cells."""
+    def from_rows(rows) -> "Grid":
+        """Rows given bottom-up: strings of single-letter cells or
+        sequences of tile indices."""
         cells = tuple(tuple(r) for r in rows)
-        return Pattern(len(rows[0]), len(rows), cells)
+        return Grid(len(cells[0]) if cells else 0, len(cells), cells)
 
 
-@dataclass(frozen=True)
-class Window:
-    """A finite rectangular piece of a configuration; rows bottom-up."""
-
-    width: int
-    height: int
-    cells: tuple[tuple[str, ...], ...]
-
-    def __post_init__(self):
-        if len(self.cells) != self.height or any(len(r) != self.width for r in self.cells):
-            raise InvalidSpec("window grid does not match its declared dimensions")
-
-    @staticmethod
-    def from_rows(rows: list[str] | list[tuple[str, ...]]) -> "Window":
-        cells = tuple(tuple(r) for r in rows)
-        return Window(len(cells[0]), len(cells), cells)
+# kept for callers that build tilings by the older name
+Tiling = Grid
 
 
 def check_alphabet(alphabet: tuple[str, ...]) -> None:
     """Letters are distinct single characters, because grids and words
-    store one letter per character; there must be at least one."""
+    store one letter per character; there must be at least one.  `#` is
+    not a letter: the text formats read a line starting with it as a
+    comment."""
     if not alphabet:
         raise InvalidSpec("alphabet must be nonempty")
+    if "#" in alphabet:
+        raise InvalidSpec("alphabet letter '#' is reserved for comments")
     for a in alphabet:
         if len(a) != 1:
             raise InvalidSpec(f"alphabet letter {a!r} must be a single character")
@@ -134,7 +126,7 @@ class SftSpec:
     """A 2D subshift of finite type: alphabet plus forbidden patterns."""
 
     alphabet: tuple[str, ...]
-    forbidden: tuple[Pattern, ...]
+    forbidden: tuple[Grid, ...]
 
     def __post_init__(self):
         check_alphabet(self.alphabet)
@@ -152,74 +144,22 @@ class SftSpec:
         return max(k, 1)
 
 
-@dataclass(frozen=True)
-class Tiling:
-    """A w x h assignment of tile indices; rows bottom-up."""
-
-    width: int
-    height: int
-    cells: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.cells) != self.height or any(len(r) != self.width for r in self.cells):
-            raise InvalidSpec("tiling grid does not match its declared dimensions")
-
-    @staticmethod
-    def from_rows(rows: list[list[int]] | list[tuple[int, ...]]) -> "Tiling":
-        cells = tuple(tuple(r) for r in rows)
-        return Tiling(len(cells[0]), len(cells), cells)
-
-
-@dataclass(frozen=True)
-class TorusTiling:
-    """A p x q tiling whose matching constraints wrap around."""
-
-    p: int
-    q: int
-    cells: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.cells) != self.q or any(len(r) != self.p for r in self.cells):
-            raise InvalidSpec("torus grid does not match its declared periods")
-
-    @staticmethod
-    def from_rows(rows: list[list[int]] | list[tuple[int, ...]]) -> "TorusTiling":
-        cells = tuple(tuple(r) for r in rows)
-        return TorusTiling(len(cells[0]), len(cells), cells)
-
-
-def _check_indices(tileset: TileSet, cells) -> None:
-    n = len(tileset.tiles)
-    for row in cells:
+def validate_tiling(tileset: TileSet, t: Grid, *, wrap: bool = False) -> bool:
+    """True iff every adjacent pair of tiles matches; with `wrap` the grid
+    is a torus, so the last column and row also meet the first."""
+    tiles = tileset.tiles
+    n = len(tiles)
+    for row in t.cells:
         for i in row:
             if not 0 <= i < n:
                 raise MalformedInput(f"tile index {i} out of range (|tiles| = {n})")
-
-
-def validate_tiling(tileset: TileSet, t: Tiling) -> bool:
-    """True iff every adjacent pair of tiles matches."""
-    _check_indices(tileset, t.cells)
-    tiles = tileset.tiles
-    for y in range(t.height):
-        for x in range(t.width):
+    w, h = t.width, t.height
+    for y in range(h):
+        for x in range(w):
             here = tiles[t.cells[y][x]]
-            if x + 1 < t.width and here.east != tiles[t.cells[y][x + 1]].west:
+            if (wrap or x + 1 < w) and here.east != tiles[t.cells[y][(x + 1) % w]].west:
                 return False
-            if y + 1 < t.height and here.north != tiles[t.cells[y + 1][x]].south:
-                return False
-    return True
-
-
-def validate_torus_tiling(tileset: TileSet, t: TorusTiling) -> bool:
-    """True iff every adjacent pair matches, with wraparound indices."""
-    _check_indices(tileset, t.cells)
-    tiles = tileset.tiles
-    for y in range(t.q):
-        for x in range(t.p):
-            here = tiles[t.cells[y][x]]
-            if here.east != tiles[t.cells[y][(x + 1) % t.p]].west:
-                return False
-            if here.north != tiles[t.cells[(y + 1) % t.q][x]].south:
+            if (wrap or y + 1 < h) and here.north != tiles[t.cells[(y + 1) % h][x]].south:
                 return False
     return True
 

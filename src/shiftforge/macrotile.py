@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Color, TileSet, Tile, Tiling
+from .core import Color, Grid, TileSet, Tile
 from .errors import InvalidInput
-from .solve import SearchBudget, enumerate_rectangle
+from .solve import SearchBudget, enumerate_tilings
 
 BUDGET_EXCEEDED = "BUDGET_EXCEEDED"
 
@@ -27,14 +27,14 @@ class MacroTileSet:
     """All valid n x n blocks of a base set, as a tile set of their own.
 
     ``tileset.tiles[i]`` carries composite color ids; ``blocks[i]`` is the
-    underlying n x n Tiling of the base set.  Two macro-tiles match along
+    underlying n x n Grid of the base set.  Two macro-tiles match along
     an axis iff all n underlying base edges match, because composite ids
     are injective on border sequences.
     """
 
     base: TileSet
     n: int
-    blocks: tuple[Tiling, ...]
+    blocks: tuple[Grid, ...]
     tileset: TileSet
 
     def border_sequences(self, index: int) -> dict[str, tuple[int, ...]]:
@@ -43,7 +43,7 @@ class MacroTileSet:
         return _borders(self.base, self.blocks[index])
 
 
-def _borders(base: TileSet, block: Tiling) -> dict[str, tuple[int, ...]]:
+def _borders(base: TileSet, block: Grid) -> dict[str, tuple[int, ...]]:
     tiles = base.tiles
     n = block.width
     return {
@@ -65,8 +65,10 @@ def macro_tiles(
     (macro-tile counts explode quickly; that is expected)."""
     if n < 1:
         raise InvalidInput("block size must be positive")
+    if max_tiles is not None and max_tiles < 0:
+        raise InvalidInput("max_tiles must not be negative")
     limit = None if max_tiles is None else max_tiles + 1
-    blocks, complete = enumerate_rectangle(tileset, n, n, budget=budget, limit=limit)
+    blocks, complete = enumerate_tilings(tileset, n, n, budget=budget, limit=limit)
     if not complete or (max_tiles is not None and len(blocks) > max_tiles):
         return BUDGET_EXCEEDED
     # composite colors: one id per distinct border sequence, per axis

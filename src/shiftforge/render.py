@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .core import TileSet, Tiling, validate_tiling
+from .core import Grid, TileSet, validate_tiling
 from .errors import InvalidInput
 
 PPM = "ppm"
@@ -37,7 +37,7 @@ def palette_rgb(color_id: int) -> tuple[int, int, int]:
     return tuple(64 + b % 192 for b in digest[:3])
 
 
-def render(tileset: TileSet, tiling: Tiling, spec: RenderSpec = RenderSpec()) -> bytes:
+def render(tileset: TileSet, tiling: Grid, spec: RenderSpec = RenderSpec()) -> bytes:
     if not validate_tiling(tileset, tiling):
         raise InvalidInput("tiling does not validate against the tile set")
     if spec.format == PPM:
@@ -45,12 +45,12 @@ def render(tileset: TileSet, tiling: Tiling, spec: RenderSpec = RenderSpec()) ->
     return _render_svg(tileset, tiling, spec.cell_pixels)
 
 
-def _cell_sides(tileset: TileSet, tiling: Tiling, x: int, y: int):
+def _cell_sides(tileset: TileSet, tiling: Grid, x: int, y: int):
     t = tileset.tiles[tiling.cells[y][x]]
     return t.north, t.east, t.south, t.west
 
 
-def _render_ppm(tileset: TileSet, tiling: Tiling, c: int) -> bytes:
+def _render_ppm(tileset: TileSet, tiling: Grid, c: int) -> bytes:
     w_px, h_px = tiling.width * c, tiling.height * c
     rows = bytearray()
     # image rows run top-down; tiling row 0 is at the bottom
@@ -76,7 +76,7 @@ def _render_ppm(tileset: TileSet, tiling: Tiling, c: int) -> bytes:
     return header + bytes(rows)
 
 
-def _render_svg(tileset: TileSet, tiling: Tiling, c: int) -> bytes:
+def _render_svg(tileset: TileSet, tiling: Grid, c: int) -> bytes:
     w_px, h_px = tiling.width * c, tiling.height * c
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w_px}" '

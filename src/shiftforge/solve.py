@@ -28,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .core import TileSet, Tiling, TorusTiling
+from .core import Grid, TileSet
 from .errors import InvalidInput
 
 SAT = "SAT"
@@ -73,22 +73,12 @@ class BoundaryConstraint:
 
 
 @dataclass(frozen=True)
-class RectResult:
+class SearchResult:
+    """SAT with the least `tiling`, UNSAT, COUNT with the exact `count`,
+    or UNKNOWN once the budget is spent; `nodes` is the nodes spent."""
+
     status: str
-    tiling: Tiling | None = None
-    nodes: int = 0
-
-
-@dataclass(frozen=True)
-class TorusResult:
-    status: str
-    tiling: TorusTiling | None = None
-    nodes: int = 0
-
-
-@dataclass(frozen=True)
-class CountResult:
-    status: str  # SAT-style: "COUNT" when exact, UNKNOWN on budget
+    tiling: Grid | None = None
     count: int | None = None
     nodes: int = 0
 
@@ -133,6 +123,8 @@ class _Grid:
                  boundary: BoundaryConstraint | None, budget: SearchBudget):
         if w < 1 or h < 1:
             raise InvalidInput("grid dimensions must be positive")
+        if wrap and boundary is not None:
+            raise InvalidInput("a torus has no boundary")
         self.w, self.h = w, h
         tiles = tileset.tiles
         n = len(tiles)
@@ -235,9 +227,9 @@ class _Grid:
         return True
 
     def _tick(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.budget.max_nodes:
+        if self.nodes >= self.budget.max_nodes:
             raise _BudgetExceeded
+        self.nodes += 1
         if self.nodes % 1024 == 0 and time.monotonic() > self.deadline:
             raise _BudgetExceeded
 
@@ -268,86 +260,76 @@ class _Grid:
             if self._propagate(trial, [cell]):
                 yield from self._search(trial, cell + 1)
 
-    def cells_to_rows(self, cells: list[int]) -> tuple[tuple[int, ...], ...]:
-        w = self.w
-        return tuple(tuple(cells[y * w:(y + 1) * w]) for y in range(self.h))
+
+def _run(tileset: TileSet, w: int, h: int, boundary: BoundaryConstraint | None,
+         budget: SearchBudget, wrap: bool, limit: int | None,
+         keep: bool = True) -> tuple[list[Grid], int, bool, int]:
+    """Search in lexicographic order, stopping after `limit` tilings (never
+    when None): (the tilings found, built only if `keep`; how many were
+    found; complete; nodes spent).  complete is False when the budget ran
+    out or the limit stopped the search."""
+    g = _Grid(tileset, w, h, wrap, boundary, budget)
+    tilings: list[Grid] = []
+    found = 0
+    try:
+        for sol in g.solutions():
+            found += 1
+            if keep:
+                rows = tuple(tuple(sol[y * w:(y + 1) * w]) for y in range(h))
+                tilings.append(Grid(w, h, rows))
+            if limit is not None and found >= limit:
+                return tilings, found, False, g.nodes
+    except _BudgetExceeded:
+        return tilings, found, False, g.nodes
+    return tilings, found, True, g.nodes
+
+
+def _first(tileset: TileSet, w: int, h: int, boundary: BoundaryConstraint | None,
+           budget: SearchBudget, wrap: bool) -> SearchResult:
+    tilings, _, complete, nodes = _run(tileset, w, h, boundary, budget, wrap, 1)
+    if tilings:
+        return SearchResult(SAT, tilings[0], nodes=nodes)
+    return SearchResult(UNSAT if complete else UNKNOWN, nodes=nodes)
 
 
 def solve_rectangle(tileset: TileSet, w: int, h: int,
                     boundary: BoundaryConstraint | None = None,
-                    budget: SearchBudget = SearchBudget()) -> RectResult:
+                    budget: SearchBudget = SearchBudget()) -> SearchResult:
     """First (lexicographically least) tiling of a w x h rectangle, or UNSAT."""
-    g = _Grid(tileset, w, h, wrap=False, boundary=boundary, budget=budget)
-    try:
-        for sol in g.solutions():
-            return RectResult(SAT, Tiling(w, h, g.cells_to_rows(sol)), g.nodes)
-    except _BudgetExceeded:
-        return RectResult(UNKNOWN, None, g.nodes)
-    return RectResult(UNSAT, None, g.nodes)
+    return _first(tileset, w, h, boundary, budget, wrap=False)
+
+
+def solve_torus(tileset: TileSet, p: int, q: int,
+                budget: SearchBudget = SearchBudget()) -> SearchResult:
+    """Least p x q torus tiling or exhaustive UNSAT.  A SAT answer
+    certifies a fully periodic tiling of the entire plane."""
+    return _first(tileset, p, q, None, budget, wrap=True)
 
 
 def count_rectangle(tileset: TileSet, w: int, h: int,
                     boundary: BoundaryConstraint | None = None,
-                    budget: SearchBudget = SearchBudget()) -> CountResult:
+                    budget: SearchBudget = SearchBudget()) -> SearchResult:
     """Exact number of valid tilings (exhaustive; intended for small grids)."""
-    g = _Grid(tileset, w, h, wrap=False, boundary=boundary, budget=budget)
-    count = 0
-    try:
-        for _ in g.solutions():
-            count += 1
-    except _BudgetExceeded:
-        return CountResult(UNKNOWN, None, g.nodes)
-    return CountResult("COUNT", count, g.nodes)
+    # counts run to millions, so the tilings themselves are not built
+    _, found, complete, nodes = _run(tileset, w, h, boundary, budget, False, None,
+                                     keep=False)
+    if not complete:
+        return SearchResult(UNKNOWN, nodes=nodes)
+    return SearchResult("COUNT", count=found, nodes=nodes)
 
 
-def enumerate_rectangle(tileset: TileSet, w: int, h: int,
-                        boundary: BoundaryConstraint | None = None,
-                        budget: SearchBudget = SearchBudget(),
-                        limit: int | None = None) -> tuple[list[Tiling], bool]:
-    """All tilings in lexicographic order.
+def enumerate_tilings(tileset: TileSet, w: int, h: int,
+                      boundary: BoundaryConstraint | None = None,
+                      budget: SearchBudget = SearchBudget(), *, wrap: bool = False,
+                      limit: int | None = None) -> tuple[list[Grid], bool]:
+    """All tilings of a w x h rectangle, or of a w x h torus with `wrap`,
+    in lexicographic order.
 
     Returns (tilings, complete); complete is False when the budget ran out
     or `limit` results were produced before the search finished.
     """
-    g = _Grid(tileset, w, h, wrap=False, boundary=boundary, budget=budget)
-    out: list[Tiling] = []
-    try:
-        for sol in g.solutions():
-            out.append(Tiling(w, h, g.cells_to_rows(sol)))
-            if limit is not None and len(out) >= limit:
-                return out, False
-    except _BudgetExceeded:
-        return out, False
-    return out, True
-
-
-def solve_torus(tileset: TileSet, p: int, q: int,
-                budget: SearchBudget = SearchBudget()) -> TorusResult:
-    """Least p x q torus tiling or exhaustive UNSAT.  A SAT answer
-    certifies a fully periodic tiling of the entire plane."""
-    g = _Grid(tileset, p, q, wrap=True, boundary=None, budget=budget)
-    try:
-        for sol in g.solutions():
-            return TorusResult(SAT, TorusTiling(p, q, g.cells_to_rows(sol)), g.nodes)
-    except _BudgetExceeded:
-        return TorusResult(UNKNOWN, None, g.nodes)
-    return TorusResult(UNSAT, None, g.nodes)
-
-
-def enumerate_torus(tileset: TileSet, p: int, q: int,
-                    budget: SearchBudget = SearchBudget(),
-                    limit: int | None = None) -> tuple[list[TorusTiling], bool]:
-    """All p x q torus tilings in lexicographic order."""
-    g = _Grid(tileset, p, q, wrap=True, boundary=None, budget=budget)
-    out: list[TorusTiling] = []
-    try:
-        for sol in g.solutions():
-            out.append(TorusTiling(p, q, g.cells_to_rows(sol)))
-            if limit is not None and len(out) >= limit:
-                return out, False
-    except _BudgetExceeded:
-        return out, False
-    return out, True
+    tilings, _, complete, _ = _run(tileset, w, h, boundary, budget, wrap, limit)
+    return tilings, complete
 
 
 def domino_semidecide(tileset: TileSet, max_n: int,

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from .core import Pattern, SftSpec, Window, check_alphabet
+from .core import Grid, SftSpec, check_alphabet
 from .errors import InvalidInput, InvalidSpec, UnsupportedSpec
 
 DEFAULT_STREAM_BUDGET = 10_000
@@ -248,17 +248,17 @@ def lift_1d(spec: Subshift1dSpec) -> SftSpec:
     vertical pair plus every forbidden word laid out horizontally."""
     if not isinstance(spec.source, ExplicitWords):
         raise UnsupportedSpec("only explicit finite word lists can be lifted")
-    patterns: list[Pattern] = []
+    patterns: list[Grid] = []
     for lower in spec.alphabet:
         for upper in spec.alphabet:
             if lower != upper:
-                patterns.append(Pattern.from_rows([lower, upper]))
+                patterns.append(Grid.from_rows([lower, upper]))
     for w in sorted(spec.source.words):
-        patterns.append(Pattern.from_rows([w]))
+        patterns.append(Grid.from_rows([w]))
     return SftSpec(spec.alphabet, tuple(patterns))
 
 
-def check_window(spec: SftSpec, w: Window) -> WindowVerdict:
+def check_window(spec: SftSpec, w: Grid) -> WindowVerdict:
     """Scan a window for forbidden-pattern occurrences; on a hit, report
     the least (y, x, pattern_index) triple."""
     letters = set(spec.alphabet)

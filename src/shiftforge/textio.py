@@ -9,7 +9,7 @@ the in-memory convention.
 from __future__ import annotations
 
 from .compilers import TileCompilation, TmSpec
-from .core import Pattern, SftSpec, TileSet, Tiling, Window, make_tileset
+from .core import Grid, SftSpec, TileSet, make_tileset
 from .errors import ParseError
 from .subshift import ExplicitWords, Subshift1dSpec, make_stream
 
@@ -109,7 +109,7 @@ def serialize_sft(spec: SftSpec) -> str:
 
 def parse_sft(text: str) -> SftSpec:
     alphabet = None
-    patterns: list[Pattern] = []
+    patterns: list[Grid] = []
     pending: tuple[int, int, int] | None = None  # (w, h, header line)
     rows: list[str] = []
     for ln, line in _lines(text):
@@ -120,7 +120,7 @@ def parse_sft(text: str) -> SftSpec:
                 raise ParseError(f"pattern row must have {w} letters", ln)
             rows.append(line)
             if len(rows) == h:
-                patterns.append(Pattern.from_rows(rows))
+                patterns.append(Grid.from_rows(rows))
                 pending, rows = None, []
             continue
         if toks[0] == "sft":
@@ -260,13 +260,13 @@ def parse_tm(text: str) -> TmSpec:
 # --- windows and tilings --------------------------------------------------------
 
 
-def serialize_window(w: Window) -> str:
+def serialize_window(w: Grid) -> str:
     out = [f"window {w.width} {w.height}"]
     out.extend("".join(row) for row in w.cells)
     return "\n".join(out) + "\n"
 
 
-def parse_window(text: str) -> Window:
+def parse_window(text: str) -> Grid:
     header: tuple[int, int] | None = None
     rows: list[str] = []
     for ln, line in _lines(text):
@@ -285,16 +285,16 @@ def parse_window(text: str) -> Window:
         raise ParseError("missing window header")
     if len(rows) != header[1]:
         raise ParseError(f"expected {header[1]} window rows, got {len(rows)}")
-    return Window.from_rows(rows)
+    return Grid.from_rows(rows)
 
 
-def serialize_tiling(t: Tiling, verdict: str = "SAT") -> str:
+def serialize_tiling(t: Grid, verdict: str = "SAT") -> str:
     out = [verdict]
     out.extend(" ".join(str(i) for i in row) for row in t.cells)
     return "\n".join(out) + "\n"
 
 
-def parse_tiling(text: str) -> Tiling:
+def parse_tiling(text: str) -> Grid:
     """Rows of tile indices, bottom-up; an optional leading verdict line
     (as written by the solver) is accepted and ignored."""
     rows: list[list[int]] = []
@@ -309,4 +309,4 @@ def parse_tiling(text: str) -> Tiling:
     for row in rows:
         if len(row) != width:
             raise ParseError("tiling rows must all have the same width")
-    return Tiling.from_rows(rows)
+    return Grid.from_rows(rows)

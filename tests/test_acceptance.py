@@ -16,9 +16,9 @@ from shiftforge.aperiodic import robinson_tileset
 from shiftforge.cli import main
 from shiftforge.compilers import (TmSpec, decode_row, sft_to_wang,
                                   tm_initial_boundary, tm_to_tileset)
-from shiftforge.core import Pattern, SftSpec, Window, make_tileset
+from shiftforge.core import Grid, SftSpec, make_tileset
 from shiftforge.solve import (SAT, UNSAT, count_rectangle, domino_semidecide,
-                              enumerate_torus, solve_rectangle, solve_torus)
+                              enumerate_tilings, solve_rectangle, solve_torus)
 from shiftforge.subshift import (CLEAN, ExplicitWords, Subshift1dSpec,
                                  check_window, lift_1d)
 
@@ -33,13 +33,13 @@ def _random_sft(rng: random.Random) -> SftSpec:
     pats = []
     for _ in range(rng.randint(0, 4)):
         w, h = rng.randint(1, 2), rng.randint(1, 2)
-        pats.append(Pattern(w, h, tuple(
+        pats.append(Grid(w, h, tuple(
             tuple(rng.choice(alphabet) for _ in range(w)) for _ in range(h))))
     return SftSpec(alphabet, tuple(pats))
 
 
 def _d_image(comp, p, q):
-    sols, complete = enumerate_torus(comp.tileset, p, q)
+    sols, complete = enumerate_tilings(comp.tileset, p, q, wrap=True)
     assert complete
     return {
         tuple(tuple(comp.decode[i] for i in row) for row in t.cells)
@@ -87,7 +87,7 @@ def test_criterion_2_lift_correctness():
             for w in (1, 2, 3):
                 for h in (1, 2, 3):
                     for grid in all_windows(alphabet, w, h):
-                        clean = check_window(lifted, Window(w, h, grid)).kind == CLEAN
+                        clean = check_window(lifted, Grid(w, h, grid)).kind == CLEAN
                         cols_const = all(
                             grid[y][x] == grid[y + 1][x]
                             for x in range(w) for y in range(h - 1)

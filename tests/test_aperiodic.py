@@ -74,7 +74,7 @@ def test_evidence_shares_one_node_budget():
     rep = aperiodicity_evidence(free, max_square=4, max_period=2,
                                 budget=SearchBudget(max_nodes=2))
     assert rep.budget_exhausted
-    assert rep.nodes <= 2 + 1  # _tick counts the node it refuses
+    assert rep.nodes <= 2
     assert rep.square_verdicts == ((1, SAT), (2, UNKNOWN))
     assert all(st == UNKNOWN for _, _, st in rep.torus_verdicts)
     assert "inconclusive (budget exhausted)" in format_evidence(rep)

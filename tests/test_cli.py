@@ -172,11 +172,26 @@ def test_solve_rejects_non_integer_dimension(tiles_file, capsys):
     ("subshift1d", "subshift alphabet=\n"),
     ("sft", "sft alphabet=a,,b\n"),
     ("sft", "sft alphabet=ab,c\n"),
+    ("sft", "sft alphabet=#,a\n"),
+    ("subshift1d", "subshift alphabet=0,#\n"),
 ])
 def test_compile_rejects_letters_that_do_not_round_trip(tmp_path, capsys, kind, text):
     spec = tmp_path / "spec.txt"
     spec.write_text(text)
     assert main(["compile", str(spec), "--kind", kind]) == 2
+    assert_one_error_line(capsys)
+
+
+def test_render_rejects_zero_cell_pixels(tmp_path, tiles_file, capsys):
+    tiling = tmp_path / "t.tiling"
+    tiling.write_text("0\n")
+    assert main(["render", str(tiles_file), str(tiling), "--cell-pixels", "0",
+                 "--out", str(tmp_path / "img.ppm")]) == 2
+    assert_one_error_line(capsys)
+
+
+def test_macro_rejects_negative_max_tiles(tiles_file, capsys):
+    assert main(["macro", str(tiles_file), "2", "--max-tiles", "-1"]) == 2
     assert_one_error_line(capsys)
 
 

@@ -7,9 +7,9 @@ from oracles import legal_torus_configs, tm_run, torus_config_legal
 from shiftforge.compilers import (TileCompilation, TmSpec, decode_row,
                                   legal_blocks, sft_to_wang,
                                   tm_initial_boundary, tm_to_tileset)
-from shiftforge.core import Pattern, SftSpec, validate_torus_tiling
+from shiftforge.core import Grid, SftSpec
 from shiftforge.errors import InvalidInput, InvalidSpec
-from shiftforge.solve import SAT, UNSAT, count_rectangle, enumerate_torus, solve_rectangle
+from shiftforge.solve import SAT, UNSAT, count_rectangle, enumerate_tilings, solve_rectangle
 from shiftforge.subshift import ExplicitWords, Subshift1dSpec, lift_1d
 
 GOLDEN_FREE = SftSpec(("0", "1"), ())
@@ -48,7 +48,7 @@ def test_lifted_golden_word_spec_tile_count_matches_block_oracle():
 
 
 def random_pattern(rng, alphabet, w, h):
-    return Pattern(w, h, tuple(
+    return Grid(w, h, tuple(
         tuple(rng.choice(alphabet) for _ in range(w)) for _ in range(h)))
 
 
@@ -81,7 +81,7 @@ def test_binary_k5_lift_blocks_are_constant_columns_of_legal_words():
 
 
 def test_decode_is_bottom_left_letter():
-    spec = SftSpec(("0", "1"), (Pattern.from_rows(["11"]),))
+    spec = SftSpec(("0", "1"), (Grid.from_rows(["11"]),))
     comp = sft_to_wang(spec)
     for i, prov in enumerate(comp.provenance):
         rows = prov.removeprefix("block ").split("|")
@@ -89,7 +89,7 @@ def test_decode_is_bottom_left_letter():
 
 
 def d_image_of_tori(comp, p, q):
-    sols, complete = enumerate_torus(comp.tileset, p, q)
+    sols, complete = enumerate_tilings(comp.tileset, p, q, wrap=True)
     assert complete
     return {
         tuple(tuple(comp.decode[i] for i in row) for row in t.cells)

@@ -1,9 +1,7 @@
 import pytest
 
-from shiftforge.core import (Color, Pattern, SftSpec, Tile, TileSet, Tiling,
-                             TorusTiling, Window, make_tileset,
-                             normalize_tileset, validate_tiling,
-                             validate_torus_tiling)
+from shiftforge.core import (Color, Grid, SftSpec, Tile, TileSet, make_tileset,
+                             normalize_tileset, validate_tiling)
 from shiftforge.errors import InvalidSpec, MalformedInput
 
 
@@ -29,7 +27,7 @@ def test_tileset_rejects_duplicate_tiles():
 
 
 def test_pattern_from_rows_bottom_up():
-    p = Pattern.from_rows(["ab", "cd"])  # row 0 = bottom
+    p = Grid.from_rows(["ab", "cd"])  # row 0 = bottom
     assert p.cells[0] == ("a", "b")
     assert p.cells[1] == ("c", "d")
     assert (p.width, p.height) == (2, 2)
@@ -37,46 +35,46 @@ def test_pattern_from_rows_bottom_up():
 
 def test_pattern_dimension_mismatch():
     with pytest.raises(InvalidSpec):
-        Pattern(2, 1, (("a",),))
+        Grid(2, 1, (("a",),))
 
 
 def test_sft_spec_window_property():
-    spec = SftSpec(("a", "b"), (Pattern.from_rows(["ab"]), Pattern.from_rows(["a", "b", "a"])))
+    spec = SftSpec(("a", "b"), (Grid.from_rows(["ab"]), Grid.from_rows(["a", "b", "a"])))
     assert spec.window == 3
     assert SftSpec(("a",), ()).window == 1
 
 
 def test_sft_spec_rejects_foreign_letters():
     with pytest.raises(InvalidSpec):
-        SftSpec(("a",), (Pattern.from_rows(["x"]),))
+        SftSpec(("a",), (Grid.from_rows(["x"]),))
 
 
 def test_validate_tiling_matching_rules():
     # east(tile 0) = 1 = west(tile 1), but east(tile 1) = 2 != west(tile 0)
     ts = make_tileset("t", [(0, 1, 0, 0), (0, 2, 0, 1)])
-    assert validate_tiling(ts, Tiling.from_rows([[0, 1]]))
-    assert not validate_tiling(ts, Tiling.from_rows([[1, 0]]))
+    assert validate_tiling(ts, Grid.from_rows([[0, 1]]))
+    assert not validate_tiling(ts, Grid.from_rows([[1, 0]]))
 
 
 def test_validate_tiling_vertical_rule_uses_bottom_up_rows():
     # north(tile 0) = 1 = south(tile 1); the reverse stack cannot match
     ts = make_tileset("t", [(1, 0, 0, 0), (2, 0, 1, 0)])
-    assert validate_tiling(ts, Tiling.from_rows([[0], [1]]))
-    assert not validate_tiling(ts, Tiling.from_rows([[1], [0]]))
+    assert validate_tiling(ts, Grid.from_rows([[0], [1]]))
+    assert not validate_tiling(ts, Grid.from_rows([[1], [0]]))
 
 
 def test_validate_tiling_index_out_of_range():
     ts = make_tileset("t", [(0, 0, 0, 0)])
     with pytest.raises(MalformedInput):
-        validate_tiling(ts, Tiling.from_rows([[3]]))
+        validate_tiling(ts, Grid.from_rows([[3]]))
 
 
 def test_validate_torus_wraps_both_axes():
     ts = make_tileset("t", [(0, 1, 0, 2)])
     # east=1 never matches west=2 across the wrap
-    assert not validate_torus_tiling(ts, TorusTiling.from_rows([[0]]))
+    assert not validate_tiling(ts, Grid.from_rows([[0]]), wrap=True)
     ok = make_tileset("t", [(0, 1, 0, 1)])
-    assert validate_torus_tiling(ok, TorusTiling.from_rows([[0]]))
+    assert validate_tiling(ok, Grid.from_rows([[0]]), wrap=True)
 
 
 def test_normalize_tileset_renumbers_colors_densely():
@@ -101,6 +99,6 @@ def test_normalize_preserves_relative_order_of_sorted_tiles():
 
 
 def test_window_from_rows():
-    w = Window.from_rows(["ab", "ba"])
+    w = Grid.from_rows(["ab", "ba"])
     assert w.cells[0] == ("a", "b")
     assert (w.width, w.height) == (2, 2)

@@ -1,12 +1,12 @@
 import pytest
 
-from shiftforge.core import Tiling, make_tileset
+from shiftforge.core import Grid, make_tileset
 from shiftforge.errors import InvalidInput
 from shiftforge.render import PPM, SVG, RenderSpec, palette_rgb, render
 
 
 TS = make_tileset("t", [(0, 1, 2, 3)], num_colors=4)
-ONE = Tiling.from_rows([[0]])
+ONE = Grid.from_rows([[0]])
 
 
 def test_palette_is_stable_and_in_range():
@@ -41,7 +41,7 @@ def test_ppm_triangles_show_side_colors():
 def test_ppm_row_zero_is_at_the_image_bottom():
     # tile 1 (north color 2) stacks above tile 0 (south color 0)
     ts = make_tileset("two", [(1, 0, 0, 0), (2, 0, 1, 0)])
-    t = Tiling.from_rows([[0], [1]])
+    t = Grid.from_rows([[0], [1]])
     c = 4
     data = render(ts, t, RenderSpec(cell_pixels=c))
     body = data[len(f"P6\n{c} {2 * c}\n255\n".encode()):]
@@ -64,7 +64,7 @@ def test_svg_structure():
 
 def test_render_rejects_invalid_tiling():
     ts = make_tileset("t", [(0, 1, 0, 2)])
-    bad = Tiling.from_rows([[0, 0]])
+    bad = Grid.from_rows([[0, 0]])
     with pytest.raises(InvalidInput):
         render(ts, bad)
 

@@ -5,12 +5,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import naive_count_tilings, naive_solve
-from shiftforge.core import make_tileset, validate_tiling, validate_torus_tiling
+from shiftforge.core import make_tileset, validate_tiling
 from shiftforge.errors import InvalidInput
 from shiftforge.solve import (SAT, UNKNOWN, UNSAT, BoundaryConstraint,
                               SearchBudget, count_rectangle, domino_semidecide,
-                              enumerate_rectangle, enumerate_torus,
-                              solve_rectangle, solve_torus)
+                              enumerate_tilings, solve_rectangle, solve_torus)
 
 
 def random_tileset(rng, max_tiles=4, max_colors=3):
@@ -40,18 +39,18 @@ def test_torus_count_matches_naive_enumeration():
     for _ in range(40):
         ts = random_tileset(rng)
         p, q = rng.randint(1, 2), rng.randint(1, 3)
-        sols, complete = enumerate_torus(ts, p, q)
+        sols, complete = enumerate_tilings(ts, p, q, wrap=True)
         assert complete
         assert len(sols) == naive_count_tilings(ts, p, q, torus=True)
         for t in sols:
-            assert validate_torus_tiling(ts, t)
+            assert validate_tiling(ts, t, wrap=True)
 
 
 def test_sat_witness_is_lexicographically_least():
     rng = random.Random(3)
     for _ in range(30):
         ts = random_tileset(rng)
-        sols, complete = enumerate_rectangle(ts, 2, 2)
+        sols, complete = enumerate_tilings(ts, 2, 2)
         assert complete
         flat = [sum(t.cells, ()) for t in sols]
         assert flat == sorted(flat)
@@ -97,6 +96,8 @@ def test_boundary_dimension_checks():
         solve_rectangle(ts, 2, 1, boundary=BoundaryConstraint(south=(0,)))
     with pytest.raises(InvalidInput):
         solve_rectangle(ts, 2, 1, boundary=BoundaryConstraint(forced_cells=((5, 0, 0),)))
+    with pytest.raises(InvalidInput):
+        enumerate_tilings(ts, 2, 1, BoundaryConstraint(), wrap=True)
 
 
 def test_dimensions_must_be_positive():
@@ -118,13 +119,15 @@ def test_period_one_torus_self_constraints():
 def test_node_budget_gives_unknown():
     # fully free 3-color set on a big grid with a 1-node budget
     ts = make_tileset("t", [(0, 0, 0, 0), (0, 1, 0, 1), (1, 0, 1, 0), (1, 1, 1, 1)])
-    r = count_rectangle(ts, 4, 4, budget=SearchBudget(max_nodes=1))
+    max_nodes = 1
+    r = count_rectangle(ts, 4, 4, budget=SearchBudget(max_nodes=max_nodes))
     assert r.status == UNKNOWN and r.count is None
+    assert r.nodes <= max_nodes
 
 
 def test_enumerate_limit_marks_incomplete():
     ts = make_tileset("t", [(0, 0, 0, 0), (1, 1, 1, 1)])
-    sols, complete = enumerate_rectangle(ts, 1, 1, limit=1)
+    sols, complete = enumerate_tilings(ts, 1, 1, limit=1)
     assert len(sols) == 1 and not complete
 
 
@@ -201,6 +204,15 @@ def test_search_matches_naive_reference_solver(instance):
         r = solve_rectangle(ts, w, h, boundary=boundary)
     got = (r.status, r.tiling.cells if r.tiling else None, r.nodes)
     assert got == naive_solve(ts, w, h, torus=torus, boundary=boundary)
+    # the same search run to the end; budgeted, because a free 4-tile set
+    # has 4**16 tilings of a 4 x 4 square
+    budget = SearchBudget(max_nodes=2_000)
+    tilings, complete = enumerate_tilings(ts, w, h, boundary, budget, wrap=torus)
+    assert r.nodes <= budget.max_nodes  # so the enumeration reached the verdict
+    assert tilings[:1] == ([r.tiling] if r.status == SAT else [])
+    if not torus:
+        c = count_rectangle(ts, w, h, boundary, budget)
+        assert (c.status, c.count) == (("COUNT", len(tilings)) if complete else (UNKNOWN, None))
 
 
 def test_domino_honours_shared_node_budget():
@@ -212,4 +224,4 @@ def test_domino_honours_shared_node_budget():
     for ts in (costly, free):
         for max_nodes in range(1, 12):
             v = domino_semidecide(ts, 4, budget=SearchBudget(max_nodes=max_nodes))
-            assert v.nodes <= max_nodes + 1  # _tick counts the node it refuses
+            assert v.nodes <= max_nodes

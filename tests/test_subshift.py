@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import naive_first_match, window_has_pattern
-from shiftforge.core import Window
+from shiftforge.core import Grid
 from shiftforge.errors import InvalidInput, InvalidSpec, UnsupportedSpec
 from shiftforge.subshift import (BUDGET_EXHAUSTED_CLEAN, CLEAN, VIOLATION,
                                  ExplicitWords, Subshift1dSpec, WordStream,
@@ -140,7 +140,7 @@ def test_lift_windows_match_direct_predicate_exhaustively():
             for w, h in [(1, 1), (2, 2), (3, 3), (3, 2)]:
                 for flat in itertools.product(alphabet, repeat=w * h):
                     grid = tuple(flat[y * w:(y + 1) * w] for y in range(h))
-                    got = check_window(lifted, Window(w, h, grid))
+                    got = check_window(lifted, Grid(w, h, grid))
                     want = _direct_lift_predicate(alphabet, words, grid)
                     assert (got.kind == CLEAN) == want
 
@@ -148,7 +148,7 @@ def test_lift_windows_match_direct_predicate_exhaustively():
 def test_check_window_reports_least_y_x_pattern():
     spec = lift_1d(Subshift1dSpec(("0", "1"), ExplicitWords(("11",))))
     # bottom row has the hit at x=1
-    v = check_window(spec, Window.from_rows(["0110", "0110"]))
+    v = check_window(spec, Grid.from_rows(["0110", "0110"]))
     word_idx = [i for i, p in enumerate(spec.forbidden)
                 if (p.width, p.height) == (2, 1)][0]
     assert (v.kind, v.y, v.x, v.pattern_index) == (VIOLATION, 0, 1, word_idx)
@@ -158,6 +158,6 @@ def test_check_window_uses_oracle_pattern_scan():
     spec = lift_1d(Subshift1dSpec(("0", "1"), ExplicitWords(("10", "00"))))
     for flat in itertools.product("01", repeat=4):
         grid = (flat[:2], flat[2:])
-        got = check_window(spec, Window(2, 2, grid))
+        got = check_window(spec, Grid(2, 2, grid))
         want = any(window_has_pattern(grid, p) for p in spec.forbidden)
         assert (got.kind == VIOLATION) == want

@@ -1,7 +1,7 @@
 import pytest
 
 from shiftforge.compilers import TmSpec, sft_to_wang, tm_to_tileset
-from shiftforge.core import Pattern, SftSpec, Tiling, Window, make_tileset
+from shiftforge.core import Grid, SftSpec, make_tileset
 from shiftforge.errors import ParseError
 from shiftforge.subshift import ExplicitWords, Subshift1dSpec, WordStream
 from shiftforge.textio import (parse_sft, parse_subshift, parse_tileset,
@@ -13,7 +13,7 @@ from shiftforge.textio import (parse_sft, parse_subshift, parse_tileset,
 
 
 def test_tileset_round_trip_with_decode():
-    comp = sft_to_wang(SftSpec(("0", "1"), (Pattern.from_rows(["11"]),)))
+    comp = sft_to_wang(SftSpec(("0", "1"), (Grid.from_rows(["11"]),)))
     text = serialize_compilation(comp)
     ts, decode = parse_tileset(text)
     assert ts.tiles == comp.tileset.tiles
@@ -46,7 +46,7 @@ def test_comments_and_blank_lines_ignored():
 
 def test_sft_round_trip():
     spec = SftSpec(("0", "1"),
-                   (Pattern.from_rows(["11"]), Pattern.from_rows(["0", "1"])))
+                   (Grid.from_rows(["11"]), Grid.from_rows(["0", "1"])))
     spec2 = parse_sft(serialize_sft(spec))
     assert spec2 == spec
 
@@ -112,7 +112,7 @@ def test_tm_parse_errors():
 
 
 def test_window_round_trip_and_errors():
-    w = Window.from_rows(["ab", "ba"])
+    w = Grid.from_rows(["ab", "ba"])
     assert parse_window(serialize_window(w)) == w
     with pytest.raises(ParseError):
         parse_window("window 2 2\nab\n")
@@ -121,7 +121,7 @@ def test_window_round_trip_and_errors():
 
 
 def test_tiling_round_trip_with_verdict_line():
-    t = Tiling.from_rows([[0, 1], [2, 3]])
+    t = Grid.from_rows([[0, 1], [2, 3]])
     text = serialize_tiling(t)
     assert text.startswith("SAT\n")
     assert parse_tiling(text) == t
