@@ -16,8 +16,7 @@ from .solve import (SAT, UNKNOWN, UNSAT, BoundaryConstraint, SearchBudget,
                     SearchResult, count_rectangle, domino_semidecide,
                     enumerate_tilings, solve_rectangle, solve_torus)
 from .subshift import (BUDGET_EXHAUSTED_CLEAN, CLEAN, VIOLATION,
-                       ExplicitWords, MatchAutomaton, Subshift1dSpec,
-                       WordStream, build_matcher, check_sequence,
-                       check_window, lift_1d)
+                       ExplicitWords, Subshift1dSpec, WordStream,
+                       check_sequence, check_window, lift_1d)
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import Grid, SftSpec, TileSet, make_tileset
+from .core import Grid, Patterns, SftSpec, TileSet, make_tileset
 from .errors import InvalidInput, InvalidSpec
 from .solve import BoundaryConstraint
 
@@ -77,31 +77,22 @@ def legal_blocks(spec: SftSpec, kb: int) -> list[Block]:
     """All kb x kb letter blocks with no forbidden-pattern occurrence,
     in lexicographic order (rows bottom-up, alphabet order as given).
 
-    Blocks grow one row at a time, depth first.  Once row y is placed,
-    only the pattern placements whose top row lands on y are new, so
-    those are checked and a partial block with a hit is pruned.
+    Blocks grow one row at a time, depth first.  Once a row is placed,
+    only the pattern placements whose top row is that row are new, so
+    only those are scanned and a partial block with a hit is pruned.
     """
     rows = list(itertools.product(spec.alphabet, repeat=kb))
-    # (height, x, width, cells) for every in-block placement of a pattern
-    placements = [
-        (p.height, x, p.width, p.cells)
-        for p in spec.forbidden
-        for x in range(kb - p.width + 1)
-    ]
+    patterns = Patterns([p.cells for p in spec.forbidden])
     out: list[Block] = []
 
     def grow(block: Block) -> None:
-        placed = len(block)
-        for h, x, w, cells in placements:
-            if h <= placed and all(
-                row[x:x + w] == prow for row, prow in zip(block[placed - h:], cells)
-            ):
-                return
-        if placed == kb:
+        if len(block) == kb:
             out.append(block)
             return
         for row in rows:
-            grow(block + (row,))
+            grown = block + (row,)
+            if patterns.first(grown, top=len(block)) is None:
+                grow(grown)
 
     grow(())
     return out

@@ -14,6 +14,7 @@ Conventions used everywhere in this package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import InvalidSpec, MalformedInput
 
@@ -103,6 +104,47 @@ class Grid:
 
 # kept for callers that build tilings by the older name
 Tiling = Grid
+
+
+class Patterns:
+    """The package's one forbidden-occurrence scanner (internal).
+
+    Patterns are tuples of rows, bottom-up, like `Grid.cells`; a word is a
+    one-row pattern.  They are grouped by shape, and each distinct pattern
+    maps to its least index, so one dict lookup per placement and shape
+    finds the least index occurring there.  Scanned rows must have the
+    patterns' row type: strings for words, tuples for grids.
+    """
+
+    def __init__(self, patterns):
+        shapes: dict[tuple[int, int], dict[tuple, int]] = {}
+        for i, p in enumerate(patterns):
+            shapes.setdefault((len(p), len(p[0])), {}).setdefault(tuple(p), i)
+        self.shapes = [(h, w, index) for (h, w), index in shapes.items()]
+        self.max_height = max((h for h, _, _ in self.shapes), default=0)
+
+    def first(self, rows, top: int = 0) -> tuple[int, int, int] | None:
+        """Least (y, x, i) such that pattern i occurs in `rows` with its
+        bottom-left cell at (x, y) and its top row at row `top` or above;
+        None when there is no such occurrence."""
+        height = len(rows)
+        width = len(rows[0])
+        for y in range(max(0, top + 1 - self.max_height), height):
+            best = None  # least (x, i) in row y so far
+            for h, w, index in self.shapes:
+                if not top < y + h <= height:
+                    continue
+                band = rows[y:y + h]
+                last = width - w if best is None else min(width - w, best[0])
+                for x in range(last + 1):
+                    i = index.get(tuple(map(itemgetter(slice(x, x + w)), band)))
+                    if i is not None:
+                        if best is None or (x, i) < best:
+                            best = (x, i)
+                        break
+            if best is not None:
+                return y, best[0], best[1]
+        return None
 
 
 def check_alphabet(alphabet: tuple[str, ...]) -> None:

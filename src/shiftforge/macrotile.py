@@ -13,6 +13,7 @@ on both axes).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .core import Color, Grid, TileSet, Tile
@@ -130,37 +131,30 @@ def preserves_adjacency(m: TileSetMap) -> bool:
     )
 
 
-def find_simulation(source: TileSet, target: TileSet) -> TileSetMap | None:
-    """Lexicographically least adjacency-preserving map of source tiles
-    into target tiles, or None (the search is exhaustive)."""
-    if not source.tiles or not target.tiles:
-        raise InvalidInput("both tile sets must be nonempty")
+def _least_map(source: TileSet, target: TileSet, bijective: bool) -> TileSetMap | None:
+    """Lexicographically least map of source tiles to target tiles under
+    which every source adjacency is a target adjacency, or None (the
+    search is exhaustive).  A `bijective` map must also be injective and
+    reflect adjacency: a pair is adjacent in the source iff its image is
+    adjacent in the target."""
     HS, VS = _adjacency(source)
     HT, VT = _adjacency(target)
-    m, t = len(source.tiles), len(target.tiles)
+    fits = operator.eq if bijective else operator.le  # booleans: a <= b is a -> b
     assign: list[int] = []
 
     def ok(k: int, v: int) -> bool:
-        for i in range(k):
-            w = assign[i]
-            if HS[i][k] and not HT[w][v]:
-                return False
-            if HS[k][i] and not HT[v][w]:
-                return False
-            if VS[i][k] and not VT[w][v]:
-                return False
-            if VS[k][i] and not VT[v][w]:
-                return False
-        if HS[k][k] and not HT[v][v]:
+        if bijective and v in assign:
             return False
-        if VS[k][k] and not VT[v][v]:
-            return False
+        for i, w in enumerate(assign + [v]):
+            if not (fits(HS[i][k], HT[w][v]) and fits(HS[k][i], HT[v][w])
+                    and fits(VS[i][k], VT[w][v]) and fits(VS[k][i], VT[v][w])):
+                return False
         return True
 
     def search(k: int) -> bool:
-        if k == m:
+        if k == len(source.tiles):
             return True
-        for v in range(t):
+        for v in range(len(target.tiles)):
             if ok(k, v):
                 assign.append(v)
                 if search(k + 1):
@@ -168,47 +162,21 @@ def find_simulation(source: TileSet, target: TileSet) -> TileSetMap | None:
                 assign.pop()
         return False
 
-    if search(0):
-        return TileSetMap(source, target, tuple(assign))
-    return None
+    return TileSetMap(source, target, tuple(assign)) if search(0) else None
+
+
+def find_simulation(source: TileSet, target: TileSet) -> TileSetMap | None:
+    """Lexicographically least adjacency-preserving map of source tiles
+    into target tiles, or None (the search is exhaustive)."""
+    if not source.tiles or not target.tiles:
+        raise InvalidInput("both tile sets must be nonempty")
+    return _least_map(source, target, bijective=False)
 
 
 def check_isomorphism(a: TileSet, b: TileSet) -> TileSetMap | None:
     """Lexicographically least bijection of tiles that preserves and
     reflects adjacency on both axes, or None.  Different sizes give None
     immediately."""
-    m = len(a.tiles)
-    if m != len(b.tiles):
+    if len(a.tiles) != len(b.tiles):
         return None
-    HA, VA = _adjacency(a)
-    HB, VB = _adjacency(b)
-    assign: list[int] = []
-    used = [False] * m
-
-    def ok(k: int, v: int) -> bool:
-        if HA[k][k] != HB[v][v] or VA[k][k] != VB[v][v]:
-            return False
-        for i in range(k):
-            w = assign[i]
-            if HA[i][k] != HB[w][v] or HA[k][i] != HB[v][w]:
-                return False
-            if VA[i][k] != VB[w][v] or VA[k][i] != VB[v][w]:
-                return False
-        return True
-
-    def search(k: int) -> bool:
-        if k == m:
-            return True
-        for v in range(m):
-            if not used[v] and ok(k, v):
-                used[v] = True
-                assign.append(v)
-                if search(k + 1):
-                    return True
-                assign.pop()
-                used[v] = False
-        return False
-
-    if search(0):
-        return TileSetMap(a, b, tuple(assign))
-    return None
+    return _least_map(a, b, bijective=True)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .core import Grid, TileSet
@@ -328,6 +328,8 @@ def enumerate_tilings(tileset: TileSet, w: int, h: int,
     Returns (tilings, complete); complete is False when the budget ran out
     or `limit` results were produced before the search finished.
     """
+    if limit is not None and limit < 1:
+        raise InvalidInput("limit must be positive")
     tilings, _, complete, _ = _run(tileset, w, h, boundary, budget, wrap, limit)
     return tilings, complete
 

@@ -2,18 +2,18 @@
 
 A 1D subshift is given by an alphabet and a source of forbidden words:
 either an explicit finite list or a pull-based stream whose enumeration
-can only ever be sampled up to a budget.  Strings are checked with a
-failure-function multi-pattern matcher; windows are checked against the
-2D patterns a spec was lifted to.
+can only ever be sampled up to a budget.  Strings and windows are both
+checked with `core.Patterns`: a word is a one-row pattern, and a window
+is checked against the 2D patterns a spec was lifted to.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator
 
-from .core import Grid, SftSpec, check_alphabet
+from .core import Grid, Patterns, SftSpec, check_alphabet
 from .errors import InvalidInput, InvalidSpec, UnsupportedSpec
 
 DEFAULT_STREAM_BUDGET = 10_000
@@ -73,18 +73,9 @@ def all_words_min_len(alphabet: tuple[str, ...], min_len: int) -> Iterator[str]:
             queue.append(w + a)
 
 
-STREAM_GENERATORS: dict[str, Callable[[tuple[str, ...], list[str]], WordStream]] = {}
-
-
-def _register(name):
-    def deco(fn):
-        STREAM_GENERATORS[name] = fn
-        return fn
-    return deco
-
-
-@_register("all_words_min_len")
-def _mk_all_words_min_len(alphabet: tuple[str, ...], params: list[str]) -> WordStream:
+def make_stream(name: str, alphabet: tuple[str, ...], params: list[str]) -> WordStream:
+    if name != "all_words_min_len":
+        raise InvalidSpec(f"unknown stream generator {name!r}")
     if len(params) != 1 or not params[0].isdigit():
         raise InvalidSpec("all_words_min_len takes one integer parameter")
     min_len = int(params[0])
@@ -92,93 +83,6 @@ def _mk_all_words_min_len(alphabet: tuple[str, ...], params: list[str]) -> WordS
         f"all_words_min_len {min_len}",
         lambda: all_words_min_len(alphabet, min_len),
     )
-
-
-def make_stream(name: str, alphabet: tuple[str, ...], params: list[str]) -> WordStream:
-    try:
-        factory = STREAM_GENERATORS[name]
-    except KeyError:
-        raise InvalidSpec(f"unknown stream generator {name!r}") from None
-    return factory(alphabet, params)
-
-
-# --- multi-pattern matching -------------------------------------------------
-
-
-@dataclass
-class _Node:
-    children: dict[str, int] = field(default_factory=dict)
-    fail: int = 0
-    # longest matched word ending here (original string), or None
-    hit: str | None = None
-
-
-@dataclass(frozen=True)
-class MatchAutomaton:
-    """Failure-function multi-pattern matcher over a fixed word list.
-
-    Words are deduplicated and sorted at build time, so equal word sets
-    always produce identical automata.
-    """
-
-    words: tuple[str, ...]
-    _nodes: tuple[_Node, ...]
-
-    def scan(self, s: str) -> tuple[str, int] | None:
-        """First match in s: minimal start position, then minimal length.
-
-        Returns (word, start) or None.
-        """
-        nodes = self._nodes
-        best: tuple[int, int, str] | None = None  # (start, length, word)
-        state = 0
-        for i, a in enumerate(s):
-            while state and a not in nodes[state].children:
-                state = nodes[state].fail
-            state = nodes[state].children.get(a, 0)
-            node = state
-            while node:
-                w = nodes[node].hit
-                if w is not None:
-                    cand = (i - len(w) + 1, len(w), w)
-                    if best is None or cand < best:
-                        best = cand
-                node = nodes[node].fail
-        if best is None:
-            return None
-        return best[2], best[0]
-
-
-def build_matcher(words: list[str] | tuple[str, ...]) -> MatchAutomaton:
-    canon = tuple(sorted(set(words)))
-    for w in canon:
-        if not w:
-            raise InvalidSpec("forbidden words must be nonempty")
-    nodes = [_Node()]
-    for w in canon:
-        state = 0
-        for a in w:
-            nxt = nodes[state].children.get(a)
-            if nxt is None:
-                nodes.append(_Node())
-                nxt = len(nodes) - 1
-                nodes[state].children[a] = nxt
-            state = nxt
-        nodes[state].hit = w
-    # breadth-first failure links
-    queue: deque[int] = deque()
-    for child in nodes[0].children.values():
-        nodes[child].fail = 0
-        queue.append(child)
-    while queue:
-        state = queue.popleft()
-        for a, child in nodes[state].children.items():
-            f = nodes[state].fail
-            while f and a not in nodes[f].children:
-                f = nodes[f].fail
-            nodes[child].fail = nodes[f].children.get(a, 0)
-            queue.append(child)
-    return MatchAutomaton(canon, tuple(nodes))
 
 
 # --- verdicts ----------------------------------------------------------------
@@ -199,7 +103,7 @@ class WindowVerdict:
     y: int | None = None
 
 
-def _check_letters(alphabet: tuple[str, ...], s: str) -> None:
+def _check_letters(alphabet: tuple[str, ...], s: Iterable[str]) -> None:
     letters = set(alphabet)
     for a in s:
         if a not in letters:
@@ -233,10 +137,13 @@ def check_sequence(
                 break
         else:
             exhausted = True
-    if words:
-        hit = build_matcher(words).scan(s)
-        if hit is not None:
-            return SequenceVerdict(VIOLATION, hit[0], hit[1])
+    if not all(words):
+        raise InvalidSpec("forbidden words must be nonempty")
+    # shortest first, so the least index at a start is the shortest word there
+    words.sort(key=len)
+    hit = Patterns([(w,) for w in words]).first((s,))
+    if hit is not None:
+        return SequenceVerdict(VIOLATION, words[hit[2]], hit[1])
     if exhausted:
         return SequenceVerdict(BUDGET_EXHAUSTED_CLEAN)
     return SequenceVerdict(CLEAN)
@@ -261,20 +168,10 @@ def lift_1d(spec: Subshift1dSpec) -> SftSpec:
 def check_window(spec: SftSpec, w: Grid) -> WindowVerdict:
     """Scan a window for forbidden-pattern occurrences; on a hit, report
     the least (y, x, pattern_index) triple."""
-    letters = set(spec.alphabet)
     for row in w.cells:
-        for a in row:
-            if a not in letters:
-                raise InvalidInput(f"letter {a!r} outside alphabet")
-    for y in range(w.height):
-        for x in range(w.width):
-            for pi, p in enumerate(spec.forbidden):
-                if x + p.width > w.width or y + p.height > w.height:
-                    continue
-                if all(
-                    w.cells[y + dy][x + dx] == p.cells[dy][dx]
-                    for dy in range(p.height)
-                    for dx in range(p.width)
-                ):
-                    return WindowVerdict(VIOLATION, pi, x, y)
-    return WindowVerdict(CLEAN)
+        _check_letters(spec.alphabet, row)
+    hit = Patterns([p.cells for p in spec.forbidden]).first(w.cells)
+    if hit is None:
+        return WindowVerdict(CLEAN)
+    y, x, pi = hit
+    return WindowVerdict(VIOLATION, pi, x, y)

@@ -162,6 +162,17 @@ def window_has_pattern(grid, pat) -> bool:
     return False
 
 
+def naive_first_occurrence(grid, patterns):
+    """Least (y, x, index) such that patterns[index] occurs in grid with
+    its bottom-left cell at (x, y), or None."""
+    hits = [(y0, x0, i) for i, pat in enumerate(patterns)
+            for y0 in range(len(grid) - pat.height + 1)
+            for x0 in range(len(grid[0]) - pat.width + 1)
+            if all(grid[y0 + dy][x0 + dx] == pat.cells[dy][dx]
+                   for dy in range(pat.height) for dx in range(pat.width))]
+    return min(hits, default=None)
+
+
 def naive_solve(ts: TileSet, w: int, h: int, torus: bool = False,
                 boundary=None):
     """(status, cells, nodes) of the documented search, computed naively.

@@ -203,3 +203,14 @@ def test_cli_outputs_are_deterministic(tmp_path, spec_file):
                      "--out", str(p)]) == 0
         outs.append(p.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_verify_rejects_empty_stream_word(tmp_path, capsys):
+    spec = tmp_path / "spec.subshift"
+    spec.write_text("subshift alphabet=0,1\nstream all_words_min_len 0\n")
+    window = tmp_path / "w.window"
+    window.write_text("window 2 1\n01\n")
+    assert main(["verify", str(spec), str(window)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: forbidden words must be nonempty\n"

@@ -106,3 +106,11 @@ def test_isomorphism_reflects_adjacency_unlike_simulation():
     free = make_tileset("f", [(0, 0, 0, 0), (1, 1, 1, 1)])
     assert find_simulation(a, free) is not None
     assert check_isomorphism(a, free) is None
+
+
+def test_isomorphism_is_injective_where_adjacency_cannot_tell_tiles_apart():
+    # no tile meets any tile on either axis, so only injectivity stops
+    # both tiles from mapping to tile 0
+    ts = make_tileset("apart", [(0, 1, 2, 3), (0, 1, 2, 4)])
+    assert find_simulation(ts, ts).assignment == (0, 0)
+    assert check_isomorphism(ts, ts).assignment == (0, 1)

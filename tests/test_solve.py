@@ -131,6 +131,13 @@ def test_enumerate_limit_marks_incomplete():
     assert len(sols) == 1 and not complete
 
 
+@pytest.mark.parametrize("limit", [0, -3])
+def test_enumerate_rejects_limit_below_one(limit):
+    ts = make_tileset("t", [(0, 0, 0, 0), (1, 1, 1, 1)])
+    with pytest.raises(InvalidInput):
+        enumerate_tilings(ts, 1, 1, limit=limit)
+
+
 def test_domino_all_zero_tile_periodic_1_1():
     ts = make_tileset("t", [(0, 0, 0, 0)])
     v = domino_semidecide(ts, 4)

@@ -1,41 +1,51 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_first_match, window_has_pattern
-from shiftforge.core import Grid
+from oracles import naive_first_match, naive_first_occurrence, window_has_pattern
+from shiftforge.core import Grid, SftSpec
 from shiftforge.errors import InvalidInput, InvalidSpec, UnsupportedSpec
 from shiftforge.subshift import (BUDGET_EXHAUSTED_CLEAN, CLEAN, VIOLATION,
                                  ExplicitWords, Subshift1dSpec, WordStream,
-                                 all_words_min_len, build_matcher,
-                                 check_sequence, check_window, lift_1d,
-                                 make_stream)
+                                 all_words_min_len, check_sequence,
+                                 check_window, lift_1d, make_stream)
 
 words_strategy = st.lists(st.text(alphabet="ab", min_size=1, max_size=4),
                           min_size=0, max_size=6)
 text_strategy = st.text(alphabet="ab", max_size=30)
 
 
+def first_match(words, s):
+    """check_sequence's hit as (word, start), or None; `words` may repeat,
+    so they reach it both as a stream and as a deduplicated list."""
+    got = []
+    for source in (WordStream("words", lambda: iter(words)),
+                   ExplicitWords(tuple(dict.fromkeys(words)))):
+        v = check_sequence(Subshift1dSpec(("a", "b"), source), s)
+        got.append(None if v.kind == CLEAN else (v.word, v.position))
+    assert got[0] == got[1]
+    return got[0]
+
+
 @settings(max_examples=300, deadline=None)
 @given(words=words_strategy, s=text_strategy)
 def test_matcher_agrees_with_naive_scan(words, s):
-    if not words:
-        return
-    assert build_matcher(words).scan(s) == naive_first_match(words, s)
+    assert first_match(words, s) == naive_first_match(words, s)
 
 
 def test_matcher_tie_break_earliest_then_shortest():
     # both "ab" and "abb" end matches around position 1; earliest start wins,
     # then the shorter word
-    assert build_matcher(["ab", "abb"]).scan("abb") == ("ab", 0)
-    assert build_matcher(["b", "ab"]).scan("ab") == ("ab", 0)
+    assert first_match(["ab", "abb"], "abb") == ("ab", 0)
+    assert first_match(["b", "ab"], "ab") == ("ab", 0)
 
 
 def test_matcher_rejects_empty_word():
-    with pytest.raises(InvalidSpec):
-        build_matcher([""])
+    spec = Subshift1dSpec(("a",), WordStream("empty", lambda: iter(["a", ""])))
+    with pytest.raises(InvalidSpec, match="forbidden words must be nonempty"):
+        check_sequence(spec, "a")
 
 
 def test_explicit_words_must_be_distinct_and_nonempty():
@@ -161,3 +171,37 @@ def test_check_window_uses_oracle_pattern_scan():
         got = check_window(spec, Grid(2, 2, grid))
         want = any(window_has_pattern(grid, p) for p in spec.forbidden)
         assert (got.kind == VIOLATION) == want
+
+
+@st.composite
+def window_specs(draw):
+    """An SftSpec over 1-3 letters with patterns up to 3x3, some sharing a
+    shape and some repeated, and a window over the same letters."""
+    alphabet = tuple("abc"[:draw(st.integers(1, 3))])
+    letter = st.sampled_from(alphabet)
+
+    def grid(w, h):
+        return st.lists(st.lists(letter, min_size=w, max_size=w),
+                        min_size=h, max_size=h).map(Grid.from_rows)
+
+    shapes = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                           min_size=1, max_size=3))
+    pats = draw(st.lists(st.sampled_from(shapes).flatmap(lambda s: grid(*s)),
+                         max_size=6))
+    pats += draw(st.lists(st.sampled_from(pats), max_size=2)) if pats else []
+    pats = draw(st.permutations(pats))
+    window = draw(grid(draw(st.integers(1, 5)), draw(st.integers(1, 5))))
+    return SftSpec(alphabet, tuple(pats)), window
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=window_specs())
+# two shapes hit at one placement, the earlier-listed shape with the larger index
+@example(case=(SftSpec(("a", "b"), tuple(Grid.from_rows([r]) for r in ("bb", "a", "ab"))),
+               Grid.from_rows(["ab"])))
+def test_check_window_matches_naive_least_occurrence(case):
+    spec, window = case
+    v = check_window(spec, window)
+    want = naive_first_occurrence(window.cells, spec.forbidden)
+    got = None if v.kind == CLEAN else (v.y, v.x, v.pattern_index)
+    assert got == want
