@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import TileSet, make_tileset, normalize_tileset
+from .core import TileSet, make_tileset
 from .errors import InvalidInput
 from .solve import (SAT, UNKNOWN, SearchBudget, SharedBudget, solve_rectangle,
                     solve_torus)
@@ -114,8 +114,7 @@ def robinson_tileset() -> RobinsonSet:
             color_ids[key] = len(color_ids)
         return color_ids[key]
 
-    raw: list[tuple[int, int, int, int]] = []
-    roles: list[str] = []
+    entries = []  # ((n,e,s,w), role)
     for kind, w, e, s, n, desc in _signal_tiles():
         for (px, py) in allowed[kind]:
             # every edge carries both cell parities (x-parity flips across
@@ -125,19 +124,11 @@ def robinson_tileset() -> RobinsonSet:
             east = cid(("h", px, py, e))
             south = cid(("v", px, 1 - py, s))
             north = cid(("v", px, py, n))
-            raw.append((north, east, south, west))
-            roles.append(f"{desc} at parity ({px},{py})")
+            entries.append(((north, east, south, west), f"{desc} at parity ({px},{py})"))
 
-    labels = {
-        i: f"{axis}{px}{py}:{''.join(sig)}"
-        for (axis, px, py, sig), i in color_ids.items()
-    }
-    ts = make_tileset("robinson", raw, num_colors=len(color_ids), labels=labels)
-    # normalize_tileset sorts tiles; keep roles aligned by sorting the same way
-    order = sorted(range(len(raw)), key=lambda i: ts.tiles[i])
-    ts_sorted = normalize_tileset(ts)
-    roles_sorted = tuple(roles[i] for i in order)
-    return RobinsonSet(ts_sorted, roles_sorted)
+    entries.sort()
+    ts = make_tileset("robinson", [e[0] for e in entries], names=list(color_ids))
+    return RobinsonSet(ts, tuple(e[1] for e in entries))
 
 
 @dataclass(frozen=True)

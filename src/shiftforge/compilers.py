@@ -114,42 +114,30 @@ def sft_to_wang(spec: SftSpec) -> TileCompilation:
     kb = spec.window
     if kb == 1 and len(spec.alphabet) > 1:
         kb = 2
-    blocks = legal_blocks(spec, kb)
 
-    color_ids: dict[tuple, int] = {}
-    labels: dict[int, str] = {}
-    if kb > 1:
-        h_overlaps = sorted(
-            {tuple(row[:-1] for row in b) for b in blocks}
-            | {tuple(row[1:] for row in b) for b in blocks}
-        )
-        v_overlaps = sorted({b[:-1] for b in blocks} | {b[1:] for b in blocks})
-        for ov in h_overlaps:
-            color_ids[("h", ov)] = len(color_ids)
-        for ov in v_overlaps:
-            color_ids[("v", ov)] = len(color_ids)
-    else:
-        # a 1x1 block only happens for a singleton alphabet; all four
-        # sides share the one overlap color
-        for b in blocks:
-            color_ids[("o", b)] = len(color_ids)
-    for (axis, ov), i in color_ids.items():
-        labels[i] = f"{axis}:{_fmt_block(ov)}"
+    def side_keys(b: Block) -> tuple[tuple, tuple, tuple, tuple]:
+        """The (north, east, south, west) overlap keys of a block."""
+        if kb == 1:
+            # a 1x1 block only happens for a singleton alphabet; all four
+            # sides share the one overlap color
+            return (("o", b),) * 4
+        return (("v", b[1:]), ("h", tuple(row[1:] for row in b)),
+                ("v", b[:-1]), ("h", tuple(row[:-1] for row in b)))
 
-    entries = []
-    for b in blocks:
-        if kb > 1:
-            west = color_ids[("h", tuple(row[:-1] for row in b))]
-            east = color_ids[("h", tuple(row[1:] for row in b))]
-            south = color_ids[("v", b[:-1])]
-            north = color_ids[("v", b[1:])]
-        else:
-            west = east = south = north = color_ids[("o", b)]
-        entries.append(((north, east, south, west), b[0][0], f"block {_fmt_block(b)}"))
+    keyed = [(side_keys(b), b) for b in legal_blocks(spec, kb)]
+    # colors are numbered in key order, which fixes the output bytes
+    names = sorted({key for keys, _ in keyed for key in keys})
+    ids = {key: i for i, key in enumerate(names)}
+    entries = [(tuple(ids[key] for key in keys), b[0][0], f"block {_fmt_block(b)}")
+               for keys, b in keyed]
+    return _compilation("sft", entries, names)
+
+
+def _compilation(name: str, entries: list, names: list) -> TileCompilation:
+    """Sort (tile, decode, provenance) entries once and build the
+    compilation whose colors are named by `names`, in id order."""
     entries.sort()
-    ts = make_tileset(
-        "sft", [e[0] for e in entries], num_colors=len(color_ids), labels=labels
-    )
+    ts = make_tileset(name, [e[0] for e in entries], names=names)
     return TileCompilation(ts, tuple(e[1] for e in entries), tuple(e[2] for e in entries))
 
 
@@ -158,14 +146,6 @@ def sft_to_wang(spec: SftSpec) -> TileCompilation:
 # horizontal edge payloads: outer boundary, no signal, or a head crossing
 _B = "B"
 _NONE = "none"
-
-
-def _column_tags(n: int) -> list[str]:
-    if n == 1:
-        return ["LR"]
-    if n == 2:
-        return ["L", "R"]
-    return ["L", "I", "R"]
 
 
 def _tag_of(x: int, n: int) -> str:
@@ -191,7 +171,8 @@ def tm_to_tileset(tm: TmSpec, tape_width: int) -> TileCompilation:
     if tape_width < 1:
         raise InvalidInput("tape width must be positive")
     n = tape_width
-    tags = _column_tags(n)
+    # positions 0, 1 and n-1 show every tag, in first-seen order
+    tags = list(dict.fromkeys(_tag_of(x, n) for x in (0, 1, n - 1)))
     # head-crossing signals that the transition table can actually emit
     right_states = sorted({t[0] for t in tm.transitions.values() if t[2] == "R"})
     left_states = sorted({t[0] for t in tm.transitions.values() if t[2] == "L"})
@@ -243,18 +224,7 @@ def tm_to_tileset(tm: TmSpec, tape_width: int) -> TileCompilation:
                     cid(("h", "L", q2)), east_idle(tag),
                     f"{q}.{a}", f"apply {q},{a}->{q2},{a2},L")
 
-    labels = {i: ":".join(str(p) for p in key) for key, i in color_ids.items()}
-    order = sorted(range(len(entries)), key=lambda i: entries[i][0])
-    # color ids are already dense in first-use order; renumber monotonically
-    # so sorted tiles stay sorted under the final dense numbering
-    ts = make_tileset("tm", [entries[i][0] for i in order],
-                      num_colors=len(color_ids), labels=labels)
-    from .core import normalize_tileset
-
-    norm = normalize_tileset(ts)
-    return TileCompilation(norm,
-                           tuple(entries[i][1] for i in order),
-                           tuple(entries[i][2] for i in order))
+    return _compilation("tm", entries, list(color_ids))
 
 
 def tm_initial_boundary(
@@ -280,22 +250,19 @@ def tm_initial_boundary(
             raise InvalidInput(f"input symbol {a!r} outside tape alphabet")
         tape[input_at + i] = a
 
-    def label_of(key: tuple) -> str:
-        return ":".join(str(p) for p in key)
-
-    by_label = {c.label: c.id for c in comp.tileset.colors}
+    ids = {key: i for i, key in enumerate(comp.tileset.colors)}
     south = []
     for x in range(n):
         tag = _tag_of(x, n)
         pl = ("h", tm.start, tape[x]) if x == head else ("s", tape[x])
         key = ("v", tag, pl)
         try:
-            south.append(by_label[label_of(key)])
+            south.append(ids[key])
         except KeyError:
             raise InvalidInput(
                 f"no vertical color encodes {key}; is the tape width right?"
             ) from None
-    border = by_label[label_of(("h", _B))]
+    border = ids[("h", _B)]
     return BoundaryConstraint(
         south=tuple(south),
         west=tuple([border] * height),

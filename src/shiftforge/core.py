@@ -19,14 +19,6 @@ from operator import itemgetter
 from .errors import InvalidSpec, MalformedInput
 
 
-@dataclass(frozen=True)
-class Color:
-    """A side color: a dense integer id plus an optional display label."""
-
-    id: int
-    label: str | None = None
-
-
 @dataclass(frozen=True, order=True)
 class Tile:
     north: int
@@ -40,17 +32,19 @@ class Tile:
 
 @dataclass(frozen=True)
 class TileSet:
-    """A finite set of Wang tiles over a shared color universe."""
+    """A finite set of Wang tiles over a shared color universe.
+
+    ``colors[i]`` names color i: the key its builder numbered (an overlap
+    block, a tape payload, a signal, a border word), or None for parsed
+    and hand-made sets.
+    """
 
     name: str
-    colors: tuple[Color, ...]
+    colors: tuple
     tiles: tuple[Tile, ...]
 
     def __post_init__(self):
         n = len(self.colors)
-        ids = [c.id for c in self.colors]
-        if ids != list(range(n)):
-            raise InvalidSpec(f"tileset {self.name!r}: color ids must be 0..{n - 1}")
         if len(set(self.tiles)) != len(self.tiles):
             raise InvalidSpec(f"tileset {self.name!r}: duplicate tiles")
         for t in self.tiles:
@@ -69,14 +63,16 @@ def make_tileset(
     name: str,
     tiles: list[tuple[int, int, int, int]],
     num_colors: int | None = None,
-    labels: dict[int, str] | None = None,
+    names: tuple | list | None = None,
 ) -> TileSet:
-    """Build a TileSet from raw (north, east, south, west) tuples."""
-    if num_colors is None:
-        num_colors = 1 + max((max(t) for t in tiles), default=-1)
-    labels = labels or {}
-    colors = tuple(Color(i, labels.get(i)) for i in range(num_colors))
-    return TileSet(name, colors, tuple(Tile(*t) for t in tiles))
+    """Build a TileSet from raw (north, east, south, west) tuples.
+    `names` lists the color names in id order, so its length is the
+    color count; without it every color is unnamed."""
+    if names is None:
+        if num_colors is None:
+            num_colors = 1 + max((max(t) for t in tiles), default=-1)
+        names = (None,) * num_colors
+    return TileSet(name, tuple(names), tuple(Tile(*t) for t in tiles))
 
 
 @dataclass(frozen=True)
@@ -208,8 +204,8 @@ def validate_tiling(tileset: TileSet, t: Grid, *, wrap: bool = False) -> bool:
 
 def normalize_tileset(tileset: TileSet) -> TileSet:
     """Canonical form: duplicate tiles dropped, colors renumbered densely
-    in increasing order of their old ids, tiles sorted lexicographically
-    by (north, east, south, west)."""
+    in increasing order of their old ids (names travel with them), tiles
+    sorted lexicographically by (north, east, south, west)."""
     tiles = sorted(set(tileset.tiles))
     used = sorted({c for t in tiles for c in t.sides()})
     remap = {old: new for new, old in enumerate(used)}
@@ -217,5 +213,4 @@ def normalize_tileset(tileset: TileSet) -> TileSet:
         Tile(remap[t.north], remap[t.east], remap[t.south], remap[t.west]) for t in tiles
     )
     new_tiles = tuple(sorted(set(new_tiles)))
-    colors = tuple(Color(remap[old], tileset.colors[old].label) for old in used)
-    return TileSet(tileset.name, colors, new_tiles)
+    return TileSet(tileset.name, tuple(tileset.colors[old] for old in used), new_tiles)

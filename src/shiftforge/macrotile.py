@@ -16,7 +16,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .core import Color, Grid, TileSet, Tile
+from .core import Grid, TileSet, make_tileset
 from .errors import InvalidInput
 from .solve import SearchBudget, enumerate_tilings
 
@@ -73,27 +73,15 @@ def macro_tiles(
     if not complete or (max_tiles is not None and len(blocks) > max_tiles):
         return BUDGET_EXCEEDED
     # composite colors: one id per distinct border sequence, per axis
-    color_ids: dict[tuple, int] = {}
-    all_borders = [_borders(tileset, b) for b in blocks]
-    for axis, sides in (("h", ("west", "east")), ("v", ("south", "north"))):
-        seqs = sorted({bd[s] for bd in all_borders for s in sides})
-        for seq in seqs:
-            color_ids[(axis, seq)] = len(color_ids)
-    labels = {
-        i: f"{axis}:" + ",".join(str(c) for c in seq)
-        for (axis, seq), i in color_ids.items()
-    }
-    macro = tuple(
-        Tile(
-            north=color_ids[("v", bd["north"])],
-            east=color_ids[("h", bd["east"])],
-            south=color_ids[("v", bd["south"])],
-            west=color_ids[("h", bd["west"])],
-        )
-        for bd in all_borders
-    )
-    colors = tuple(Color(i, labels[i]) for i in range(len(color_ids)))
-    ts = TileSet(f"{tileset.name}^{n}", colors, macro)
+    keyed = []
+    for b in blocks:
+        bd = _borders(tileset, b)
+        keyed.append((("v", bd["north"]), ("h", bd["east"]),
+                      ("v", bd["south"]), ("h", bd["west"])))
+    names = sorted({key for keys in keyed for key in keys})
+    ids = {key: i for i, key in enumerate(names)}
+    ts = make_tileset(f"{tileset.name}^{n}",
+                      [tuple(ids[key] for key in keys) for keys in keyed], names=names)
     return MacroTileSet(tileset, n, tuple(blocks), ts)
 
 

@@ -251,3 +251,27 @@ def naive_solve(ts: TileSet, w: int, h: int, torus: bool = False,
     if found is None:
         return "UNSAT", None, nodes
     return "SAT", tuple(tuple(found[y * w:(y + 1) * w]) for y in range(h)), nodes
+
+
+def naive_least_map(source: TileSet, target: TileSet, bijective: bool):
+    """Least assignment, in lexicographic order, of target tile indices to
+    source tiles under which every source adjacency (east-west or
+    north-south, ordered) is a target adjacency; a `bijective` map must be
+    a permutation under which a pair is adjacent iff its image is.
+    Tries every map; returns the assignment tuple or None."""
+    s, t = source.tiles, target.tiles
+
+    def adjacent(tiles, i, j):
+        return (tiles[i].east == tiles[j].west, tiles[i].north == tiles[j].south)
+
+    def fits(a):
+        for i, j in itertools.product(range(len(s)), repeat=2):
+            src, img = adjacent(s, i, j), adjacent(t, a[i], a[j])
+            if src != img if bijective else any(x and not y for x, y in zip(src, img)):
+                return False
+        return True
+
+    for a in itertools.product(range(len(t)), repeat=len(s)):
+        if (not bijective or sorted(a) == list(range(len(t)))) and fits(a):
+            return a
+    return None

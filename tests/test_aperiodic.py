@@ -21,12 +21,11 @@ def test_construction_is_deterministic():
 
 def test_roles_stay_aligned_with_tiles():
     rs = robinson_tileset()
-    # parity is recoverable from both the role text and the color labels;
+    # parity is recoverable from both the role text and the color names;
     # they must agree tile by tile
     for tile, role in zip(rs.tileset.tiles, rs.tile_roles):
-        px, py = role.rsplit("(", 1)[1][:3:2]
-        north_label = rs.tileset.colors[tile.north].label
-        assert north_label.startswith(f"v{px}{py}:")
+        px, py = map(int, role.rsplit("(", 1)[1][:3:2])
+        assert rs.tileset.colors[tile.north][:3] == ("v", px, py)
 
 
 def test_squares_tile_up_to_12():

@@ -72,6 +72,27 @@ def test_verify_tiling_clean_and_violation(tmp_path, spec_file, tiles_file, caps
     assert capsys.readouterr().out.strip() == "VIOLATION 11 at row 0 position 1"
 
 
+def test_verify_reports_a_budget_limited_clean_window(tmp_path, capsys):
+    spec = tmp_path / "spec.subshift"
+    spec.write_text("subshift alphabet=0,1\nstream all_words_min_len 5\n")
+    window = tmp_path / "w.window"
+    window.write_text("window 4 2\n0101\n0101\n")
+    # the five words drawn are all longer than the rows
+    assert main(["verify", str(spec), str(window), "--budget", "5"]) == 0
+    assert capsys.readouterr().out == "BUDGET_EXHAUSTED_CLEAN\n"
+
+
+def test_verify_rejects_a_tiling_that_does_not_validate(tmp_path, spec_file, capsys):
+    tiles = tmp_path / "t.tiles"
+    tiles.write_text("tileset t colors=2\ntile 0 0 0 1\ndecode 0 0\n")
+    tiling = tmp_path / "t.tiling"
+    tiling.write_text("0 0\n")  # east 0 meets west 1
+    assert main(["verify", str(spec_file), str(tiling), "--tileset", str(tiles)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tiling does not validate against the tile set\n"
+
+
 def test_verify_vertical_mismatch(tmp_path, spec_file, capsys):
     window = tmp_path / "w.window"
     window.write_text("window 1 2\n0\n1\n")
@@ -86,6 +107,18 @@ def test_verify_tiling_requires_decode(tmp_path, spec_file, capsys):
     tiling.write_text("0\n")
     assert main(["verify", str(spec_file), str(tiling),
                  "--tileset", str(bare)]) == 2
+
+
+def test_domino_reports_no_tiling_and_undetermined(tmp_path, capsys):
+    stuck = tmp_path / "stuck.tiles"
+    stuck.write_text("tileset t colors=3\ntile 0 1 0 2\n")  # east 1, west 2
+    assert main(["solve", str(stuck), "--mode", "domino", "3"]) == 0
+    assert capsys.readouterr().out == "NO_TILING 2\n"
+
+    rob = tmp_path / "rob.tiles"
+    assert main(["robinson", "export", "--out", str(rob)]) == 0
+    assert main(["solve", str(rob), "--mode", "domino", "2"]) == 0
+    assert capsys.readouterr().out == "UNDETERMINED completed_n=2\n"
 
 
 def test_render_ppm_and_validation_failure(tmp_path, tiles_file, capsys):
@@ -115,6 +148,17 @@ def test_robinson_export_and_evidence(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "largest SAT square: 3" in out
     assert "consistent with aperiodicity" in out
+
+
+def test_evidence_defaults_to_the_builtin_set(capsys):
+    assert main(["evidence", "--max-square", "2", "--max-period", "1"]) == 0
+    assert capsys.readouterr().out == (
+        "largest SAT square: 2\n"
+        "square 1x1: SAT\n"
+        "square 2x2: SAT\n"
+        "torus 1x1: UNSAT\n"
+        "verdict: consistent with aperiodicity at tested bounds\n"
+    )
 
 
 def test_macro_command(tmp_path, tiles_file, capsys):

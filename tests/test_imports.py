@@ -1,6 +1,8 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package imports at its top level only, and uses
+each name it imports.
 
-`__init__.py` is exempt: its imports are the package's public names.
+`__init__.py` is exempt from the second rule: its imports are the
+package's public names.
 """
 
 import ast
@@ -24,6 +26,13 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used]
 
 
+def nested_imports(source: str) -> list[int]:
+    """Line numbers of imports that are not statements of the module body."""
+    tree = ast.parse(source)
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body]
+
+
 def test_check_sees_an_unused_import():
     assert unused_imports("import os\nfrom a import b, c as d\nd()\n") == ["os", "b"]
 
@@ -31,3 +40,13 @@ def test_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_check_sees_a_nested_import():
+    source = "import os\ndef f():\n    import sys\nclass C:\n    from a import b\n"
+    assert nested_imports(source) == [3, 5]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_at_top_level(path):
+    assert nested_imports(path.read_text()) == []

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import naive_least_map
 from shiftforge.aperiodic import robinson_tileset
 from shiftforge.core import Tile, make_tileset, validate_tiling
 from shiftforge.errors import InvalidInput
@@ -114,3 +117,43 @@ def test_isomorphism_is_injective_where_adjacency_cannot_tell_tiles_apart():
     ts = make_tileset("apart", [(0, 1, 2, 3), (0, 1, 2, 4)])
     assert find_simulation(ts, ts).assignment == (0, 0)
     assert check_isomorphism(ts, ts).assignment == (0, 1)
+
+
+@st.composite
+def tile_sets(draw):
+    """A nonempty set of <= 4 tiles over <= 3 colors."""
+    color = st.integers(0, draw(st.integers(1, 3)) - 1)
+    tiles = draw(st.lists(st.tuples(color, color, color, color),
+                          min_size=1, max_size=4, unique=True))
+    return make_tileset("h", tiles)
+
+
+@st.composite
+def tile_set_pairs(draw):
+    """(source, target): independent sets, or a target that permutes the
+    source's tiles and colors, so that isomorphisms occur too."""
+    source = draw(tile_sets())
+    if draw(st.booleans()):
+        return source, draw(tile_sets())
+    n = len(source.colors)
+    relabel = draw(st.permutations(range(n)))
+    tiles = draw(st.permutations([t.sides() for t in source.tiles]))
+    return source, make_tileset("p", [tuple(relabel[c] for c in t) for t in tiles],
+                                num_colors=n)
+
+
+# after tile 0 -> 0 no image fits tile 1, so the search must backtrack
+# to tile 0 -> 1 before it finds the least map (1, 2)
+BACKTRACK = (make_tileset("s", [(0, 1, 0, 2), (0, 2, 0, 1)]),
+             make_tileset("t", [(0, 3, 0, 4), (0, 5, 0, 6), (0, 6, 0, 5)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tile_set_pairs())
+@example(BACKTRACK)
+def test_least_maps_match_naive_enumeration(pair):
+    source, target = pair
+    m = find_simulation(source, target)
+    assert (m and m.assignment) == naive_least_map(source, target, bijective=False)
+    m = check_isomorphism(source, target)
+    assert (m and m.assignment) == naive_least_map(source, target, bijective=True)
