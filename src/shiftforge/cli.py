@@ -1,7 +1,7 @@
 """Command-line surface: compile specs, solve tilings, render, verify.
 
 Exit codes: 0 success, 2 parse/usage error, 3 unsupported input,
-4 validation failure.
+4 a tiling that fails validation (`render`, `verify`).
 """
 
 from __future__ import annotations
@@ -13,14 +13,14 @@ from pathlib import Path
 from .aperiodic import aperiodicity_evidence, format_evidence, robinson_tileset
 from .compilers import sft_to_wang, tm_to_tileset
 from .core import Grid, validate_tiling
-from .errors import InvalidInput, ShiftforgeError, UnsupportedSpec
+from .errors import InvalidInput, MalformedInput, ShiftforgeError, UnsupportedSpec
 from .macrotile import BUDGET_EXCEEDED, macro_tiles
 from .render import RenderSpec, render
 from .solve import (SAT, SearchBudget, domino_semidecide, solve_rectangle,
                     solve_torus)
 from .subshift import DEFAULT_STREAM_BUDGET, VIOLATION, check_sequence, lift_1d
-from .textio import (parse_sft, parse_subshift, parse_tiling, parse_tileset,
-                     parse_tm, parse_window, serialize_compilation,
+from .textio import (is_window, parse_sft, parse_subshift, parse_tiling,
+                     parse_tileset, parse_tm, parse_window, serialize_compilation,
                      serialize_tileset, serialize_tiling)
 
 EXIT_OK = 0
@@ -90,12 +90,7 @@ def cmd_solve(args) -> int:
 def cmd_render(args) -> int:
     ts, _ = parse_tileset(Path(args.tileset).read_text())
     tiling = parse_tiling(Path(args.tiling).read_text())
-    spec = RenderSpec(args.cell_pixels, args.format)
-    try:
-        data = render(ts, tiling, spec)
-    except InvalidInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    data = render(ts, tiling, RenderSpec(args.cell_pixels, args.format))
     Path(args.out).write_bytes(data)
     return EXIT_OK
 
@@ -103,7 +98,7 @@ def cmd_render(args) -> int:
 def cmd_verify(args) -> int:
     spec = parse_subshift(Path(args.spec).read_text())
     artifact = Path(args.artifact).read_text()
-    if artifact.lstrip().startswith("window"):
+    if is_window(artifact):
         window = parse_window(artifact)
     else:
         if not args.tileset:
@@ -113,17 +108,13 @@ def cmd_verify(args) -> int:
             raise InvalidInput("tile-set file has no decode lines")
         tiling = parse_tiling(artifact)
         if not validate_tiling(ts, tiling):
-            print("error: tiling does not validate against the tile set",
-                  file=sys.stderr)
-            return EXIT_VALIDATION
+            raise MalformedInput("tiling does not validate against the tile set")
         window = Grid.from_rows(
             [tuple(decode[i] for i in row) for row in tiling.cells]
         )
-    letters = set(spec.alphabet)
-    for row in window.cells:
-        for a in row:
-            if a not in letters:
-                raise InvalidInput(f"letter {a!r} outside the spec's alphabet")
+    strays = [a for row in window.cells for a in row if a not in spec.alphabet]
+    if strays:
+        raise InvalidInput(f"letter {strays[0]!r} outside the spec's alphabet")
     # lifted semantics: columns constant, every row avoids the word source
     for x in range(window.width):
         for y in range(window.height - 1):
@@ -155,11 +146,8 @@ def cmd_macro(args) -> int:
     if args.out:
         Path(args.out).write_text(serialize_tileset(result.tileset))
     if args.map_out:
-        lines = []
-        for i, block in enumerate(result.blocks):
-            flat = ";".join(" ".join(str(c) for c in row) for row in block.cells)
-            lines.append(f"macro {i} {flat}")
-        Path(args.map_out).write_text("\n".join(lines) + "\n")
+        flat = (";".join(" ".join(map(str, row)) for row in b.cells) for b in result.blocks)
+        Path(args.map_out).write_text("".join(f"macro {i} {f}\n" for i, f in enumerate(flat)))
     return EXIT_OK
 
 
@@ -174,8 +162,16 @@ def cmd_evidence(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InvalidInput, so `main` reports them in one line;
+    subparsers are built from the same class."""
+
+    def error(self, message):
+        raise InvalidInput(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="shiftforge",
         description="Subshift and Wang-tiling toolkit: compile, solve, render, verify.",
     )
@@ -244,11 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ShiftforgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, MalformedInput):
+            return EXIT_VALIDATION
         return EXIT_UNSUPPORTED if isinstance(exc, UnsupportedSpec) else EXIT_PARSE
 
 

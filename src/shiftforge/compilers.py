@@ -44,6 +44,9 @@ class TmSpec:
             raise InvalidSpec("start state not in state set")
         if self.blank not in self.tape_alphabet:
             raise InvalidSpec("blank symbol not in tape alphabet")
+        # the text format writes both as comma-separated lists
+        if any("," in x for x in self.states + self.tape_alphabet):
+            raise InvalidSpec("states and tape symbols must not contain ','")
         for q in self.halting:
             if q not in self.states:
                 raise InvalidSpec(f"halting state {q!r} not in state set")

@@ -24,7 +24,7 @@ class InvalidInput(ShiftforgeError):
 
 
 class MalformedInput(InvalidInput):
-    """Structurally broken input, e.g. a tile index out of range."""
+    """A tiling that fails validation: a tile index out of range or a color mismatch."""
 
 
 class UnsupportedSpec(ShiftforgeError):

@@ -25,12 +25,13 @@ BUDGET_EXCEEDED = "BUDGET_EXCEEDED"
 
 @dataclass(frozen=True)
 class MacroTileSet:
-    """All valid n x n blocks of a base set, as a tile set of their own.
+    """The valid n x n blocks of a base set, one per distinct border, as a
+    tile set of their own.
 
     ``tileset.tiles[i]`` carries composite color ids; ``blocks[i]`` is the
-    underlying n x n Grid of the base set.  Two macro-tiles match along
-    an axis iff all n underlying base edges match, because composite ids
-    are injective on border sequences.
+    least n x n Grid of the base set with that tile's borders.  Two
+    macro-tiles match along an axis iff all n underlying base edges match,
+    because composite ids are injective on border sequences.
     """
 
     base: TileSet
@@ -41,18 +42,18 @@ class MacroTileSet:
     def border_sequences(self, index: int) -> dict[str, tuple[int, ...]]:
         """The four base-color sequences on block ``index``'s outer edges
         (rows west-to-east, columns south-to-north)."""
-        return _borders(self.base, self.blocks[index])
+        sides = ("north", "east", "south", "west")
+        return dict(zip(sides, _borders(self.base, self.blocks[index])))
 
 
-def _borders(base: TileSet, block: Grid) -> dict[str, tuple[int, ...]]:
+def _borders(base: TileSet, block: Grid) -> tuple[tuple[int, ...], ...]:
+    """The (north, east, south, west) border sequences of a block."""
     tiles = base.tiles
     n = block.width
-    return {
-        "north": tuple(tiles[block.cells[n - 1][x]].north for x in range(n)),
-        "south": tuple(tiles[block.cells[0][x]].south for x in range(n)),
-        "east": tuple(tiles[block.cells[y][n - 1]].east for y in range(n)),
-        "west": tuple(tiles[block.cells[y][0]].west for y in range(n)),
-    }
+    return (tuple(tiles[block.cells[n - 1][x]].north for x in range(n)),
+            tuple(tiles[block.cells[y][n - 1]].east for y in range(n)),
+            tuple(tiles[block.cells[0][x]].south for x in range(n)),
+            tuple(tiles[block.cells[y][0]].west for y in range(n)))
 
 
 def macro_tiles(
@@ -61,9 +62,10 @@ def macro_tiles(
     budget: SearchBudget = SearchBudget(),
     max_tiles: int | None = None,
 ) -> MacroTileSet | str:
-    """Exhaustively enumerate the valid n x n blocks; BUDGET_EXCEEDED when
-    the search budget runs out or more than ``max_tiles`` blocks exist
-    (macro-tile counts explode quickly; that is expected)."""
+    """Exhaustively enumerate the valid n x n blocks, keeping the least one
+    per distinct border 4-tuple; BUDGET_EXCEEDED when the search budget
+    runs out or more than ``max_tiles`` blocks exist, counted before that
+    merge (macro-tile counts explode quickly; that is expected)."""
     if n < 1:
         raise InvalidInput("block size must be positive")
     if max_tiles is not None and max_tiles < 0:
@@ -72,17 +74,18 @@ def macro_tiles(
     blocks, complete = enumerate_tilings(tileset, n, n, budget=budget, limit=limit)
     if not complete or (max_tiles is not None and len(blocks) > max_tiles):
         return BUDGET_EXCEEDED
-    # composite colors: one id per distinct border sequence, per axis
-    keyed = []
+    # the first block seen per border 4-tuple is the least: blocks come sorted
+    least: dict[tuple, Grid] = {}
     for b in blocks:
-        bd = _borders(tileset, b)
-        keyed.append((("v", bd["north"]), ("h", bd["east"]),
-                      ("v", bd["south"]), ("h", bd["west"])))
+        least.setdefault(_borders(tileset, b), b)
+    # composite colors: one id per distinct border sequence, per axis
+    keyed = [(("v", north), ("h", east), ("v", south), ("h", west))
+             for north, east, south, west in least]
     names = sorted({key for keys in keyed for key in keys})
     ids = {key: i for i, key in enumerate(names)}
     ts = make_tileset(f"{tileset.name}^{n}",
                       [tuple(ids[key] for key in keys) for keys in keyed], names=names)
-    return MacroTileSet(tileset, n, tuple(blocks), ts)
+    return MacroTileSet(tileset, n, tuple(least.values()), ts)
 
 
 # --- simulation / isomorphism -------------------------------------------------

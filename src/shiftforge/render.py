@@ -12,7 +12,7 @@ import hashlib
 from dataclasses import dataclass
 
 from .core import Grid, TileSet, validate_tiling
-from .errors import InvalidInput
+from .errors import InvalidInput, MalformedInput
 
 PPM = "ppm"
 SVG = "svg"
@@ -39,15 +39,10 @@ def palette_rgb(color_id: int) -> tuple[int, int, int]:
 
 def render(tileset: TileSet, tiling: Grid, spec: RenderSpec = RenderSpec()) -> bytes:
     if not validate_tiling(tileset, tiling):
-        raise InvalidInput("tiling does not validate against the tile set")
+        raise MalformedInput("tiling does not validate against the tile set")
     if spec.format == PPM:
         return _render_ppm(tileset, tiling, spec.cell_pixels)
     return _render_svg(tileset, tiling, spec.cell_pixels)
-
-
-def _cell_sides(tileset: TileSet, tiling: Grid, x: int, y: int):
-    t = tileset.tiles[tiling.cells[y][x]]
-    return t.north, t.east, t.south, t.west
 
 
 def _render_ppm(tileset: TileSet, tiling: Grid, c: int) -> bytes:
@@ -58,7 +53,7 @@ def _render_ppm(tileset: TileSet, tiling: Grid, c: int) -> bytes:
         y = (h_px - 1 - py) // c
         dy = (h_px - 1 - py) % c  # pixel offset from the cell's bottom
         for x in range(tiling.width):
-            n, e, s, w = _cell_sides(tileset, tiling, x, y)
+            n, e, s, w = tileset.tiles[tiling.cells[y][x]].sides()
             for dx in range(c):
                 # triangle test: compare distances to the four sides
                 below_rising = dy * 2 < (dx * 2 + 1)  # under the / diagonal
@@ -85,7 +80,7 @@ def _render_svg(tileset: TileSet, tiling: Grid, c: int) -> bytes:
     for y in range(tiling.height):
         top = (tiling.height - 1 - y) * c  # svg y axis points down
         for x in range(tiling.width):
-            n, e, s, w = _cell_sides(tileset, tiling, x, y)
+            n, e, s, w = tileset.tiles[tiling.cells[y][x]].sides()
             lx, cx, rx = x * c, x * c + c / 2, (x + 1) * c
             ty, cy, by = top, top + c / 2, top + c
             tris = (

@@ -10,7 +10,7 @@ is checked against the 2D patterns a spec was lifted to.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from .core import Grid, Patterns, SftSpec, check_alphabet
@@ -41,10 +41,11 @@ class ExplicitWords:
 class WordStream:
     """A pull source of forbidden words.  ``generate`` yields words in the
     stream's own order; a fresh iterator is created per query, so budgeted
-    queries are repeatable.  Single consumer at a time."""
+    queries are repeatable.  Single consumer at a time.  Streams compare
+    by name, which together with the spec's alphabet fixes the words."""
 
     name: str
-    generate: Callable[[], Iterator[str]]
+    generate: Callable[[], Iterator[str]] = field(compare=False)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .compilers import TileCompilation, TmSpec
 from .core import Grid, SftSpec, TileSet, make_tileset
-from .errors import ParseError
+from .errors import ParseError, ShiftforgeError
 from .subshift import ExplicitWords, Subshift1dSpec, make_stream
 
 
@@ -20,6 +20,51 @@ def _lines(text: str):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield i, line
+
+
+def _directives(lines, forms: dict[str, str]):
+    """(line number, directive, args) for each line of `lines`, an iterator
+    from `_lines` that the caller may also advance between directives.
+
+    `forms` maps each directive to its usage string, header first.  The
+    header must come first and only once.  Each line has one token per
+    token of its usage, where a last ``<name...>`` stands for any number.
+    """
+    header = next(iter(forms))
+    seen_header = False
+    for ln, line in lines:
+        directive, *args = line.split()
+        usage = forms.get(directive)
+        if usage is None:
+            raise ParseError(f"unknown directive {directive!r}", ln)
+        if directive == header and seen_header:
+            raise ParseError(f"duplicate {header} header", ln)
+        if directive != header and not seen_header:
+            raise ParseError(f"{directive} before {header} header", ln)
+        seen_header = True
+        arity = usage.count(" ")  # usage tokens are separated by single spaces
+        if len(args) < arity - 1 if usage.endswith("...>") else len(args) != arity:
+            raise ParseError(f"expected: {usage}", ln)
+        yield ln, directive, args
+    if not seen_header:
+        raise ParseError(f"missing {header} header")
+
+
+def _read_grid(lines, what: str, args: list[str], ln: int) -> Grid:
+    """The grid whose `<width> <height>` are `args` on line `ln`: the next
+    `height` lines of `lines`, each `width` letters long."""
+    w, h = _int(args[0], "width", ln), _int(args[1], "height", ln)
+    if min(w, h) < 1:
+        raise ParseError(f"{what} width and height must be positive", ln)
+    rows = []
+    # a loop rather than islice, which rejects a height above sys.maxsize
+    for row_ln, row in lines:
+        if len(row) != w:
+            raise ParseError(f"{what} row must have {w} letters", row_ln)
+        rows.append(row)
+        if len(rows) == h:
+            return Grid.from_rows(rows)
+    raise ParseError(f"{what} rows missing at end of file", ln)
 
 
 def _int(tok: str, what: str, ln: int) -> int:
@@ -45,9 +90,7 @@ def serialize_tileset(ts: TileSet, decode: tuple[str, ...] | None = None,
         if provenance is not None:
             out.append(f"# tile {i}: {provenance[i]}")
         out.append(f"tile {t.north} {t.east} {t.south} {t.west}")
-    if decode is not None:
-        for i, letter in enumerate(decode):
-            out.append(f"decode {i} {letter}")
+    out.extend(f"decode {i} {letter}" for i, letter in enumerate(decode or ()))
     return "\n".join(out) + "\n"
 
 
@@ -57,43 +100,30 @@ def serialize_compilation(comp: TileCompilation) -> str:
 
 def parse_tileset(text: str) -> tuple[TileSet, tuple[str, ...] | None]:
     """Returns (tileset, decode or None when no decode lines present)."""
-    name = None
-    num_colors = None
     tiles: list[tuple[int, int, int, int]] = []
-    decode: dict[int, str] = {}
-    for ln, line in _lines(text):
-        toks = line.split()
-        if toks[0] == "tileset":
-            if name is not None:
-                raise ParseError("duplicate tileset header", ln)
-            if len(toks) != 3:
-                raise ParseError("expected: tileset <name> colors=<n>", ln)
-            name = toks[1]
-            num_colors = _int(_kv(toks[2], "colors", ln), "color count", ln)
-        elif toks[0] == "tile":
-            if name is None:
-                raise ParseError("tile line before tileset header", ln)
-            if len(toks) != 5:
-                raise ParseError("expected: tile <north> <east> <south> <west>", ln)
-            n, e, s, w = (_int(t, "color", ln) for t in toks[1:])
+    decode: list[tuple[int, str]] = []  # (tile index, letter)
+    for ln, directive, args in _directives(_lines(text), {
+        "tileset": "tileset <name> colors=<n>",
+        "tile": "tile <north> <east> <south> <west>",
+        "decode": "decode <tile-index> <letter>",
+    }):
+        if directive == "tileset":
+            name = args[0]
+            num_colors = _int(_kv(args[1], "colors", ln), "color count", ln)
+        elif directive == "tile":
+            n, e, s, w = (_int(t, "color", ln) for t in args)
             for c in (n, e, s, w):
                 if not 0 <= c < num_colors:
                     raise ParseError(f"color {c} outside [0, {num_colors})", ln)
             tiles.append((n, e, s, w))
-        elif toks[0] == "decode":
-            if len(toks) != 3:
-                raise ParseError("expected: decode <tile-index> <letter>", ln)
-            decode[_int(toks[1], "tile index", ln)] = toks[2]
         else:
-            raise ParseError(f"unknown directive {toks[0]!r}", ln)
-    if name is None:
-        raise ParseError("missing tileset header")
+            decode.append((_int(args[0], "tile index", ln), args[1]))
     ts = make_tileset(name, tiles, num_colors=num_colors)
     if not decode:
         return ts, None
-    if sorted(decode) != list(range(len(tiles))):
+    if sorted(i for i, _ in decode) != list(range(len(tiles))):
         raise ParseError("decode lines must cover tile indices exactly once")
-    return ts, tuple(decode[i] for i in range(len(tiles)))
+    return ts, tuple(letter for _, letter in sorted(decode))
 
 
 # --- SFT specs ----------------------------------------------------------------
@@ -108,37 +138,16 @@ def serialize_sft(spec: SftSpec) -> str:
 
 
 def parse_sft(text: str) -> SftSpec:
-    alphabet = None
+    lines = _lines(text)
     patterns: list[Grid] = []
-    pending: tuple[int, int, int] | None = None  # (w, h, header line)
-    rows: list[str] = []
-    for ln, line in _lines(text):
-        toks = line.split()
-        if pending is not None:
-            w, h, _ = pending
-            if len(line) != w:
-                raise ParseError(f"pattern row must have {w} letters", ln)
-            rows.append(line)
-            if len(rows) == h:
-                patterns.append(Grid.from_rows(rows))
-                pending, rows = None, []
-            continue
-        if toks[0] == "sft":
-            if len(toks) != 2:
-                raise ParseError("expected: sft alphabet=<comma-list>", ln)
-            alphabet = tuple(_kv(toks[1], "alphabet", ln).split(","))
-        elif toks[0] == "forbid":
-            if alphabet is None:
-                raise ParseError("forbid before sft header", ln)
-            if len(toks) != 3:
-                raise ParseError("expected: forbid <width> <height>", ln)
-            pending = (_int(toks[1], "width", ln), _int(toks[2], "height", ln), ln)
+    for ln, directive, args in _directives(lines, {
+        "sft": "sft alphabet=<comma-list>",
+        "forbid": "forbid <width> <height>",
+    }):
+        if directive == "sft":
+            alphabet = tuple(_kv(args[0], "alphabet", ln).split(","))
         else:
-            raise ParseError(f"unknown directive {toks[0]!r}", ln)
-    if pending is not None:
-        raise ParseError("pattern rows missing at end of file", pending[2])
-    if alphabet is None:
-        raise ParseError("missing sft header")
+            patterns.append(_read_grid(lines, "pattern", args, ln))
     return SftSpec(alphabet, tuple(patterns))
 
 
@@ -155,39 +164,25 @@ def serialize_subshift(spec: Subshift1dSpec) -> str:
 
 
 def parse_subshift(text: str) -> Subshift1dSpec:
-    alphabet = None
     words: list[str] = []
     stream = None
-    for ln, line in _lines(text):
-        toks = line.split()
-        if toks[0] == "subshift":
-            if len(toks) != 2:
-                raise ParseError("expected: subshift alphabet=<comma-list>", ln)
-            alphabet = tuple(_kv(toks[1], "alphabet", ln).split(","))
-        elif toks[0] == "forbid":
-            if alphabet is None:
-                raise ParseError("forbid before subshift header", ln)
-            if len(toks) != 2:
-                raise ParseError("expected: forbid <word>", ln)
-            words.append(toks[1])
-        elif toks[0] == "stream":
-            if alphabet is None:
-                raise ParseError("stream before subshift header", ln)
-            if stream is not None or words:
-                raise ParseError("only one word source allowed", ln)
-            if len(toks) < 2:
-                raise ParseError("expected: stream <generator> <params...>", ln)
-            try:
-                stream = make_stream(toks[1], alphabet, toks[2:])
-            except Exception as exc:
-                raise ParseError(str(exc), ln) from None
+    for ln, directive, args in _directives(_lines(text), {
+        "subshift": "subshift alphabet=<comma-list>",
+        "forbid": "forbid <word>",
+        "stream": "stream <generator> <params...>",
+    }):
+        if directive == "subshift":
+            alphabet = tuple(_kv(args[0], "alphabet", ln).split(","))
+        elif stream is not None or (directive == "stream" and words):
+            raise ParseError("only one word source allowed", ln)
+        elif directive == "forbid":
+            words.append(args[0])
         else:
-            raise ParseError(f"unknown directive {toks[0]!r}", ln)
-    if alphabet is None:
-        raise ParseError("missing subshift header")
-    if stream is not None:
-        return Subshift1dSpec(alphabet, stream)
-    return Subshift1dSpec(alphabet, ExplicitWords(tuple(words)))
+            try:
+                stream = make_stream(args[0], alphabet, args[1:])
+            except ShiftforgeError as exc:
+                raise ParseError(str(exc), ln) from None
+    return Subshift1dSpec(alphabet, stream or ExplicitWords(tuple(words)))
 
 
 # --- Turing machines -----------------------------------------------------------
@@ -200,60 +195,48 @@ def serialize_tm(tm: TmSpec) -> str:
     ]
     for (q, a), (q2, a2, mv) in sorted(tm.transitions.items()):
         out.append(f"rule {q} {a} -> {q2} {a2} {mv}")
-    for q in sorted(tm.halting):
-        out.append(f"halt {q}")
+    out.extend(f"halt {q}" for q in sorted(tm.halting))
     return "\n".join(out) + "\n"
 
 
 def parse_tm(text: str) -> TmSpec:
-    states: tuple[str, ...] | None = None
-    start = blank = None
+    forms = {
+        "tm": "tm states=<...> start=<s> blank=<b>",
+        "tape": "tape <comma-list>",
+        "rule": "rule <state> <read> -> <state'> <write> <L|R>",
+        "halt": "halt <state>",
+    }
     tape: tuple[str, ...] | None = None
     rules: dict[tuple[str, str], tuple[str, str, str]] = {}
     halting: set[str] = set()
-    for ln, line in _lines(text):
-        toks = line.split()
-        if toks[0] == "tm":
-            if len(toks) != 4:
-                raise ParseError("expected: tm states=<...> start=<s> blank=<b>", ln)
-            spec = _kv(toks[1], "states", ln)
+    for ln, directive, args in _directives(_lines(text), forms):
+        if directive == "tm":
+            spec = _kv(args[0], "states", ln)
             if spec.isdigit():
                 states = tuple(f"q{i}" for i in range(int(spec)))
             else:
                 states = tuple(spec.split(","))
-            start = _kv(toks[2], "start", ln)
-            blank = _kv(toks[3], "blank", ln)
-        elif toks[0] == "tape":
-            if len(toks) != 2:
-                raise ParseError("expected: tape <comma-list>", ln)
-            tape = tuple(toks[1].split(","))
-        elif toks[0] == "rule":
-            if len(toks) != 7 or toks[3] != "->":
-                raise ParseError(
-                    "expected: rule <state> <read> -> <state'> <write> <L|R>", ln
-                )
-            q, a, _, q2, a2, mv = toks[1:]
+            start = _kv(args[1], "start", ln)
+            blank = _kv(args[2], "blank", ln)
+        elif directive == "tape":
+            tape = tuple(args[0].split(","))
+        elif directive == "rule":
+            q, a, arrow, q2, a2, mv = args
+            if arrow != "->":
+                raise ParseError(f"expected: {forms['rule']}", ln)
             if (q, a) in rules:
                 raise ParseError(f"duplicate rule for ({q}, {a})", ln)
             if mv not in ("L", "R"):
                 raise ParseError(f"move must be L or R, got {mv!r}", ln)
             rules[(q, a)] = (q2, a2, mv)
-        elif toks[0] == "halt":
-            if len(toks) != 2:
-                raise ParseError("expected: halt <state>", ln)
-            halting.add(toks[1])
         else:
-            raise ParseError(f"unknown directive {toks[0]!r}", ln)
-    if states is None:
-        raise ParseError("missing tm header")
+            halting.add(args[0])
     if tape is None:
-        symbols = {blank}
-        for (q, a), (q2, a2, mv) in rules.items():
-            symbols.update((a, a2))
+        symbols = {blank, *(a for _, a in rules), *(a2 for _, a2, _ in rules.values())}
         tape = tuple(sorted(symbols))
     try:
         return TmSpec(states, start, tape, blank, rules, frozenset(halting))
-    except Exception as exc:
+    except ShiftforgeError as exc:
         raise ParseError(str(exc)) from None
 
 
@@ -266,26 +249,16 @@ def serialize_window(w: Grid) -> str:
     return "\n".join(out) + "\n"
 
 
+def is_window(text: str) -> bool:
+    """Whether the first meaningful line of `text` is a window header."""
+    return next((line.split()[0] == "window" for _, line in _lines(text)), False)
+
+
 def parse_window(text: str) -> Grid:
-    header: tuple[int, int] | None = None
-    rows: list[str] = []
-    for ln, line in _lines(text):
-        toks = line.split()
-        if header is None:
-            if toks[0] != "window" or len(toks) != 3:
-                raise ParseError("expected: window <width> <height>", ln)
-            header = (_int(toks[1], "width", ln), _int(toks[2], "height", ln))
-            if min(header) < 1:
-                raise ParseError("window width and height must be positive", ln)
-        else:
-            if len(line) != header[0]:
-                raise ParseError(f"window row must have {header[0]} letters", ln)
-            rows.append(line)
-    if header is None:
-        raise ParseError("missing window header")
-    if len(rows) != header[1]:
-        raise ParseError(f"expected {header[1]} window rows, got {len(rows)}")
-    return Grid.from_rows(rows)
+    lines = _lines(text)
+    for ln, _, args in _directives(lines, {"window": "window <width> <height>"}):
+        window = _read_grid(lines, "window", args, ln)
+    return window
 
 
 def serialize_tiling(t: Grid, verdict: str = "SAT") -> str:
@@ -305,8 +278,6 @@ def parse_tiling(text: str) -> Grid:
         rows.append([_int(t, "tile index", ln) for t in toks])
     if not rows:
         raise ParseError("no tiling rows found")
-    width = len(rows[0])
-    for row in rows:
-        if len(row) != width:
-            raise ParseError("tiling rows must all have the same width")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ParseError("tiling rows must all have the same width")
     return Grid.from_rows(rows)

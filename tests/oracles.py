@@ -78,6 +78,18 @@ def naive_count_tilings(ts: TileSet, w: int, h: int, torus: bool = False) -> int
     return count
 
 
+def naive_blocks(ts: TileSet, n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Every valid n x n block as rows of tile indices, bottom-up, in
+    lexicographic order: all stacks of n horizontally valid rows whose
+    neighbors match vertically."""
+    tiles = ts.tiles
+    rows = [r for r in itertools.product(range(len(tiles)), repeat=n)
+            if all(tiles[a].east == tiles[b].west for a, b in zip(r, r[1:]))]
+    return [stack for stack in itertools.product(rows, repeat=n)
+            if all(tiles[a].north == tiles[b].south
+                   for lower, upper in zip(stack, stack[1:]) for a, b in zip(lower, upper))]
+
+
 def _occurrence_ok(grid, p, x0, y0, p_w, q_h):
     for dy in range(p.height):
         for dx in range(p.width):

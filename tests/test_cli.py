@@ -258,3 +258,37 @@ def test_verify_rejects_empty_stream_word(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: forbidden words must be nonempty\n"
+
+
+def test_verify_rejects_a_forbid_line_after_a_stream(tmp_path, capsys):
+    spec = tmp_path / "spec.subshift"
+    spec.write_text("subshift alphabet=0,1\nstream all_words_min_len 5\nforbid 11\n")
+    window = tmp_path / "w.window"
+    window.write_text("window 2 1\n11\n")
+    assert main(["verify", str(spec), str(window)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 3: only one word source allowed\n"
+
+
+def test_verify_reports_an_out_of_range_tile_as_a_validation_failure(tmp_path, spec_file,
+                                                                      capsys):
+    tiles = tmp_path / "one.tiles"
+    tiles.write_text("tileset t colors=1\ntile 0 0 0 0\ndecode 0 0\n")
+    tiling = tmp_path / "t.tiling"
+    tiling.write_text("9\n")
+    assert main(["verify", str(spec_file), str(tiling), "--tileset", str(tiles)]) == 4
+    assert_one_error_line(capsys)
+
+
+def test_verify_reads_a_window_that_starts_with_a_comment(tmp_path, spec_file, capsys):
+    window = tmp_path / "w.window"
+    window.write_text("# checked by hand\nwindow 3 1\n010\n")
+    assert main(["verify", str(spec_file), str(window)]) == 0
+    assert capsys.readouterr().out == "CLEAN\n"
+
+
+@pytest.mark.parametrize("argv", [["solve", "x"], ["bogus"], []])
+def test_usage_errors_give_one_line_and_exit_2(argv, capsys):
+    assert main(argv) == 2
+    assert_one_error_line(capsys)

@@ -1,5 +1,5 @@
-"""Every module of the package imports at its top level only, and uses
-each name it imports.
+"""Every module of the package imports at its top level only, uses each
+name it imports, and catches no exception wider than the toolkit's own.
 
 `__init__.py` is exempt from the second rule: its imports are the
 package's public names.
@@ -50,3 +50,30 @@ def test_check_sees_a_nested_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_imports_at_top_level(path):
     assert nested_imports(path.read_text()) == []
+
+
+def broad_handlers(source: str) -> list[int]:
+    """Line numbers of bare `except:` clauses and of handlers that catch
+    Exception or BaseException, alone or in a tuple: they would turn a
+    programming error into a user-facing one."""
+    broad = {"Exception", "BaseException"}
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler):
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(t is None or isinstance(t, ast.Name) and t.id in broad for t in caught):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_check_sees_a_broad_handler():
+    source = ("try:\n    f()\nexcept:\n    pass\n"
+              "try:\n    f()\nexcept (ValueError, Exception):\n    pass\n"
+              "try:\n    f()\nexcept BaseException as e:\n    pass\n"
+              "try:\n    f()\nexcept ValueError:\n    pass\n")
+    assert broad_handlers(source) == [3, 7, 11]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_catches_no_broad_exception(path):
+    assert broad_handlers(path.read_text()) == []

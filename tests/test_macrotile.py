@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_least_map
+from oracles import naive_blocks, naive_least_map
 from shiftforge.aperiodic import robinson_tileset
 from shiftforge.core import Tile, make_tileset, validate_tiling
 from shiftforge.errors import InvalidInput
@@ -57,6 +57,22 @@ def test_macro_budget_and_cap():
     assert macro_tiles(ts, 3, budget=SearchBudget(max_nodes=1)) == BUDGET_EXCEEDED
     with pytest.raises(InvalidInput):
         macro_tiles(ts, 0)
+
+
+def test_macro_tiles_keep_the_least_block_per_border():
+    # these 3 x 3 blocks repeat border 4-tuples, which once made equal tiles
+    ts = make_tileset("t", [(0, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 0), (0, 1, 0, 1)])
+    least = {}
+    for block in naive_blocks(ts, 3):
+        north = tuple(ts.tiles[i].north for i in block[-1])
+        south = tuple(ts.tiles[i].south for i in block[0])
+        east = tuple(ts.tiles[row[-1]].east for row in block)
+        west = tuple(ts.tiles[row[0]].west for row in block)
+        least.setdefault((north, east, south, west), block)
+    m = macro_tiles(ts, 3)
+    assert len(least) < len(naive_blocks(ts, 3))
+    assert [b.cells for b in m.blocks] == list(least.values())
+    assert len(set(m.tileset.tiles)) == len(least)
 
 
 def test_identity_simulation_found():
