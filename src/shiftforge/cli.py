@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 parse/usage error, 3 unsupported input,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -170,7 +171,10 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidInput(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use.  It holds no
+    command functions: `main` looks `cmd_<command>` up at call time."""
     top = _Parser(
         prog="shiftforge",
         description="Subshift and Wang-tiling toolkit: compile, solve, render, verify.",
@@ -188,14 +192,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tape-width", type=int, default=8,
                    help="tape cells for --kind tm")
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_compile)
 
     p = sub.add_parser("solve", help="solve rectangle/torus/domino instances")
     p.add_argument("tileset")
     p.add_argument("--mode", nargs="+", required=True,
                    metavar=("rect|torus|domino", "dims"))
     common(p)
-    p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("render", help="render a tiling to PPM or SVG")
     p.add_argument("tileset")
@@ -203,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cell-pixels", type=int, default=16)
     p.add_argument("--format", choices=["ppm", "svg"], default="ppm")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_render)
 
     p = sub.add_parser("verify", help="check a window or decoded tiling against a 1D spec")
     p.add_argument("spec")
@@ -211,13 +212,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tileset", default=None,
                    help="compiled tile-set file with decode lines (for tilings)")
     p.add_argument("--budget", type=int, default=DEFAULT_STREAM_BUDGET)
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("robinson", help="built-in aperiodic set operations")
     rsub = p.add_subparsers(dest="robinson_command", required=True)
     pe = rsub.add_parser("export", help="write the set in tile-set format")
     pe.add_argument("--out", default=None)
-    pe.set_defaults(fn=cmd_robinson)
 
     p = sub.add_parser("macro", help="enumerate n x n macro-tiles")
     p.add_argument("tileset")
@@ -226,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map-out", default=None,
                    help="sidecar file mapping macro ids to blocks")
     common(p)
-    p.set_defaults(fn=cmd_macro)
 
     p = sub.add_parser("evidence", help="square/torus aperiodicity evidence suite")
     p.add_argument("--tileset", default=None,
@@ -234,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-square", type=int, default=8)
     p.add_argument("--max-period", type=int, default=4)
     common(p)
-    p.set_defaults(fn=cmd_evidence)
 
     return top
 
@@ -242,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
-    except (ShiftforgeError, OSError) as exc:
+        return globals()[f"cmd_{args.command}"](args)
+    except (ShiftforgeError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, MalformedInput):
             return EXIT_VALIDATION

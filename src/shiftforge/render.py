@@ -46,14 +46,16 @@ def render(tileset: TileSet, tiling: Grid, spec: RenderSpec = RenderSpec()) -> b
 
 
 def _render_ppm(tileset: TileSet, tiling: Grid, c: int) -> bytes:
-    w_px, h_px = tiling.width * c, tiling.height * c
-    rows = bytearray()
-    # image rows run top-down; tiling row 0 is at the bottom
-    for py in range(h_px):
-        y = (h_px - 1 - py) // c
-        dy = (h_px - 1 - py) % c  # pixel offset from the cell's bottom
-        for x in range(tiling.width):
-            n, e, s, w = tileset.tiles[tiling.cells[y][x]].sides()
+    used = {i for row in tiling.cells for i in row}
+    rgb = {color: bytes(palette_rgb(color))
+           for i in used for color in tileset.tiles[i].sides()}
+    # strips[i][dy]: tile i's pixel row dy above the cell's bottom
+    strips = {}
+    for i in used:
+        n, e, s, w = tileset.tiles[i].sides()
+        strip = []
+        for dy in range(c):
+            row = []
             for dx in range(c):
                 # triangle test: compare distances to the four sides
                 below_rising = dy * 2 < (dx * 2 + 1)  # under the / diagonal
@@ -66,13 +68,21 @@ def _render_ppm(tileset: TileSet, tiling: Grid, c: int) -> bytes:
                     color = e
                 else:
                     color = w
-                rows.extend(palette_rgb(color))
-    header = f"P6\n{w_px} {h_px}\n255\n".encode()
-    return header + bytes(rows)
+                row.append(rgb[color])
+            strip.append(b"".join(row))
+        strips[i] = strip
+    # image rows run top-down; tiling row 0 is at the bottom
+    body = b"".join(b"".join(strips[i][dy] for i in row)
+                    for row in reversed(tiling.cells) for dy in reversed(range(c)))
+    header = f"P6\n{tiling.width * c} {tiling.height * c}\n255\n".encode()
+    return header + body
 
 
 def _render_svg(tileset: TileSet, tiling: Grid, c: int) -> bytes:
     w_px, h_px = tiling.width * c, tiling.height * c
+    used = {i for row in tiling.cells for i in row}
+    fills = {color: "rgb({},{},{})".format(*palette_rgb(color))
+             for i in used for color in tileset.tiles[i].sides()}
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w_px}" '
         f'height="{h_px}" viewBox="0 0 {w_px} {h_px}">'
@@ -90,9 +100,6 @@ def _render_svg(tileset: TileSet, tiling: Grid, c: int) -> bytes:
                 (w, f"{lx},{ty} {lx},{by} {cx},{cy}"),
             )
             for color, points in tris:
-                r, g, b = palette_rgb(color)
-                out.append(
-                    f'<polygon points="{points}" fill="rgb({r},{g},{b})"/>'
-                )
+                out.append(f'<polygon points="{points}" fill="{fills[color]}"/>')
     out.append("</svg>")
     return ("\n".join(out) + "\n").encode()

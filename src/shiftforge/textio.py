@@ -100,7 +100,7 @@ def serialize_compilation(comp: TileCompilation) -> str:
 
 def parse_tileset(text: str) -> tuple[TileSet, tuple[str, ...] | None]:
     """Returns (tileset, decode or None when no decode lines present)."""
-    tiles: list[tuple[int, int, int, int]] = []
+    tiles: dict[tuple[int, int, int, int], None] = {}  # in file order
     decode: list[tuple[int, str]] = []  # (tile index, letter)
     for ln, directive, args in _directives(_lines(text), {
         "tileset": "tileset <name> colors=<n>",
@@ -115,10 +115,12 @@ def parse_tileset(text: str) -> tuple[TileSet, tuple[str, ...] | None]:
             for c in (n, e, s, w):
                 if not 0 <= c < num_colors:
                     raise ParseError(f"color {c} outside [0, {num_colors})", ln)
-            tiles.append((n, e, s, w))
+            if (n, e, s, w) in tiles:
+                raise ParseError("duplicate tile", ln)
+            tiles[(n, e, s, w)] = None
         else:
             decode.append((_int(args[0], "tile index", ln), args[1]))
-    ts = make_tileset(name, tiles, num_colors=num_colors)
+    ts = make_tileset(name, list(tiles), num_colors=num_colors)
     if not decode:
         return ts, None
     if sorted(i for i, _ in decode) != list(range(len(tiles))):
@@ -219,6 +221,8 @@ def parse_tm(text: str) -> TmSpec:
             start = _kv(args[1], "start", ln)
             blank = _kv(args[2], "blank", ln)
         elif directive == "tape":
+            if tape is not None:
+                raise ParseError("duplicate tape line", ln)
             tape = tuple(args[0].split(","))
         elif directive == "rule":
             q, a, arrow, q2, a2, mv = args

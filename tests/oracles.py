@@ -1,7 +1,8 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately naive: direct definitions, no shared
-code with the package beyond the plain data types.
+code with the package beyond the plain data types and the render
+palette.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import itertools
 
 from shiftforge.core import SftSpec, TileSet
 from shiftforge.compilers import TmSpec
+from shiftforge.render import palette_rgb
 
 
 def naive_first_match(words, s: str):
@@ -287,3 +289,31 @@ def naive_least_map(source: TileSet, target: TileSet, bijective: bool):
         if (not bijective or sorted(a) == list(range(len(t)))) and fits(a):
             return a
     return None
+
+
+def naive_ppm(ts: TileSet, tiling, c: int) -> bytes:
+    """Binary PPM of a tiling with c x c pixels per cell, one pixel at a
+    time: each cell is four triangles meeting at its center, one per side,
+    filled with ``palette_rgb`` of that side's color."""
+    w_px, h_px = tiling.width * c, tiling.height * c
+    rows = bytearray()
+    # image rows run top-down; tiling row 0 is at the bottom
+    for py in range(h_px):
+        y = (h_px - 1 - py) // c
+        dy = (h_px - 1 - py) % c  # pixel offset from the cell's bottom
+        for x in range(tiling.width):
+            t = ts.tiles[tiling.cells[y][x]]
+            for dx in range(c):
+                # triangle test: compare distances to the four sides
+                below_rising = dy * 2 < (dx * 2 + 1)  # under the / diagonal
+                below_falling = dy * 2 < (2 * c - 1 - dx * 2)  # under the \
+                if below_rising and below_falling:
+                    color = t.south
+                elif not below_rising and not below_falling:
+                    color = t.north
+                elif below_rising:
+                    color = t.east
+                else:
+                    color = t.west
+                rows.extend(palette_rgb(color))
+    return f"P6\n{w_px} {h_px}\n255\n".encode() + bytes(rows)

@@ -1,6 +1,14 @@
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftforge.cli import main
+from shiftforge.compilers import sft_to_wang
+from shiftforge.subshift import lift_1d
+from shiftforge.textio import parse_subshift, serialize_compilation
 
 SUBSHIFT_11 = "subshift alphabet=0,1\nforbid 11\n"
 TM_TEXT = (
@@ -292,3 +300,109 @@ def test_verify_reads_a_window_that_starts_with_a_comment(tmp_path, spec_file, c
 def test_usage_errors_give_one_line_and_exit_2(argv, capsys):
     assert main(argv) == 2
     assert_one_error_line(capsys)
+
+
+def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    binary = tmp_path / "spec.bin"
+    binary.write_bytes(b"\xff\xfe\x00sft")
+    assert main(["compile", str(binary), "--kind", "sft"]) == 2
+    assert_one_error_line(capsys)
+
+
+def test_help_exits_through_argparse_and_leaves_the_parser_as_it_was(spec_file, capsys):
+    with pytest.raises(SystemExit) as caught:
+        main(["--help"])
+    assert caught.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: shiftforge")
+    assert main(["compile", str(spec_file), "--kind", "subshift1d"]) == 0
+    assert capsys.readouterr().out == serialize_compilation(
+        sft_to_wang(lift_1d(parse_subshift(SUBSHIFT_11))))
+
+
+# --- every argv ends in an exit code, and the same one every time ---------------
+
+# Sizes stay at or below 6: `solve --mode torus 99999999 99999999` still
+# allocates the whole grid before any budget check.
+SMALL = st.sampled_from([str(i) for i in range(-1, 7)])
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """(input paths, output paths): valid inputs of every kind, garbage,
+    an empty file, a directory and a missing path; outputs are never read."""
+    d = tmp_path_factory.mktemp("cli")
+    texts = {
+        "spec.subshift": SUBSHIFT_11,
+        "stream.subshift": "subshift alphabet=0,1\nstream all_words_min_len 3\n",
+        "s.sft": "sft alphabet=0,1\nforbid 2 1\n11\n",
+        "m.tm": TM_TEXT,
+        "w.window": "window 3 2\n010\n010\n",
+        "t.tiling": "SAT\n0 1 0\n0 1 0\n",
+        "garbage.txt": "tile 0 0\nforbid\n-> 9\n",
+        "empty.txt": "",
+    }
+    for name, text in texts.items():
+        (d / name).write_text(text)
+    (d / "binary.bin").write_bytes(b"\xff\xfe\x00tileset")
+    tiles = d / "tiles.txt"
+    assert main(["compile", str(d / "spec.subshift"), "--kind", "subshift1d",
+                 "--out", str(tiles)]) == 0
+    inputs = [str(d / name) for name in [*texts, "binary.bin", "missing"]]
+    return [*inputs, str(tiles), str(d)], {"--out": str(d / "out"), "--map-out": str(d / "map")}
+
+
+def argvs(files):
+    """A subcommand name, usually the arguments it requires, then chunks:
+    a path, a small integer, a flag with its value or values, or a stray
+    token.  `--out` and `--map-out` only ever name the output paths, so
+    no call changes an input of another."""
+    inputs, outputs = files
+    path = st.sampled_from(inputs).map(lambda p: [p])
+    small = SMALL.map(lambda n: [n])
+    kind = st.tuples(st.just("--kind"), st.sampled_from(["sft", "subshift1d", "tm", "x"]))
+    mode = st.builds(lambda m, dims: ["--mode", m, *dims],
+                     st.sampled_from(["rect", "torus", "domino", "x"]), st.lists(SMALL, max_size=3))
+    out = st.sampled_from(sorted(outputs)).map(lambda flag: [flag, outputs[flag]])
+    chunk = st.one_of(
+        path, small, kind, mode, out,
+        st.tuples(st.sampled_from(["--tape-width", "--budget-nodes", "--budget-ms",
+                                   "--cell-pixels", "--budget", "--max-tiles",
+                                   "--max-square", "--max-period"]), SMALL),
+        st.tuples(st.just("--format"), st.sampled_from(["ppm", "svg", "png"])),
+        st.tuples(st.just("--tileset"), st.sampled_from(inputs)),
+        st.sampled_from(["export", "--kind", "--mode", "--bogus", "-x"]).map(lambda t: [t]),
+    )
+    required = {
+        "compile": [path, kind], "solve": [path, mode], "render": [path, path, out],
+        "verify": [path, path], "robinson": [st.just(["export"])],
+        "macro": [path, small], "evidence": [], "bogus": [],
+    }
+
+    @st.composite
+    def argv(draw):
+        command = draw(st.sampled_from(sorted(required)))
+        chunks = [draw(c) for c in required[command]] if draw(st.integers(0, 3)) else []
+        chunks += draw(st.lists(chunk, max_size=4))
+        return [command, *(token for c in chunks for token in c)]
+
+    return argv()
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_every_argv_returns_an_exit_code_and_repeats_it(cli_files, data):
+    """Any argv returns 0, 2, 3 or 4 without raising, and the same argv
+    called again after another call gives the same code and bytes."""
+    first, other = data.draw(argvs(cli_files)), data.draw(argvs(cli_files))
+    result = run(first)
+    assert result[0] in (0, 2, 3, 4)
+    assert run(other)[0] in (0, 2, 3, 4)
+    if "--budget-ms" not in first:  # a clock budget may end a slower run elsewhere
+        assert run(first) == result

@@ -1,8 +1,12 @@
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from oracles import naive_ppm
 from shiftforge.core import Grid, make_tileset
 from shiftforge.errors import InvalidInput
 from shiftforge.render import PPM, SVG, RenderSpec, palette_rgb, render
+from shiftforge.solve import SearchBudget, enumerate_tilings
 
 
 TS = make_tileset("t", [(0, 1, 2, 3)], num_colors=4)
@@ -80,3 +84,26 @@ def test_render_is_deterministic():
     a = render(TS, ONE, RenderSpec(cell_pixels=5))
     b = render(TS, ONE, RenderSpec(cell_pixels=5))
     assert a == b
+
+
+@st.composite
+def ppm_instances(draw):
+    """(tile set, one of its tilings, cell pixels): <= 6 tiles over <= 3
+    colors, rectangles up to 5 x 5, 1 to 9 pixels per cell."""
+    k = draw(st.integers(1, 3))
+    color = st.integers(0, k - 1)
+    tiles = draw(st.lists(st.tuples(color, color, color, color),
+                          min_size=1, max_size=6, unique=True))
+    ts = make_tileset("p", tiles, num_colors=k)
+    w, h = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    tilings, _ = enumerate_tilings(ts, w, h, budget=SearchBudget(max_nodes=2_000), limit=32)
+    assume(tilings)
+    return ts, draw(st.sampled_from(tilings)), draw(st.integers(1, 9))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ppm_instances())
+@example((make_tileset("s", [(0, 1, 2, 1), (2, 1, 0, 1)]), Grid.from_rows([[0, 0], [1, 1]]), 5))
+def test_ppm_matches_the_per_pixel_renderer(instance):
+    ts, tiling, c = instance
+    assert render(ts, tiling, RenderSpec(c, PPM)) == naive_ppm(ts, tiling, c)

@@ -170,6 +170,8 @@ def test_decode_lines_name_each_tile_once():
      "line 2: pattern rows missing at end of file"),
     (parse_sft, "sft alphabet=a\nforbid 2 1\n\na\n", "line 4: pattern row must have 2 letters"),
     (parse_window, "# banner\nwindow 2 1\nabc\n", "line 3: window row must have 2 letters"),
+    (parse_tm, "tm states=q0 start=q0 blank=0\ntape 0,1\ntape 0\n", "line 3: duplicate tape line"),
+    (parse_tileset, "tileset t colors=1\ntile 0 0 0 0\ntile 0 0 0 0\n", "line 3: duplicate tile"),
 ])
 def test_directive_rules_reject_misread_inputs(parse, text, where):
     with pytest.raises(ParseError) as caught:
