@@ -6,8 +6,7 @@ from .aperiodic import (ROBINSON_TILE_COUNT, EvidenceReport, RobinsonSet,
                         aperiodicity_evidence, robinson_tileset)
 from .compilers import (TileCompilation, TmSpec, decode_row, sft_to_wang,
                         tm_initial_boundary, tm_to_tileset)
-from .core import (Grid, SftSpec, Tile, TileSet, make_tileset,
-                   normalize_tileset, validate_tiling)
+from .core import Grid, SftSpec, Tile, TileSet, make_tileset, validate_tiling
 from .errors import (InvalidInput, InvalidSpec, MalformedInput, ParseError,
                      ShiftforgeError, UnsupportedSpec)
 from .macrotile import (BUDGET_EXCEEDED, MacroTileSet, TileSetMap,

@@ -259,12 +259,13 @@ def tm_initial_boundary(
         tag = _tag_of(x, n)
         pl = ("h", tm.start, tape[x]) if x == head else ("s", tape[x])
         key = ("v", tag, pl)
-        try:
-            south.append(ids[key])
-        except KeyError:
+        if key not in ids:
             raise InvalidInput(
-                f"no vertical color encodes {key}; is the tape width right?"
-            ) from None
+                f"no tile reads state {tm.start} over {tape[x]!r} at cell {x}: "
+                f"the machine has no move there on a {n}-cell tape" if x == head
+                else f"no tile reads {tape[x]!r} at cell {x}: "
+                f"the tile set was not compiled for a {n}-cell tape")
+        south.append(ids[key])
     border = ids[("h", _B)]
     return BoundaryConstraint(
         south=tuple(south),

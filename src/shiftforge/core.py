@@ -201,16 +201,3 @@ def validate_tiling(tileset: TileSet, t: Grid, *, wrap: bool = False) -> bool:
                 return False
     return True
 
-
-def normalize_tileset(tileset: TileSet) -> TileSet:
-    """Canonical form: duplicate tiles dropped, colors renumbered densely
-    in increasing order of their old ids (names travel with them), tiles
-    sorted lexicographically by (north, east, south, west)."""
-    tiles = sorted(set(tileset.tiles))
-    used = sorted({c for t in tiles for c in t.sides()})
-    remap = {old: new for new, old in enumerate(used)}
-    new_tiles = tuple(
-        Tile(remap[t.north], remap[t.east], remap[t.south], remap[t.west]) for t in tiles
-    )
-    new_tiles = tuple(sorted(set(new_tiles)))
-    return TileSet(tileset.name, tuple(tileset.colors[old] for old in used), new_tiles)

@@ -6,6 +6,14 @@ after every assignment.  Variable order and ascending tile-index value
 order are fixed, so a SAT answer is always the lexicographically least
 witness and identical inputs give identical results.
 
+The search is one loop over an explicit stack, not a recursion, so its
+depth is bounded by memory rather than by Python's call stack.  A stack
+entry holds the domains of a node, the cell it branches on and that
+cell's tiles not yet tried; it leaves the stack with its last tile.
+Each try copies the domains, assigns the least untried tile and
+propagates.  The loop ends when the stack is empty, when `limit` tilings
+are found or when the budget is spent.
+
 Domains are tile bitsets.  The support a domain gives its neighbor across
 one side is memoized per side, keyed by the domain alone; a miss ORs the
 opposite side's color class for each distinct color the domain shows on
@@ -26,7 +34,6 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
 
 from .core import Grid, TileSet
 from .errors import InvalidInput
@@ -93,10 +100,6 @@ class DominoVerdict:
     nodes: int = 0
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
 class SharedBudget:
     """One node total and one deadline spent by a sequence of searches."""
 
@@ -116,149 +119,108 @@ class SharedBudget:
         return r.status
 
 
-class _Grid:
-    """Shared search engine for rectangles (open edges) and tori (wrap)."""
+def _setup(tileset: TileSet, w: int, h: int, wrap: bool,
+           boundary: BoundaryConstraint | None) -> tuple[list[int], list[list]]:
+    """Initial domains and neighbor lists of a rectangle, or of a torus if `wrap`."""
+    if w < 1 or h < 1:
+        raise InvalidInput("grid dimensions must be positive")
+    if wrap and boundary is not None:
+        raise InvalidInput("a torus has no boundary")
+    tiles = tileset.tiles
+    n = len(tiles)
 
-    def __init__(self, tileset: TileSet, w: int, h: int, wrap: bool,
-                 boundary: BoundaryConstraint | None, budget: SearchBudget):
-        if w < 1 or h < 1:
-            raise InvalidInput("grid dimensions must be positive")
-        if wrap and boundary is not None:
-            raise InvalidInput("a torus has no boundary")
-        self.w, self.h = w, h
-        tiles = tileset.tiles
-        n = len(tiles)
-        self.budget = budget
-        self.nodes = 0
-        self.deadline = time.monotonic() + budget.max_millis / 1000.0
+    ncolors = len(tileset.colors)
+    by_side = {s: [0] * ncolors for s in "nesw"}
+    for i, t in enumerate(tiles):
+        bit = 1 << i
+        by_side["n"][t.north] |= bit
+        by_side["e"][t.east] |= bit
+        by_side["s"][t.south] |= bit
+        by_side["w"][t.west] |= bit
+    # per side: (memo domain -> tiles allowed on the neighbor across that
+    # side, color of each tile on that side, tiles by color on that side,
+    # tiles by color on the opposite side); shared by every cell
+    opp = {"n": "s", "e": "w", "s": "n", "w": "e"}
+    info = {
+        side: ({}, [getattr(t, name) for t in tiles], by_side[side],
+               by_side[opp[side]])
+        for side, name in (("n", "north"), ("e", "east"),
+                           ("s", "south"), ("w", "west"))
+    }
 
-        ncolors = len(tileset.colors)
-        by_side = {s: [0] * ncolors for s in "nesw"}
+    # wrap on a period-1 axis makes each cell its own neighbor across it
+    start = (1 << n) - 1
+    if wrap:
         for i, t in enumerate(tiles):
-            bit = 1 << i
-            by_side["n"][t.north] |= bit
-            by_side["e"][t.east] |= bit
-            by_side["s"][t.south] |= bit
-            by_side["w"][t.west] |= bit
-        # per side: (memo domain -> tiles allowed on the neighbor across that
-        # side, color of each tile on that side, tiles by color on that side,
-        # tiles by color on the opposite side); shared by every cell
-        opp = {"n": "s", "e": "w", "s": "n", "w": "e"}
-        info = {
-            side: ({}, [getattr(t, name) for t in tiles], by_side[side],
-                   by_side[opp[side]])
-            for side, name in (("n", "north"), ("e", "east"),
-                               ("s", "south"), ("w", "west"))
-        }
+            if (w == 1 and t.east != t.west) or (h == 1 and t.north != t.south):
+                start &= ~(1 << i)
+    dom = [start] * (w * h)
+    if boundary is not None:
+        boundary.check_dimensions(w, h)
+        for side, seq, cells in (
+            ("s", boundary.south, range(w)),
+            ("n", boundary.north, range((h - 1) * w, h * w)),
+            ("w", boundary.west, range(0, w * h, w)),
+            ("e", boundary.east, range(w - 1, w * h, w)),
+        ):
+            for c, color in zip(cells, seq or ()):
+                if not 0 <= color < ncolors:
+                    raise InvalidInput(f"boundary color {color} outside universe")
+                dom[c] &= by_side[side][color]
+        for x, y, ti in boundary.forced_cells:
+            if not 0 <= ti < n:
+                raise InvalidInput(f"forced tile index {ti} out of range")
+            dom[y * w + x] &= 1 << ti
 
-        # wrap on a period-1 axis makes each cell its own neighbor across it
-        start = (1 << n) - 1
-        if wrap:
-            for i, t in enumerate(tiles):
-                if (w == 1 and t.east != t.west) or (h == 1 and t.north != t.south):
-                    start &= ~(1 << i)
-        dom = [start] * (w * h)
-        if boundary is not None:
-            boundary.check_dimensions(w, h)
-            for side, seq, cells in (
-                ("s", boundary.south, range(w)),
-                ("n", boundary.north, range((h - 1) * w, h * w)),
-                ("w", boundary.west, range(0, w * h, w)),
-                ("e", boundary.east, range(w - 1, w * h, w)),
-            ):
-                for c, color in zip(cells, seq or ()):
-                    if not 0 <= color < ncolors:
-                        raise InvalidInput(f"boundary color {color} outside universe")
-                    dom[c] &= by_side[side][color]
-            for x, y, ti in boundary.forced_cells:
-                if not 0 <= ti < n:
-                    raise InvalidInput(f"forced tile index {ti} out of range")
-                dom[y * w + x] &= 1 << ti
-        self.init_dom = dom
+    # neighbor lists: (neighbor cell, info of the side it lies across)
+    nbrs: list[list[tuple[int, tuple]]] = [[] for _ in range(w * h)]
+    for y in range(h):
+        for x in range(w):
+            c = y * w + x
+            for side, dx, dy in (("e", 1, 0), ("w", -1, 0), ("n", 0, 1), ("s", 0, -1)):
+                nx, ny = x + dx, y + dy
+                if wrap:
+                    nx, ny = nx % w, ny % h
+                elif not (0 <= nx < w and 0 <= ny < h):
+                    continue
+                nc = ny * w + nx
+                if nc != c:
+                    nbrs[c].append((nc, info[side]))
+    return dom, nbrs
 
-        # neighbor lists: (neighbor cell, info of the side it lies across)
-        nbrs: list[list[tuple[int, tuple]]] = [[] for _ in range(w * h)]
-        for y in range(h):
-            for x in range(w):
-                c = y * w + x
-                for side, dx, dy in (("e", 1, 0), ("w", -1, 0), ("n", 0, 1), ("s", 0, -1)):
-                    nx, ny = x + dx, y + dy
-                    if wrap:
-                        nx, ny = nx % w, ny % h
-                    elif not (0 <= nx < w and 0 <= ny < h):
-                        continue
-                    nc = ny * w + nx
-                    if nc != c:
-                        nbrs[c].append((nc, info[side]))
-        self.nbrs = nbrs
 
-    def _propagate(self, dom: list[int], dirty: list[int]) -> bool:
-        """AC to fixpoint starting from `dirty` cells.  False on wipeout."""
-        queue = deque(dirty)
-        in_queue = bytearray(len(dom))
-        for c in dirty:
-            in_queue[c] = 1
-        nbrs = self.nbrs
-        while queue:
-            c = queue.popleft()
-            in_queue[c] = 0
-            dc = dom[c]
-            if dc == 0:
-                return False
-            for nc, (memo, colors, mine, theirs) in nbrs[c]:
-                allowed = memo.get(dc)
-                if allowed is None:
-                    # one step per distinct color on this side of dc
-                    allowed = 0
-                    d = dc
-                    while d:
-                        col = colors[(d & -d).bit_length() - 1]
-                        allowed |= theirs[col]
-                        d &= ~mine[col]
-                    memo[dc] = allowed
-                nd = dom[nc] & allowed
-                if nd != dom[nc]:
-                    if nd == 0:
-                        return False
-                    dom[nc] = nd
-                    if not in_queue[nc]:
-                        in_queue[nc] = 1
-                        queue.append(nc)
-        return True
-
-    def _tick(self) -> None:
-        if self.nodes >= self.budget.max_nodes:
-            raise _BudgetExceeded
-        self.nodes += 1
-        if self.nodes % 1024 == 0 and time.monotonic() > self.deadline:
-            raise _BudgetExceeded
-
-    def solutions(self) -> Iterator[list[int]]:
-        """Yield all solutions (cell -> tile index) in lexicographic order.
-
-        Raises _BudgetExceeded if the budget runs out mid-search.
-        """
-        dom = self.init_dom.copy()
-        if not self._propagate(dom, list(range(self.w * self.h))):
-            return
-        yield from self._search(dom, 0)
-
-    def _search(self, dom: list[int], cell: int) -> Iterator[list[int]]:
-        total = self.w * self.h
-        while cell < total and dom[cell].bit_count() == 1:
-            cell += 1
-        if cell == total:
-            yield [d.bit_length() - 1 for d in dom]
-            return
-        d = dom[cell]
-        while d:
-            lsb = d & -d
-            d ^= lsb
-            self._tick()
-            trial = dom.copy()
-            trial[cell] = lsb
-            if self._propagate(trial, [cell]):
-                yield from self._search(trial, cell + 1)
+def _propagate(dom: list[int], dirty: list[int], nbrs: list[list]) -> bool:
+    """AC to fixpoint starting from `dirty` cells.  False on wipeout."""
+    queue = deque(dirty)
+    in_queue = bytearray(len(dom))
+    for c in dirty:
+        in_queue[c] = 1
+    while queue:
+        c = queue.popleft()
+        in_queue[c] = 0
+        dc = dom[c]
+        if dc == 0:
+            return False
+        for nc, (memo, colors, mine, theirs) in nbrs[c]:
+            allowed = memo.get(dc)
+            if allowed is None:
+                # one step per distinct color on this side of dc
+                allowed = 0
+                d = dc
+                while d:
+                    col = colors[(d & -d).bit_length() - 1]
+                    allowed |= theirs[col]
+                    d &= ~mine[col]
+                memo[dc] = allowed
+            nd = dom[nc] & allowed
+            if nd != dom[nc]:
+                if nd == 0:
+                    return False
+                dom[nc] = nd
+                if not in_queue[nc]:
+                    in_queue[nc] = 1
+                    queue.append(nc)
+    return True
 
 
 def _run(tileset: TileSet, w: int, h: int, boundary: BoundaryConstraint | None,
@@ -268,20 +230,43 @@ def _run(tileset: TileSet, w: int, h: int, boundary: BoundaryConstraint | None,
     when None): (the tilings found, built only if `keep`; how many were
     found; complete; nodes spent).  complete is False when the budget ran
     out or the limit stopped the search."""
-    g = _Grid(tileset, w, h, wrap, boundary, budget)
+    deadline = time.monotonic() + budget.max_millis / 1000.0
+    dom, nbrs = _setup(tileset, w, h, wrap, boundary)
+    total = w * h
     tilings: list[Grid] = []
-    found = 0
-    try:
-        for sol in g.solutions():
-            found += 1
-            if keep:
-                rows = tuple(tuple(sol[y * w:(y + 1) * w]) for y in range(h))
-                tilings.append(Grid(w, h, rows))
-            if limit is not None and found >= limit:
-                return tilings, found, False, g.nodes
-    except _BudgetExceeded:
-        return tilings, found, False, g.nodes
-    return tilings, found, True, g.nodes
+    found = nodes = cell = 0
+    stack: list[tuple[list[int], int, int]] = []  # (domains, cell, untried tiles)
+    ok = _propagate(dom, list(range(total)), nbrs)
+    while True:
+        if ok:
+            while cell < total and dom[cell].bit_count() == 1:
+                cell += 1
+            if cell < total:
+                stack.append((dom, cell, dom[cell]))
+            else:
+                found += 1
+                if keep:
+                    sol = [d.bit_length() - 1 for d in dom]
+                    rows = tuple(tuple(sol[y * w:(y + 1) * w]) for y in range(h))
+                    tilings.append(Grid(w, h, rows))
+                if limit is not None and found >= limit:
+                    break
+        if not stack:
+            return tilings, found, True, nodes
+        parent, cell, d = stack.pop()
+        lsb = d & -d
+        if d != lsb:
+            stack.append((parent, cell, d ^ lsb))
+        if nodes >= budget.max_nodes:
+            break
+        nodes += 1
+        if nodes % 1024 == 0 and time.monotonic() > deadline:
+            break
+        dom = parent.copy()
+        dom[cell] = lsb
+        ok = _propagate(dom, [cell], nbrs)
+        cell += 1
+    return tilings, found, False, nodes
 
 
 def _first(tileset: TileSet, w: int, h: int, boundary: BoundaryConstraint | None,

@@ -406,3 +406,10 @@ def test_every_argv_returns_an_exit_code_and_repeats_it(cli_files, data):
     assert run(other)[0] in (0, 2, 3, 4)
     if "--budget-ms" not in first:  # a clock budget may end a slower run elsewhere
         assert run(first) == result
+
+
+def test_solve_searches_deeper_than_the_recursion_limit(tmp_path, capsys):
+    free = tmp_path / "free.tiles"
+    free.write_text("tileset c colors=2\ntile 0 0 0 0\ntile 1 0 1 0\n")
+    assert main(["solve", str(free), "--mode", "rect", "1100", "1"]) == 0
+    assert capsys.readouterr().out == "SAT\n" + " ".join(["0"] * 1100) + "\n"

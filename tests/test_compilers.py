@@ -190,8 +190,20 @@ def test_boundary_rejects_unreachable_initial_configuration():
     # a 1-cell tape has no tile that can apply the only transition, so the
     # initial head color does not even exist: fail closed at boundary time
     comp = tm_to_tileset(INCREMENTER, 1)
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match="no tile reads state q0 over '1' at cell 0: "
+                       "the machine has no move there on a 1-cell tape"):
         tm_initial_boundary(INCREMENTER, comp, "1", 1, 2)
+
+
+def test_boundary_names_a_start_state_without_a_move():
+    # the width is right; q0 just has no rule over the blank it starts on
+    stuck = TmSpec(("q0", "q1"), "q0", ("0", "1"), "0",
+                   {("q0", "1"): ("q1", "1", "R")}, frozenset())
+    assert tm_run(stuck, "0", 3) == [("q0.0", "0", "0")]
+    comp = tm_to_tileset(stuck, 3)
+    with pytest.raises(InvalidInput, match="no tile reads state q0 over '0' at cell 0: "
+                       "the machine has no move there on a 3-cell tape"):
+        tm_initial_boundary(stuck, comp, "0", 3, 1)
 
 
 def test_initial_boundary_validates_input():
@@ -202,6 +214,10 @@ def test_initial_boundary_validates_input():
         tm_initial_boundary(INCREMENTER, comp, "1", 4, 2, head=9)
     with pytest.raises(InvalidInput):
         tm_initial_boundary(INCREMENTER, comp, "x", 4, 2)
+    # a 1-cell compilation has no interior or edge tags for a wider tape
+    with pytest.raises(InvalidInput, match="no tile reads '0' at cell 0: "
+                       "the tile set was not compiled for a 3-cell tape"):
+        tm_initial_boundary(INCREMENTER, tm_to_tileset(INCREMENTER, 1), "", 3, 2, head=2)
 
 
 def test_compilation_decode_must_be_total():

@@ -1,7 +1,6 @@
 import pytest
 
-from shiftforge.core import (Grid, SftSpec, Tile, make_tileset, normalize_tileset,
-                             validate_tiling)
+from shiftforge.core import Grid, SftSpec, Tile, make_tileset, validate_tiling
 from shiftforge.errors import InvalidSpec, MalformedInput
 
 
@@ -70,27 +69,6 @@ def test_validate_torus_wraps_both_axes():
     assert not validate_tiling(ts, Grid.from_rows([[0]]), wrap=True)
     ok = make_tileset("t", [(0, 1, 0, 1)])
     assert validate_tiling(ok, Grid.from_rows([[0]]), wrap=True)
-
-
-def test_normalize_tileset_renumbers_colors_densely():
-    ts = make_tileset("t", [(5, 5, 5, 5), (2, 2, 2, 2)], num_colors=6)
-    norm = normalize_tileset(ts)
-    assert norm.tiles == (Tile(0, 0, 0, 0), Tile(1, 1, 1, 1))
-    assert len(norm.colors) == 2
-
-
-def test_normalize_tileset_is_idempotent_and_sorted():
-    ts = make_tileset("t", [(1, 0, 1, 0), (0, 1, 0, 1)])
-    norm = normalize_tileset(ts)
-    assert list(norm.tiles) == sorted(norm.tiles)
-    assert normalize_tileset(norm) == norm
-
-
-def test_normalize_preserves_relative_order_of_sorted_tiles():
-    # monotone remap: tiles already sorted stay sorted after renumbering
-    ts = make_tileset("t", [(0, 3, 0, 3), (3, 0, 3, 0)], num_colors=4)
-    norm = normalize_tileset(ts)
-    assert norm.tiles == (Tile(0, 1, 0, 1), Tile(1, 0, 1, 0))
 
 
 def test_window_from_rows():

@@ -232,3 +232,43 @@ def test_domino_honours_shared_node_budget():
         for max_nodes in range(1, 12):
             v = domino_semidecide(ts, 4, budget=SearchBudget(max_nodes=max_nodes))
             assert v.nodes <= max_nodes
+
+
+# two tiles that agree east-west and differ north-south: on a 1-row grid
+# every cell branches, so the search goes as deep as the row is long
+FREE_COLUMNS = make_tileset("c", [(0, 0, 0, 0), (1, 0, 1, 0)])
+DEEP = 1_100  # past Python's default recursion limit of 1,000
+
+
+@pytest.mark.parametrize("solver", [solve_rectangle, solve_torus])
+def test_search_deeper_than_the_recursion_limit(solver):
+    r = solver(FREE_COLUMNS, DEEP, 1)
+    assert r.status == SAT and r.nodes == DEEP
+    assert r.tiling.cells == ((0,) * DEEP,)
+
+
+def test_enumeration_resumes_at_the_bottom_of_a_deep_search():
+    tilings, complete = enumerate_tilings(FREE_COLUMNS, DEEP, 1, limit=2)
+    assert not complete
+    assert [t.cells for t in tilings] == [((0,) * DEEP,), ((0,) * (DEEP - 1) + (1,),)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(solve_instances(), st.integers(1, 40))
+# counting both tilings of one cell takes exactly the 2 nodes it may spend
+@example((make_tileset("t", [(0, 0, 0, 0), (1, 1, 1, 1)]), 1, 1, False, None), 2)
+def test_a_search_never_spends_more_nodes_than_its_budget(instance, max_nodes):
+    ts, w, h, torus, boundary = instance
+    runs = [lambda b: solve_torus(ts, w, h, b)] if torus else [
+        lambda b: solve_rectangle(ts, w, h, boundary, b),
+        lambda b: count_rectangle(ts, w, h, boundary, b)]
+    for run in runs:
+        # a run that needs at most 41 nodes ends the same under any larger
+        # budget, and one that needs more is UNKNOWN at max_nodes <= 40
+        full = run(SearchBudget(max_nodes=41))
+        got = run(SearchBudget(max_nodes=max_nodes))
+        assert got.nodes <= max_nodes
+        if full.status != UNKNOWN and full.nodes <= max_nodes:
+            assert got == full
+        else:
+            assert (got.status, got.nodes) == (UNKNOWN, max_nodes)
