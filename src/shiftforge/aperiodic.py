@@ -156,26 +156,15 @@ def aperiodicity_evidence(tileset: TileSet, max_square: int, max_period: int,
         raise InvalidInput("bounds must be positive")
     shared = SharedBudget(budget)
     squares = []
-    largest = 0
-    exhausted = False
     for n in range(1, max_square + 1):
-        status = shared.status(solve_rectangle, tileset, n, n)
-        squares.append((n, status))
-        if status == SAT:
-            largest = n
-        else:
-            exhausted = status == UNKNOWN
+        squares.append((n, shared.status(solve_rectangle, tileset, n, n)))
+        if squares[-1][1] != SAT:
             break  # an UNSAT (or unknown) square rules out larger ones
-    tori = []
-    periodic = None
-    for p in range(1, max_period + 1):
-        for q in range(1, max_period + 1):
-            status = shared.status(solve_torus, tileset, p, q)
-            tori.append((p, q, status))
-            if status == SAT and periodic is None:
-                periodic = (p, q)
-            if status == UNKNOWN:
-                exhausted = True
+    tori = [(p, q, shared.status(solve_torus, tileset, p, q))
+            for p in range(1, max_period + 1) for q in range(1, max_period + 1)]
+    largest = sum(st == SAT for _, st in squares)
+    periodic = next(((p, q) for p, q, st in tori if st == SAT), None)
+    exhausted = UNKNOWN in [v[-1] for v in squares + tori]
     return EvidenceReport(largest, tuple(squares), tuple(tori), periodic, exhausted,
                           shared.spent)
 

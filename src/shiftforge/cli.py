@@ -182,8 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--budget-nodes", type=int, default=10_000_000)
-        p.add_argument("--budget-ms", type=int, default=600_000)
+        p.add_argument("--budget-nodes", type=int, default=SearchBudget.max_nodes)
+        p.add_argument("--budget-ms", type=int, default=SearchBudget.max_millis)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("compile", help="compile a spec into a tile set")
@@ -240,8 +240,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return globals()[f"cmd_{args.command}"](args)
-    except (ShiftforgeError, OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ShiftforgeError, OSError, UnicodeDecodeError, OverflowError,
+            MemoryError) as exc:
+        # str(MemoryError()) is empty
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         if isinstance(exc, MalformedInput):
             return EXIT_VALIDATION
         return EXIT_UNSUPPORTED if isinstance(exc, UnsupportedSpec) else EXIT_PARSE

@@ -55,9 +55,6 @@ class TileSet:
                         f"outside universe of size {n}"
                     )
 
-    def __len__(self) -> int:
-        return len(self.tiles)
-
 
 def make_tileset(
     name: str,

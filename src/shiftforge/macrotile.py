@@ -142,18 +142,19 @@ def _least_map(source: TileSet, target: TileSet, bijective: bool) -> TileSetMap 
                 return False
         return True
 
-    def search(k: int) -> bool:
-        if k == len(source.tiles):
-            return True
-        for v in range(len(target.tiles)):
-            if ok(k, v):
-                assign.append(v)
-                if search(k + 1):
-                    return True
-                assign.pop()
-        return False
-
-    return TileSetMap(source, target, tuple(assign)) if search(0) else None
+    # depth-first in lexicographic order; a backtrack resumes after the popped value
+    v = 0
+    while len(assign) < len(source.tiles):
+        if v == len(target.tiles):
+            if not assign:
+                return None
+            v = assign.pop() + 1
+        elif ok(len(assign), v):
+            assign.append(v)
+            v = 0
+        else:
+            v += 1
+    return TileSetMap(source, target, tuple(assign))
 
 
 def find_simulation(source: TileSet, target: TileSet) -> TileSetMap | None:

@@ -65,19 +65,6 @@ class BoundaryConstraint:
     west: tuple[int, ...] | None = None
     forced_cells: tuple[tuple[int, int, int], ...] = ()  # (x, y, tile index)
 
-    def check_dimensions(self, w: int, h: int) -> None:
-        for seq, length, name in (
-            (self.north, w, "north"),
-            (self.south, w, "south"),
-            (self.east, h, "east"),
-            (self.west, h, "west"),
-        ):
-            if seq is not None and len(seq) != length:
-                raise InvalidInput(f"{name} boundary sequence has wrong length")
-        for x, y, _ in self.forced_cells:
-            if not (0 <= x < w and 0 <= y < h):
-                raise InvalidInput(f"forced cell ({x}, {y}) outside rectangle")
-
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -128,25 +115,19 @@ def _setup(tileset: TileSet, w: int, h: int, wrap: bool,
         raise InvalidInput("a torus has no boundary")
     tiles = tileset.tiles
     n = len(tiles)
-
     ncolors = len(tileset.colors)
-    by_side = {s: [0] * ncolors for s in "nesw"}
-    for i, t in enumerate(tiles):
-        bit = 1 << i
-        by_side["n"][t.north] |= bit
-        by_side["e"][t.east] |= bit
-        by_side["s"][t.south] |= bit
-        by_side["w"][t.west] |= bit
+    # side k is Tile.sides()[k] (0 north, 1 east, 2 south, 3 west); its opposite is k ^ 2
+    colors = list(zip(*(t.sides() for t in tiles))) or [()] * 4
+    by_color = []  # per side: color -> bitset of the tiles showing it there
+    for col in colors:
+        table = [0] * ncolors
+        for i, c in enumerate(col):
+            table[c] |= 1 << i
+        by_color.append(table)
     # per side: (memo domain -> tiles allowed on the neighbor across that
     # side, color of each tile on that side, tiles by color on that side,
     # tiles by color on the opposite side); shared by every cell
-    opp = {"n": "s", "e": "w", "s": "n", "w": "e"}
-    info = {
-        side: ({}, [getattr(t, name) for t in tiles], by_side[side],
-               by_side[opp[side]])
-        for side, name in (("n", "north"), ("e", "east"),
-                           ("s", "south"), ("w", "west"))
-    }
+    info = [({}, colors[k], by_color[k], by_color[k ^ 2]) for k in range(4)]
 
     # wrap on a period-1 axis makes each cell its own neighbor across it
     start = (1 << n) - 1
@@ -156,18 +137,22 @@ def _setup(tileset: TileSet, w: int, h: int, wrap: bool,
                 start &= ~(1 << i)
     dom = [start] * (w * h)
     if boundary is not None:
-        boundary.check_dimensions(w, h)
-        for side, seq, cells in (
-            ("s", boundary.south, range(w)),
-            ("n", boundary.north, range((h - 1) * w, h * w)),
-            ("w", boundary.west, range(0, w * h, w)),
-            ("e", boundary.east, range(w - 1, w * h, w)),
-        ):
-            for c, color in zip(cells, seq or ()):
+        for k, (name, seq, cells) in enumerate((
+                ("north", boundary.north, range((h - 1) * w, h * w)),
+                ("east", boundary.east, range(w - 1, w * h, w)),
+                ("south", boundary.south, range(w)),
+                ("west", boundary.west, range(0, w * h, w)))):
+            if seq is None:
+                continue
+            if len(seq) != len(cells):
+                raise InvalidInput(f"{name} boundary sequence has wrong length")
+            for c, color in zip(cells, seq):
                 if not 0 <= color < ncolors:
                     raise InvalidInput(f"boundary color {color} outside universe")
-                dom[c] &= by_side[side][color]
+                dom[c] &= by_color[k][color]
         for x, y, ti in boundary.forced_cells:
+            if not (0 <= x < w and 0 <= y < h):
+                raise InvalidInput(f"forced cell ({x}, {y}) outside rectangle")
             if not 0 <= ti < n:
                 raise InvalidInput(f"forced tile index {ti} out of range")
             dom[y * w + x] &= 1 << ti
@@ -177,7 +162,7 @@ def _setup(tileset: TileSet, w: int, h: int, wrap: bool,
     for y in range(h):
         for x in range(w):
             c = y * w + x
-            for side, dx, dy in (("e", 1, 0), ("w", -1, 0), ("n", 0, 1), ("s", 0, -1)):
+            for k, dx, dy in ((1, 1, 0), (3, -1, 0), (0, 0, 1), (2, 0, -1)):
                 nx, ny = x + dx, y + dy
                 if wrap:
                     nx, ny = nx % w, ny % h
@@ -185,7 +170,7 @@ def _setup(tileset: TileSet, w: int, h: int, wrap: bool,
                     continue
                 nc = ny * w + nx
                 if nc != c:
-                    nbrs[c].append((nc, info[side]))
+                    nbrs[c].append((nc, info[k]))
     return dom, nbrs
 
 

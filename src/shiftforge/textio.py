@@ -265,8 +265,8 @@ def parse_window(text: str) -> Grid:
     return window
 
 
-def serialize_tiling(t: Grid, verdict: str = "SAT") -> str:
-    out = [verdict]
+def serialize_tiling(t: Grid) -> str:
+    out = ["SAT"]
     out.extend(" ".join(str(i) for i in row) for row in t.cells)
     return "\n".join(out) + "\n"
 

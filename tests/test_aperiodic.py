@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftforge.aperiodic import (ROBINSON_TILE_COUNT, aperiodicity_evidence,
                                   format_evidence, robinson_tileset)
@@ -86,3 +88,33 @@ def test_evidence_shares_one_node_budget():
     assert not rep.budget_exhausted and rep.nodes == sum(r.nodes for r in alone)
     assert [st for _, st in rep.square_verdicts] == [r.status for r in alone[:4]]
     assert [st for _, _, st in rep.torus_verdicts] == [r.status for r in alone[4:]]
+
+
+@st.composite
+def evidence_runs(draw):
+    """(tile set of <= 5 tiles over <= 3 colors, max_square, max_period)."""
+    color = st.integers(0, draw(st.integers(1, 3)) - 1)
+    tiles = draw(st.lists(st.tuples(color, color, color, color),
+                          min_size=1, max_size=5, unique=True))
+    return make_tileset("h", tiles), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(evidence_runs(), st.integers(1, 60))
+def test_a_node_budget_only_turns_verdicts_unknown(run, max_nodes):
+    ts, max_square, max_period = run
+    rep = aperiodicity_evidence(ts, max_square, max_period, SearchBudget(max_nodes=max_nodes))
+    full = aperiodicity_evidence(ts, max_square, max_period)
+    assert rep.nodes <= max_nodes
+    # a square that is not SAT ends the squares, so a budget only shortens them
+    assert len(rep.square_verdicts) <= len(full.square_verdicts)
+    pairs = (list(zip(rep.square_verdicts, full.square_verdicts))
+             + list(zip(rep.torus_verdicts, full.torus_verdicts, strict=True)))
+    for got, want in pairs:
+        assert got[:-1] == want[:-1] and got[-1] in (UNKNOWN, want[-1])
+    verdicts = [v for _, v in rep.square_verdicts] + [v for _, _, v in rep.torus_verdicts]
+    assert rep.budget_exhausted == (UNKNOWN in verdicts)
+    if rep.square_verdicts[-1][1] == UNKNOWN:
+        assert rep.largest_sat_square == len(rep.square_verdicts) - 1
+    else:
+        assert rep.largest_sat_square == full.largest_sat_square

@@ -206,6 +206,7 @@ def assert_one_error_line(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err.strip() != "error:"
 
 
 def test_verify_rejects_empty_window(tmp_path, spec_file, capsys):
@@ -413,3 +414,27 @@ def test_solve_searches_deeper_than_the_recursion_limit(tmp_path, capsys):
     free.write_text("tileset c colors=2\ntile 0 0 0 0\ntile 1 0 1 0\n")
     assert main(["solve", str(free), "--mode", "rect", "1100", "1"]) == 0
     assert capsys.readouterr().out == "SAT\n" + " ".join(["0"] * 1100) + "\n"
+
+
+NINES = "9" * 400
+
+
+@pytest.mark.parametrize("colors,argv", [
+    (1, ["--mode", "rect", "1", "1", "--budget-ms", NINES]),
+    (1, ["--mode", "torus", "10000000000", "10000000000"]),
+    # w * h domains cannot be allocated; the request fails at once, so
+    # the test allocates nothing
+    (1, ["--mode", "torus", "99999999", "99999999", "--budget-nodes", "5"]),
+    (10_000_000_000_000_000_000, ["--mode", "rect", "1", "1"]),
+], ids=["budget-ms", "torus-overflow", "torus-memory", "colors"])
+def test_solve_sizes_that_do_not_fit_are_usage_errors(tmp_path, capsys, colors, argv):
+    tiles = tmp_path / "one.tiles"
+    tiles.write_text(f"tileset t colors={colors}\ntile 0 0 0 0\n")
+    assert main(["solve", str(tiles), *argv]) == 2
+    assert_one_error_line(capsys)
+
+
+def test_evidence_clock_budget_that_does_not_fit_is_a_usage_error(capsys):
+    argv = ["evidence", "--max-square", "1", "--max-period", "1", "--budget-ms", NINES]
+    assert main(argv) == 2
+    assert_one_error_line(capsys)

@@ -173,3 +173,10 @@ def test_least_maps_match_naive_enumeration(pair):
     assert (m and m.assignment) == naive_least_map(source, target, bijective=False)
     m = check_isomorphism(source, target)
     assert (m and m.assignment) == naive_least_map(source, target, bijective=True)
+
+
+def test_least_map_of_a_set_larger_than_the_recursion_limit():
+    # one search level per source tile: 1,100 levels
+    source = make_tileset("s", [(i, 0, i, 0) for i in range(1100)])
+    target = make_tileset("t", [(0, 0, 0, 0)])
+    assert find_simulation(source, target).assignment == (0,) * 1100

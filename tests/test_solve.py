@@ -90,12 +90,25 @@ def test_boundary_forced_cells():
     assert r.status == SAT and r.tiling.cells == ((1, 1),)
 
 
+def test_an_empty_tile_set_tiles_nothing():
+    empty = make_tileset("e", [], num_colors=1)
+    assert solve_rectangle(empty, 2, 2, BoundaryConstraint(south=(0, 0))).status == UNSAT
+    assert solve_torus(empty, 1, 1).status == UNSAT
+    assert count_rectangle(empty, 2, 1).count == 0
+
+
 def test_boundary_dimension_checks():
     ts = make_tileset("t", [(0, 0, 0, 0)])
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match="south boundary sequence has wrong length"):
         solve_rectangle(ts, 2, 1, boundary=BoundaryConstraint(south=(0,)))
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match="east boundary sequence has wrong length"):
+        solve_rectangle(ts, 2, 1, boundary=BoundaryConstraint(east=(0, 0)))
+    with pytest.raises(InvalidInput, match="boundary color 1 outside universe"):
+        solve_rectangle(ts, 2, 1, boundary=BoundaryConstraint(west=(1,)))
+    with pytest.raises(InvalidInput, match=r"forced cell \(5, 0\) outside rectangle"):
         solve_rectangle(ts, 2, 1, boundary=BoundaryConstraint(forced_cells=((5, 0, 0),)))
+    with pytest.raises(InvalidInput, match="forced tile index 1 out of range"):
+        solve_rectangle(ts, 2, 1, boundary=BoundaryConstraint(forced_cells=((1, 0, 1),)))
     with pytest.raises(InvalidInput):
         enumerate_tilings(ts, 2, 1, BoundaryConstraint(), wrap=True)
 
