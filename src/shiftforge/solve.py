@@ -24,9 +24,22 @@ empty domain.  So the queue order changes neither a wipeout verdict nor
 the domains the search continues from, and node counts and witnesses do
 not depend on it.
 
+A torus has p*q translations, and a search for its first tiling would
+refute each of them separately.  So when that search (`solve_torus`, and
+`evidence` and `domino` through it) branches on cell 0 with tile t, it
+drops every tile below t from every other cell and propagates from each
+cell that changed; this is the lex-leader rule of Crawford, Ginsberg, Luks
+and Roy (KR 1996).  Some translate of any torus tiling has its least tile
+at cell 0, so the least tiling has there the least tile of any tiling and
+none below it elsewhere: the rule prunes no least witness and changes only
+node counts.  Rectangles have no such symmetry, and enumerating more than
+one tiling of a torus must list every translate, so neither uses the rule.
+
 Budgets are counted in search nodes (one node per attempted assignment)
 first and wall-clock milliseconds second; node counts are machine
-independent, which keeps golden tests stable.
+independent, which keeps golden tests stable.  The clock is also read once
+per row while the neighbor lists are built and once after the initial
+propagation, which is itself not interrupted.
 """
 
 from __future__ import annotations
@@ -107,8 +120,11 @@ class SharedBudget:
 
 
 def _setup(tileset: TileSet, w: int, h: int, wrap: bool,
-           boundary: BoundaryConstraint | None) -> tuple[list[int], list[list]]:
-    """Initial domains and neighbor lists of a rectangle, or of a torus if `wrap`."""
+           boundary: BoundaryConstraint | None,
+           deadline: float) -> tuple[list[int], list[list]] | None:
+    """Initial domains and neighbor lists of a rectangle, or of a torus if
+    `wrap`; None once the clock passes `deadline`, which is read once per
+    row after the inputs are validated."""
     if w < 1 or h < 1:
         raise InvalidInput("grid dimensions must be positive")
     if wrap and boundary is not None:
@@ -160,6 +176,8 @@ def _setup(tileset: TileSet, w: int, h: int, wrap: bool,
     # neighbor lists: (neighbor cell, info of the side it lies across)
     nbrs: list[list[tuple[int, tuple]]] = [[] for _ in range(w * h)]
     for y in range(h):
+        if time.monotonic() > deadline:
+            return None
         for x in range(w):
             c = y * w + x
             for k, dx, dy in ((1, 1, 0), (3, -1, 0), (0, 0, 1), (2, 0, -1)):
@@ -216,12 +234,18 @@ def _run(tileset: TileSet, w: int, h: int, boundary: BoundaryConstraint | None,
     found; complete; nodes spent).  complete is False when the budget ran
     out or the limit stopped the search."""
     deadline = time.monotonic() + budget.max_millis / 1000.0
-    dom, nbrs = _setup(tileset, w, h, wrap, boundary)
+    setup = _setup(tileset, w, h, wrap, boundary, deadline)
+    if setup is None:
+        return [], 0, False, 0
+    dom, nbrs = setup
     total = w * h
     tilings: list[Grid] = []
     found = nodes = cell = 0
     stack: list[tuple[list[int], int, int]] = []  # (domains, cell, untried tiles)
     ok = _propagate(dom, list(range(total)), nbrs)
+    if time.monotonic() > deadline:
+        return [], 0, False, 0
+    lex_leader = wrap and limit == 1
     while True:
         if ok:
             while cell < total and dom[cell].bit_count() == 1:
@@ -249,7 +273,14 @@ def _run(tileset: TileSet, w: int, h: int, boundary: BoundaryConstraint | None,
             break
         dom = parent.copy()
         dom[cell] = lsb
-        ok = _propagate(dom, [cell], nbrs)
+        dirty = [cell]
+        if cell == 0 and lex_leader:
+            below = lsb - 1  # no tile below cell 0's may appear anywhere else
+            for c in range(1, total):
+                if dom[c] & below:
+                    dom[c] &= ~below
+                    dirty.append(c)
+        ok = _propagate(dom, dirty, nbrs)
         cell += 1
     return tilings, found, False, nodes
 
@@ -272,7 +303,14 @@ def solve_rectangle(tileset: TileSet, w: int, h: int,
 def solve_torus(tileset: TileSet, p: int, q: int,
                 budget: SearchBudget = SearchBudget()) -> SearchResult:
     """Least p x q torus tiling or exhaustive UNSAT.  A SAT answer
-    certifies a fully periodic tiling of the entire plane."""
+    certifies a fully periodic tiling of the entire plane.
+
+    Each torus is refuted once, not once per translation: with tile t at
+    cell 0 the search allows no tile below t elsewhere.  Some translate of
+    any tiling has its least tile at cell 0, so statuses and the least
+    witness are those of the plain search and only node counts fall.
+    `enumerate_tilings` with `wrap` must list every translate, so it uses
+    the rule only when `limit` is 1."""
     return _first(tileset, p, q, None, budget, wrap=True)
 
 

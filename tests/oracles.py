@@ -194,8 +194,11 @@ def naive_solve(ts: TileSet, w: int, h: int, torus: bool = False,
     Cells are tried in row-major order (bottom row first) and tiles in
     ascending index order; a cell whose domain is already a single tile is
     skipped.  Every attempted assignment is one node and is followed by arc
-    consistency recomputed from scratch to a full fixpoint.  `cells` is the
-    first solution as rows of tile indices, or None.
+    consistency recomputed from scratch to a full fixpoint.  On a torus,
+    assigning tile t to cell 0 also removes every tile below t from every
+    other cell: some translate of any torus tiling has its least tile at
+    cell 0, so the least tiling survives.  `cells` is the first solution as
+    rows of tile indices, or None.
     """
     tiles = ts.tiles
     doms = [set(range(len(tiles))) for _ in range(w * h)]
@@ -255,6 +258,8 @@ def naive_solve(ts: TileSet, w: int, h: int, torus: bool = False,
             nodes += 1
             trial = [set(d) for d in doms]
             trial[cell] = {i}
+            if torus and cell == 0:
+                trial = [{j for j in d if j >= i} for d in trial]
             if consistent(trial):
                 found = search(trial, cell + 1)
                 if found is not None:

@@ -47,6 +47,13 @@ def test_no_small_torus():
             assert solve_torus(ts, p, q).status == UNSAT
 
 
+def test_translations_of_a_torus_are_refuted_once():
+    # a bound, not a golden count: one refutation per translation of the
+    # 32 x 32 torus takes over 5,000 nodes
+    ts = robinson_tileset().tileset
+    assert solve_torus(ts, 32, 32, SearchBudget(max_nodes=1_000)).status == UNSAT
+
+
 def test_evidence_report_on_builtin_set():
     ts = robinson_tileset().tileset
     rep = aperiodicity_evidence(ts, max_square=4, max_period=2)

@@ -1,4 +1,5 @@
 import io
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -414,6 +415,15 @@ def test_solve_searches_deeper_than_the_recursion_limit(tmp_path, capsys):
     free.write_text("tileset c colors=2\ntile 0 0 0 0\ntile 1 0 1 0\n")
     assert main(["solve", str(free), "--mode", "rect", "1100", "1"]) == 0
     assert capsys.readouterr().out == "SAT\n" + " ".join(["0"] * 1100) + "\n"
+
+
+def test_a_clock_budget_covers_the_solver_setup(tmp_path, capsys):
+    one = tmp_path / "one.tiles"
+    one.write_text("tileset t colors=1\ntile 0 0 0 0\n")
+    start = time.monotonic()
+    assert main(["solve", str(one), "--mode", "rect", "600", "600", "--budget-ms", "1"]) == 0
+    assert time.monotonic() - start < 1.0
+    assert capsys.readouterr().out == "UNKNOWN\n"
 
 
 NINES = "9" * 400

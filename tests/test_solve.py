@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -144,6 +145,26 @@ def test_enumerate_limit_marks_incomplete():
     assert len(sols) == 1 and not complete
 
 
+def test_torus_enumeration_lists_every_translate():
+    # 3 of the 8 tilings have a tile at cell 0 that is not their least;
+    # the first-solution rule for tori must not drop them here
+    ts = make_tileset("t", [(0, 1, 1, 1), (1, 0, 0, 1), (1, 1, 1, 1), (1, 0, 1, 0)])
+    tilings, complete = enumerate_tilings(ts, 3, 3, wrap=True)
+    assert complete
+    assert len(tilings) == len(set(tilings)) == naive_count_tilings(ts, 3, 3, torus=True) == 8
+    assert all(validate_tiling(ts, g, wrap=True) for g in tilings)
+
+
+def test_clock_budget_covers_setup():
+    one = make_tileset("t", [(0, 0, 0, 0)])
+    start = time.monotonic()
+    r = solve_rectangle(one, 600, 600, budget=SearchBudget(1, 1))
+    assert time.monotonic() - start < 1.0
+    assert (r.status, r.nodes) == (UNKNOWN, 0)
+    with pytest.raises(InvalidInput):
+        solve_rectangle(one, 600, 600, BoundaryConstraint(north=(0,)), SearchBudget(1, 1))
+
+
 @pytest.mark.parametrize("limit", [0, -3])
 def test_enumerate_rejects_limit_below_one(limit):
     ts = make_tileset("t", [(0, 0, 0, 0), (1, 1, 1, 1)])
@@ -216,6 +237,9 @@ def solve_instances(draw):
 @example((make_tileset("t", [(0, 0, 0, 0), (1, 1, 1, 1)]), 2, 2, False,
           BoundaryConstraint(forced_cells=((1, 1, 0), (1, 1, 1)))))
 @example((make_tileset("t", [(0, 1, 0, 2), (1, 1, 1, 1)]), 1, 3, True, None))
+# a torus whose search the translation rule shortens: 5 nodes, not 14
+@example((make_tileset("t", [(0, 1, 1, 1), (1, 0, 0, 1), (1, 1, 1, 1), (1, 0, 1, 0)]),
+          3, 3, True, None))
 def test_search_matches_naive_reference_solver(instance):
     ts, w, h, torus, boundary = instance
     if torus:
