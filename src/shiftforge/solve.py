@@ -17,12 +17,17 @@ are found or when the budget is spent.
 Domains are tile bitsets.  The support a domain gives its neighbor across
 one side is memoized per side, keyed by the domain alone; a miss ORs the
 opposite side's color class for each distinct color the domain shows on
-that side, one step per color rather than per tile.  Revised cells go
-through a FIFO queue.  Arc consistency has a unique greatest fixpoint;
-every revision order reaches it, stopping early only when it holds an
-empty domain.  So the queue order changes neither a wipeout verdict nor
-the domains the search continues from, and node counts and witnesses do
-not depend on it.
+that side, one step per color rather than per tile.  After an assignment,
+narrowed cells go through a FIFO queue.  The initial propagation revises
+every cell in row-major order, and a cell narrowed again after its own
+revision goes to the front of the queue rather than behind the rest of
+the grid, where it would start another wave through every row; on
+Turing-machine space-time diagrams this cuts the revisions per cell from
+about 5 to 1.7.  Arc consistency has a unique greatest fixpoint; every
+revision order reaches it, stopping early only when it holds an empty
+domain.  So the queue order changes neither a wipeout verdict nor the
+domains the search continues from, and node counts and witnesses do not
+depend on it.
 
 A torus has p*q translations, and a search for its first tiling would
 refute each of them separately.  So when that search (`solve_torus`, and
@@ -38,8 +43,9 @@ one tiling of a torus must list every translate, so neither uses the rule.
 Budgets are counted in search nodes (one node per attempted assignment)
 first and wall-clock milliseconds second; node counts are machine
 independent, which keeps golden tests stable.  The clock is also read once
-per row while the neighbor lists are built and once after the initial
-propagation, which is itself not interrupted.
+per row while the neighbor lists are built and once per 4,096 cells that
+the initial propagation sweeps; once it has passed the deadline the answer
+is UNKNOWN with 0 nodes.  The propagations of search steps read no clock.
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ from .errors import InvalidInput
 SAT = "SAT"
 UNSAT = "UNSAT"
 UNKNOWN = "UNKNOWN"
+_SWEEP_SLICE = 4096  # cells the initial propagation sweeps between clock reads
 
 
 @dataclass(frozen=True)
@@ -173,13 +180,15 @@ def _setup(tileset: TileSet, w: int, h: int, wrap: bool,
                 raise InvalidInput(f"forced tile index {ti} out of range")
             dom[y * w + x] &= 1 << ti
 
-    # neighbor lists: (neighbor cell, info of the side it lies across)
-    nbrs: list[list[tuple[int, tuple]]] = [[] for _ in range(w * h)]
+    # neighbor lists: (neighbor cell, info of the side it lies across),
+    # built a row at a time so that the clock bounds their allocation too
+    nbrs: list[list[tuple[int, tuple]]] = []
     for y in range(h):
         if time.monotonic() > deadline:
             return None
         for x in range(w):
             c = y * w + x
+            cell = []
             for k, dx, dy in ((1, 1, 0), (3, -1, 0), (0, 0, 1), (2, 0, -1)):
                 nx, ny = x + dx, y + dy
                 if wrap:
@@ -188,16 +197,27 @@ def _setup(tileset: TileSet, w: int, h: int, wrap: bool,
                     continue
                 nc = ny * w + nx
                 if nc != c:
-                    nbrs[c].append((nc, info[k]))
+                    cell.append((nc, info[k]))
+            nbrs.append(cell)
     return dom, nbrs
 
 
-def _propagate(dom: list[int], dirty: list[int], nbrs: list[list]) -> bool:
-    """AC to fixpoint starting from `dirty` cells.  False on wipeout."""
+def _propagate(dom: list[int], dirty: list[int] | range, nbrs: list[list],
+               pending: bytearray | None = None) -> bool:
+    """AC to fixpoint starting from `dirty` cells.  False on wipeout.
+
+    Search steps revise in FIFO order.  The initial propagation passes
+    `pending`, marking every cell not yet revised: such a cell is not queued
+    when narrowed, since its slice of the sweep revises it anyway, and a
+    cell narrowed again after its revision goes to the front of the queue."""
     queue = deque(dirty)
-    in_queue = bytearray(len(dom))
-    for c in dirty:
-        in_queue[c] = 1
+    if pending is None:
+        in_queue = bytearray(len(dom))
+        for c in dirty:
+            in_queue[c] = 1
+        push = queue.append
+    else:
+        in_queue, push = pending, queue.appendleft
     while queue:
         c = queue.popleft()
         in_queue[c] = 0
@@ -215,14 +235,15 @@ def _propagate(dom: list[int], dirty: list[int], nbrs: list[list]) -> bool:
                     allowed |= theirs[col]
                     d &= ~mine[col]
                 memo[dc] = allowed
-            nd = dom[nc] & allowed
-            if nd != dom[nc]:
+            old = dom[nc]
+            nd = old & allowed
+            if nd != old:
                 if nd == 0:
                     return False
                 dom[nc] = nd
                 if not in_queue[nc]:
                     in_queue[nc] = 1
-                    queue.append(nc)
+                    push(nc)
     return True
 
 
@@ -242,9 +263,16 @@ def _run(tileset: TileSet, w: int, h: int, boundary: BoundaryConstraint | None,
     tilings: list[Grid] = []
     found = nodes = cell = 0
     stack: list[tuple[list[int], int, int]] = []  # (domains, cell, untried tiles)
-    ok = _propagate(dom, list(range(total)), nbrs)
-    if time.monotonic() > deadline:
-        return [], 0, False, 0
+    # the initial propagation sweeps the cells in row-major slices and reads
+    # the clock after each; a slice ends only with an empty queue, so the
+    # slicing moves no revision
+    pending = bytearray(b"\1") * total
+    for start in range(0, total, _SWEEP_SLICE):
+        ok = _propagate(dom, range(start, min(start + _SWEEP_SLICE, total)), nbrs, pending)
+        if time.monotonic() > deadline:
+            return [], 0, False, 0
+        if not ok:
+            break
     lex_leader = wrap and limit == 1
     while True:
         if ok:

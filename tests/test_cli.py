@@ -1,11 +1,14 @@
 import io
+import itertools
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftforge import solve
 from shiftforge.cli import main
 from shiftforge.compilers import sft_to_wang
 from shiftforge.subshift import lift_1d
@@ -423,6 +426,18 @@ def test_a_clock_budget_covers_the_solver_setup(tmp_path, capsys):
     start = time.monotonic()
     assert main(["solve", str(one), "--mode", "rect", "600", "600", "--budget-ms", "1"]) == 0
     assert time.monotonic() - start < 1.0
+    assert capsys.readouterr().out == "UNKNOWN\n"
+
+
+def test_a_clock_budget_covers_the_initial_propagation(tmp_path, capsys, monkeypatch):
+    # the solver's clock stands still through the deadline's read, the
+    # set-up's 100 row reads and one more, then jumps past the deadline: only
+    # an initial propagation that reads it while it runs answers UNKNOWN
+    one = tmp_path / "one.tiles"
+    one.write_text("tileset t colors=1\ntile 0 0 0 0\n")
+    times = itertools.chain([0.0] * 102, itertools.repeat(1e9))
+    monkeypatch.setattr(solve, "time", SimpleNamespace(monotonic=lambda: next(times)))
+    assert main(["solve", str(one), "--mode", "rect", "100", "100", "--budget-ms", "1"]) == 0
     assert capsys.readouterr().out == "UNKNOWN\n"
 
 

@@ -178,6 +178,49 @@ def test_incrementer_rows_decode_to_simulator_configs():
     assert r4.status == UNSAT
 
 
+def counter(decrement, mirrored):
+    """A binary counter between two `#` markers: from the outer marker it
+    walks to the far one, adds (or subtracts) one with the carry running
+    back, walks home and repeats, halting when the carry reaches the
+    marker.  Mirrored machines keep the least significant bit on the left."""
+    fwd, back = ("L", "R") if mirrored else ("R", "L")
+    carry, stop = ("0", "1") if decrement else ("1", "0")
+    rules = {
+        ("s", "#"): ("r", "#", fwd),
+        ("r", "0"): ("r", "0", fwd), ("r", "1"): ("r", "1", fwd),
+        ("r", "#"): ("i", "#", back),
+        ("i", carry): ("i", stop, back), ("i", stop): ("l", carry, back),
+        ("i", "#"): ("H", "#", fwd),
+        ("l", "0"): ("l", "0", back), ("l", "1"): ("l", "1", back),
+        ("l", "#"): ("r", "#", fwd),
+    }
+    return TmSpec(("s", "r", "i", "l", "H"), "s", ("0", "1", "#"), "0", rules,
+                  frozenset(["H"]))
+
+
+@pytest.mark.parametrize("mirrored", [False, True], ids=["plain", "mirrored"])
+@pytest.mark.parametrize("decrement", [False, True], ids=["inc", "dec"])
+@pytest.mark.parametrize("bits", [4, 5])
+def test_long_counter_diagrams_decode_to_simulator_configs(bits, decrement, mirrored):
+    # counting through every value takes 162 rows at 4 bits and 386 at 5:
+    # diagrams where the initial propagation narrows cells again after
+    # their revision
+    digits = ("1" if decrement else "0") * bits
+    tape = "#" + digits + "#"
+    n = len(tape)
+    head = n - 1 if mirrored else 0
+    tm = counter(decrement, mirrored)
+    configs = tm_run(tm, tape, n, head=head)
+    height = len(configs)
+    assert height > 150
+    comp, boundary, _, r = run_and_check(tm, tape, n, height, head=head)
+    assert r.status == SAT
+    assert [decode_row(comp, r.tiling, y) for y in range(height)] == configs
+    c = count_rectangle(comp.tileset, n, height, boundary=boundary)
+    assert (c.status, c.count) == ("COUNT", 1)
+    assert run_and_check(tm, tape, n, height + 1, head=head)[3].status == UNSAT
+
+
 def test_head_running_off_tape_fails_closed():
     # on "11" with a 2-cell tape the incrementer walks off the right end
     comp = tm_to_tileset(INCREMENTER, 2)

@@ -1,16 +1,21 @@
+import itertools
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import naive_count_tilings, naive_solve
+from shiftforge import solve
+from shiftforge.compilers import tm_initial_boundary, tm_to_tileset
 from shiftforge.core import make_tileset, validate_tiling
 from shiftforge.errors import InvalidInput
 from shiftforge.solve import (SAT, UNKNOWN, UNSAT, BoundaryConstraint,
                               SearchBudget, count_rectangle, domino_semidecide,
                               enumerate_tilings, solve_rectangle, solve_torus)
+from test_compilers import INCREMENTER
 
 
 def random_tileset(rng, max_tiles=4, max_colors=3):
@@ -165,6 +170,18 @@ def test_clock_budget_covers_setup():
         solve_rectangle(one, 600, 600, BoundaryConstraint(north=(0,)), SearchBudget(1, 1))
 
 
+def test_clock_budget_covers_the_initial_propagation(monkeypatch):
+    # the solver's clock stands still through the deadline's read, the
+    # set-up's 100 row reads and one more, then jumps past the deadline: only
+    # an initial propagation that reads it while it runs answers UNKNOWN,
+    # however fast the machine
+    one = make_tileset("t", [(0, 0, 0, 0)])
+    times = itertools.chain([0.0] * 102, itertools.repeat(1e9))
+    monkeypatch.setattr(solve, "time", SimpleNamespace(monotonic=lambda: next(times)))
+    r = solve_rectangle(one, 100, 100, budget=SearchBudget(1, 1))
+    assert (r.status, r.nodes) == (UNKNOWN, 0)
+
+
 @pytest.mark.parametrize("limit", [0, -3])
 def test_enumerate_rejects_limit_below_one(limit):
     ts = make_tileset("t", [(0, 0, 0, 0), (1, 1, 1, 1)])
@@ -232,6 +249,11 @@ def solve_instances(draw):
     return make_tileset("h", tiles, num_colors=c), w, h, False, boundary
 
 
+# an incrementer's space-time diagram with its bottom row forced, on which
+# the initial propagation narrows cells again after their revision
+INCREMENTER_4 = tm_to_tileset(INCREMENTER, 4)
+
+
 @settings(max_examples=300, deadline=None)
 @given(solve_instances())
 @example((make_tileset("t", [(0, 0, 0, 0), (1, 1, 1, 1)]), 2, 2, False,
@@ -240,6 +262,8 @@ def solve_instances(draw):
 # a torus whose search the translation rule shortens: 5 nodes, not 14
 @example((make_tileset("t", [(0, 1, 1, 1), (1, 0, 0, 1), (1, 1, 1, 1), (1, 0, 1, 0)]),
           3, 3, True, None))
+@example((INCREMENTER_4.tileset, 4, 3, False, BoundaryConstraint(
+    south=tm_initial_boundary(INCREMENTER, INCREMENTER_4, "1", 4, 3).south)))
 def test_search_matches_naive_reference_solver(instance):
     ts, w, h, torus, boundary = instance
     if torus:
