@@ -17,7 +17,9 @@ are found or when the budget is spent.
 Domains are tile bitsets.  The support a domain gives its neighbor across
 one side is memoized per side, keyed by the domain alone; a miss ORs the
 opposite side's color class for each distinct color the domain shows on
-that side, one step per color rather than per tile.  After an assignment,
+that side, one step per color rather than per tile.  Each side keeps a
+flat array of the cell across it from every cell, -1 at a rectangle's
+edge, so set-up allocates no per-cell object.  After an assignment,
 narrowed cells go through a FIFO queue.  The initial propagation revises
 every cell in row-major order, and a cell narrowed again after its own
 revision goes to the front of the queue rather than behind the rest of
@@ -43,7 +45,7 @@ one tiling of a torus must list every translate, so neither uses the rule.
 Budgets are counted in search nodes (one node per attempted assignment)
 first and wall-clock milliseconds second; node counts are machine
 independent, which keeps golden tests stable.  The clock is also read once
-per row while the neighbor lists are built and once per 4,096 cells that
+after set-up has built its neighbor arrays and once per 4,096 cells that
 the initial propagation sweeps; once it has passed the deadline the answer
 is UNKNOWN with 0 nodes.  The propagations of search steps read no clock.
 """
@@ -128,10 +130,10 @@ class SharedBudget:
 
 def _setup(tileset: TileSet, w: int, h: int, wrap: bool,
            boundary: BoundaryConstraint | None,
-           deadline: float) -> tuple[list[int], list[list]] | None:
-    """Initial domains and neighbor lists of a rectangle, or of a torus if
-    `wrap`; None once the clock passes `deadline`, which is read once per
-    row after the inputs are validated."""
+           deadline: float) -> tuple[list[int], list[tuple]] | None:
+    """Initial domains and side table of a rectangle, or of a torus if
+    `wrap`; None once the clock passes `deadline`, which is read once the
+    inputs are validated and the neighbor arrays built."""
     if w < 1 or h < 1:
         raise InvalidInput("grid dimensions must be positive")
     if wrap and boundary is not None:
@@ -147,24 +149,20 @@ def _setup(tileset: TileSet, w: int, h: int, wrap: bool,
         for i, c in enumerate(col):
             table[c] |= 1 << i
         by_color.append(table)
-    # per side: (memo domain -> tiles allowed on the neighbor across that
-    # side, color of each tile on that side, tiles by color on that side,
-    # tiles by color on the opposite side); shared by every cell
-    info = [({}, colors[k], by_color[k], by_color[k ^ 2]) for k in range(4)]
-
     # wrap on a period-1 axis makes each cell its own neighbor across it
     start = (1 << n) - 1
     if wrap:
         for i, t in enumerate(tiles):
             if (w == 1 and t.east != t.west) or (h == 1 and t.north != t.south):
                 start &= ~(1 << i)
-    dom = [start] * (w * h)
+    total = w * h
+    dom = [start] * total
     if boundary is not None:
         for k, (name, seq, cells) in enumerate((
                 ("north", boundary.north, range((h - 1) * w, h * w)),
-                ("east", boundary.east, range(w - 1, w * h, w)),
+                ("east", boundary.east, range(w - 1, total, w)),
                 ("south", boundary.south, range(w)),
-                ("west", boundary.west, range(0, w * h, w)))):
+                ("west", boundary.west, range(0, total, w)))):
             if seq is None:
                 continue
             if len(seq) != len(cells):
@@ -180,31 +178,30 @@ def _setup(tileset: TileSet, w: int, h: int, wrap: bool,
                 raise InvalidInput(f"forced tile index {ti} out of range")
             dom[y * w + x] &= 1 << ti
 
-    # neighbor lists: (neighbor cell, info of the side it lies across),
-    # built a row at a time so that the clock bounds their allocation too
-    nbrs: list[list[tuple[int, tuple]]] = []
-    for y in range(h):
-        if time.monotonic() > deadline:
-            return None
-        for x in range(w):
-            c = y * w + x
-            cell = []
-            for k, dx, dy in ((1, 1, 0), (3, -1, 0), (0, 0, 1), (2, 0, -1)):
-                nx, ny = x + dx, y + dy
-                if wrap:
-                    nx, ny = nx % w, ny % h
-                elif not (0 <= nx < w and 0 <= ny < h):
-                    continue
-                nc = ny * w + nx
-                if nc != c:
-                    cell.append((nc, info[k]))
-            nbrs.append(cell)
-    return dom, nbrs
+    # entry c is the cell across that side from c (c + 1, c - 1, c + w,
+    # c - w), with the edge column or row set to the wrapped cell or to -1
+    east = list(range(1, total + 1))
+    east[w - 1::w] = range(0, total, w) if wrap else [-1] * h
+    west = list(range(-1, total - 1))
+    west[::w] = range(w - 1, total, w) if wrap else [-1] * h
+    north = list(range(w, total + w))
+    north[total - w:] = range(w) if wrap else [-1] * w
+    south = list(range(-w, total - w))
+    south[:w] = range(total - w, total) if wrap else [-1] * w
+    # east, west, north, south: (neighbors, memo domain -> tiles allowed on
+    # the neighbor, each tile's color on that side, tiles by color on that
+    # side and the opposite one); a period-1 axis has no sides (see `start`)
+    sides = [(nb, {}, colors[k], by_color[k], by_color[k ^ 2])
+             for k, nb, period in ((1, east, w), (3, west, w), (0, north, h), (2, south, h))
+             if period > 1]
+    if time.monotonic() > deadline:
+        return None
+    return dom, sides
 
 
-def _propagate(dom: list[int], dirty: list[int] | range, nbrs: list[list],
+def _propagate(dom: list[int], dirty: list[int] | range, sides: list[tuple],
                pending: bytearray | None = None) -> bool:
-    """AC to fixpoint starting from `dirty` cells.  False on wipeout.
+    """AC to fixpoint over `_setup`'s sides from `dirty` cells.  False on wipeout.
 
     Search steps revise in FIFO order.  The initial propagation passes
     `pending`, marking every cell not yet revised: such a cell is not queued
@@ -224,7 +221,10 @@ def _propagate(dom: list[int], dirty: list[int] | range, nbrs: list[list],
         dc = dom[c]
         if dc == 0:
             return False
-        for nc, (memo, colors, mine, theirs) in nbrs[c]:
+        for neighbors, memo, colors, mine, theirs in sides:
+            nc = neighbors[c]
+            if nc < 0:
+                continue
             allowed = memo.get(dc)
             if allowed is None:
                 # one step per distinct color on this side of dc
@@ -258,7 +258,7 @@ def _run(tileset: TileSet, w: int, h: int, boundary: BoundaryConstraint | None,
     setup = _setup(tileset, w, h, wrap, boundary, deadline)
     if setup is None:
         return [], 0, False, 0
-    dom, nbrs = setup
+    dom, sides = setup
     total = w * h
     tilings: list[Grid] = []
     found = nodes = cell = 0
@@ -268,7 +268,7 @@ def _run(tileset: TileSet, w: int, h: int, boundary: BoundaryConstraint | None,
     # slicing moves no revision
     pending = bytearray(b"\1") * total
     for start in range(0, total, _SWEEP_SLICE):
-        ok = _propagate(dom, range(start, min(start + _SWEEP_SLICE, total)), nbrs, pending)
+        ok = _propagate(dom, range(start, min(start + _SWEEP_SLICE, total)), sides, pending)
         if time.monotonic() > deadline:
             return [], 0, False, 0
         if not ok:
@@ -308,7 +308,7 @@ def _run(tileset: TileSet, w: int, h: int, boundary: BoundaryConstraint | None,
                 if dom[c] & below:
                     dom[c] &= ~below
                     dirty.append(c)
-        ok = _propagate(dom, dirty, nbrs)
+        ok = _propagate(dom, dirty, sides)
         cell += 1
     return tilings, found, False, nodes
 

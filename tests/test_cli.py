@@ -1,18 +1,16 @@
 import io
-import itertools
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftforge import solve
 from shiftforge.cli import main
 from shiftforge.compilers import sft_to_wang
 from shiftforge.subshift import lift_1d
 from shiftforge.textio import parse_subshift, serialize_compilation
+from test_solve import stop_the_clock_until_the_first_sweep_slice
 
 SUBSHIFT_11 = "subshift alphabet=0,1\nforbid 11\n"
 TM_TEXT = (
@@ -430,13 +428,9 @@ def test_a_clock_budget_covers_the_solver_setup(tmp_path, capsys):
 
 
 def test_a_clock_budget_covers_the_initial_propagation(tmp_path, capsys, monkeypatch):
-    # the solver's clock stands still through the deadline's read, the
-    # set-up's 100 row reads and one more, then jumps past the deadline: only
-    # an initial propagation that reads it while it runs answers UNKNOWN
+    stop_the_clock_until_the_first_sweep_slice(monkeypatch)
     one = tmp_path / "one.tiles"
     one.write_text("tileset t colors=1\ntile 0 0 0 0\n")
-    times = itertools.chain([0.0] * 102, itertools.repeat(1e9))
-    monkeypatch.setattr(solve, "time", SimpleNamespace(monotonic=lambda: next(times)))
     assert main(["solve", str(one), "--mode", "rect", "100", "100", "--budget-ms", "1"]) == 0
     assert capsys.readouterr().out == "UNKNOWN\n"
 

@@ -1,4 +1,3 @@
-import itertools
 import random
 import time
 from types import SimpleNamespace
@@ -170,14 +169,27 @@ def test_clock_budget_covers_setup():
         solve_rectangle(one, 600, 600, BoundaryConstraint(north=(0,)), SearchBudget(1, 1))
 
 
+def stop_the_clock_until_the_first_sweep_slice(monkeypatch):
+    """The solver's clock stands still until the first slice of the initial
+    propagation has returned, then jumps past every deadline: only an
+    initial propagation that reads the clock while it runs answers UNKNOWN,
+    however fast the machine and however often set-up reads the clock."""
+    swept = []
+    propagate = solve._propagate
+
+    def propagate_then_jump(*args):
+        ok = propagate(*args)
+        swept.append(1)
+        return ok
+
+    monkeypatch.setattr(solve, "_propagate", propagate_then_jump)
+    monkeypatch.setattr(solve, "time",
+                        SimpleNamespace(monotonic=lambda: 1e9 if swept else 0.0))
+
+
 def test_clock_budget_covers_the_initial_propagation(monkeypatch):
-    # the solver's clock stands still through the deadline's read, the
-    # set-up's 100 row reads and one more, then jumps past the deadline: only
-    # an initial propagation that reads it while it runs answers UNKNOWN,
-    # however fast the machine
+    stop_the_clock_until_the_first_sweep_slice(monkeypatch)
     one = make_tileset("t", [(0, 0, 0, 0)])
-    times = itertools.chain([0.0] * 102, itertools.repeat(1e9))
-    monkeypatch.setattr(solve, "time", SimpleNamespace(monotonic=lambda: next(times)))
     r = solve_rectangle(one, 100, 100, budget=SearchBudget(1, 1))
     assert (r.status, r.nodes) == (UNKNOWN, 0)
 
@@ -264,6 +276,15 @@ INCREMENTER_4 = tm_to_tileset(INCREMENTER, 4)
           3, 3, True, None))
 @example((INCREMENTER_4.tileset, 4, 3, False, BoundaryConstraint(
     south=tm_initial_boundary(INCREMENTER, INCREMENTER_4, "1", 4, 3).south)))
+# tori of period 1 or 2 over tiles whose opposite sides differ: a cell is
+# its own neighbor across a period-1 axis, and across a period-2 axis both
+# of its neighbors are the same cell
+@example((make_tileset("t", [(0, 1, 0, 0), (1, 1, 1, 1)]), 1, 1, True, None))
+@example((make_tileset("t", [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)]), 2, 1, True, None))
+@example((make_tileset("t", [(0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0)]), 1, 2, True, None))
+@example((make_tileset("t", [(0, 1, 1, 0), (1, 0, 0, 1), (1, 1, 0, 0), (0, 0, 1, 1)]),
+          2, 2, True, None))
+@example((make_tileset("t", [(0, 0, 1, 0), (0, 1, 1, 1), (1, 1, 0, 0)]), 2, 2, True, None))
 def test_search_matches_naive_reference_solver(instance):
     ts, w, h, torus, boundary = instance
     if torus:
