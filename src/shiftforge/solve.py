@@ -34,20 +34,21 @@ depend on it.
 A torus has p*q translations, and a search for its first tiling would
 refute each of them separately.  So when that search (`solve_torus`, and
 `evidence` and `domino` through it) branches on cell 0 with tile t, it
-drops every tile below t from every other cell and propagates from each
-cell that changed; this is the lex-leader rule of Crawford, Ginsberg, Luks
-and Roy (KR 1996).  Some translate of any torus tiling has its least tile
-at cell 0, so the least tiling has there the least tile of any tiling and
-none below it elsewhere: the rule prunes no least witness and changes only
-node counts.  Rectangles have no such symmetry, and enumerating more than
-one tiling of a torus must list every translate, so neither uses the rule.
+drops every tile below t from every other cell: the lex-leader rule of
+Crawford, Ginsberg, Luks and Roy (KR 1996).  Some translate of any torus
+tiling has its least tile at cell 0, so the rule prunes no least witness
+and changes only node counts.  A torus has no boundary, so the root, the
+only node that branches on cell 0, holds one domain in every cell, and
+the step is built at once and swept like the initial propagation.
+Rectangles have no such symmetry, and enumerating more than one tiling of
+a torus must list every translate, so neither uses the rule.
 
 Budgets are counted in search nodes (one node per attempted assignment)
 first and wall-clock milliseconds second; node counts are machine
 independent, which keeps golden tests stable.  The clock is also read once
-after set-up has built its neighbor arrays and once per 4,096 cells that
-the initial propagation sweeps; once it has passed the deadline the answer
-is UNKNOWN with 0 nodes.  The propagations of search steps read no clock.
+set-up has checked its inputs, before it builds the neighbor arrays, and
+once per 4,096 cells the initial propagation sweeps; past the deadline the
+answer is UNKNOWN with 0 nodes.  Search steps read no clock.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def _setup(tileset: TileSet, w: int, h: int, wrap: bool,
            deadline: float) -> tuple[list[int], list[tuple]] | None:
     """Initial domains and side table of a rectangle, or of a torus if
     `wrap`; None once the clock passes `deadline`, which is read once the
-    inputs are validated and the neighbor arrays built."""
+    inputs are validated, before the neighbor arrays are built."""
     if w < 1 or h < 1:
         raise InvalidInput("grid dimensions must be positive")
     if wrap and boundary is not None:
@@ -177,6 +178,8 @@ def _setup(tileset: TileSet, w: int, h: int, wrap: bool,
             if not 0 <= ti < n:
                 raise InvalidInput(f"forced tile index {ti} out of range")
             dom[y * w + x] &= 1 << ti
+    if time.monotonic() > deadline:
+        return None
 
     # entry c is the cell across that side from c (c + 1, c - 1, c + w,
     # c - w), with the edge column or row set to the wrapped cell or to -1
@@ -194,25 +197,22 @@ def _setup(tileset: TileSet, w: int, h: int, wrap: bool,
     sides = [(nb, {}, colors[k], by_color[k], by_color[k ^ 2])
              for k, nb, period in ((1, east, w), (3, west, w), (0, north, h), (2, south, h))
              if period > 1]
-    if time.monotonic() > deadline:
-        return None
     return dom, sides
 
 
-def _propagate(dom: list[int], dirty: list[int] | range, sides: list[tuple],
+def _propagate(dom: list[int], dirty: tuple[int] | range, sides: list[tuple],
                pending: bytearray | None = None) -> bool:
     """AC to fixpoint over `_setup`'s sides from `dirty` cells.  False on wipeout.
 
-    Search steps revise in FIFO order.  The initial propagation passes
+    Search steps revise in FIFO order from their one cell.  A sweep of every
+    cell (the initial propagation, the torus's lex-leader step) passes
     `pending`, marking every cell not yet revised: such a cell is not queued
-    when narrowed, since its slice of the sweep revises it anyway, and a
-    cell narrowed again after its revision goes to the front of the queue."""
+    when narrowed, since the sweep revises it anyway, and a cell narrowed
+    again after its revision goes to the front of the queue."""
     queue = deque(dirty)
     if pending is None:
-        in_queue = bytearray(len(dom))
-        for c in dirty:
-            in_queue[c] = 1
-        push = queue.append
+        # the lone start cell is popped before anything is pushed
+        in_queue, push = bytearray(len(dom)), queue.append
     else:
         in_queue, push = pending, queue.appendleft
     while queue:
@@ -299,16 +299,15 @@ def _run(tileset: TileSet, w: int, h: int, boundary: BoundaryConstraint | None,
         nodes += 1
         if nodes % 1024 == 0 and time.monotonic() > deadline:
             break
-        dom = parent.copy()
-        dom[cell] = lsb
-        dirty = [cell]
-        if cell == 0 and lex_leader:
-            below = lsb - 1  # no tile below cell 0's may appear anywhere else
-            for c in range(1, total):
-                if dom[c] & below:
-                    dom[c] &= ~below
-                    dirty.append(c)
-        ok = _propagate(dom, dirty, sides)
+        if cell == 0 and lex_leader and parent[0] & (lsb - 1):
+            # the root holds one domain everywhere: drop cell 0's lower tiles
+            dom = [parent[0] & -lsb] * total
+            dom[0] = lsb
+            ok = _propagate(dom, range(total), sides, bytearray(b"\1") * total)
+        else:
+            dom = parent.copy()
+            dom[cell] = lsb
+            ok = _propagate(dom, (cell,), sides)
         cell += 1
     return tilings, found, False, nodes
 
@@ -334,9 +333,10 @@ def solve_torus(tileset: TileSet, p: int, q: int,
     certifies a fully periodic tiling of the entire plane.
 
     Each torus is refuted once, not once per translation: with tile t at
-    cell 0 the search allows no tile below t elsewhere.  Some translate of
-    any tiling has its least tile at cell 0, so statuses and the least
-    witness are those of the plain search and only node counts fall.
+    cell 0 the search allows no tile below t elsewhere, a step built at once
+    from the root's one domain and swept like the initial propagation.  Some
+    translate of any tiling has its least tile at cell 0, so statuses and
+    the least witness are those of the plain search and only node counts fall.
     `enumerate_tilings` with `wrap` must list every translate, so it uses
     the rule only when `limit` is 1."""
     return _first(tileset, p, q, None, budget, wrap=True)

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -169,6 +170,23 @@ def test_clock_budget_covers_setup():
         solve_rectangle(one, 600, 600, BoundaryConstraint(north=(0,)), SearchBudget(1, 1))
 
 
+def test_an_expired_clock_budget_builds_no_neighbor_arrays(monkeypatch):
+    # the clock is past the deadline from set-up's first read on, so set-up
+    # stops before the four 600 x 600 neighbor arrays (~60 MB) are built;
+    # memory, unlike time, does not depend on how fast the machine is
+    reads = iter([0.0])  # `_run` sets the deadline from this one
+    monkeypatch.setattr(solve, "time", SimpleNamespace(monotonic=lambda: next(reads, 1e9)))
+    one = make_tileset("t", [(0, 0, 0, 0)])
+    tracemalloc.start()
+    try:
+        r = solve_rectangle(one, 600, 600, budget=SearchBudget(1, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (r.status, r.nodes) == (UNKNOWN, 0)
+    assert peak < 10_000_000
+
+
 def stop_the_clock_until_the_first_sweep_slice(monkeypatch):
     """The solver's clock stands still until the first slice of the initial
     propagation has returned, then jumps past every deadline: only an
@@ -240,14 +258,15 @@ def test_determinism_identical_runs():
 
 
 @st.composite
-def solve_instances(draw):
-    """(tile set, w, h, torus, boundary) with <= 6 tiles and <= 3 colors."""
+def solve_instances(draw, ntiles=(1, 6), max_side=4, torus=st.booleans()):
+    """(tile set, w, h, torus, boundary) with ntiles[0] to ntiles[1] tiles,
+    <= 3 colors and sides <= `max_side`; a torus if `torus` draws True."""
     c = draw(st.integers(1, 3))
     color = st.integers(0, c - 1)
     tiles = draw(st.lists(st.tuples(color, color, color, color),
-                          min_size=1, max_size=6, unique=True))
-    w, h = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    if draw(st.booleans()):
+                          min_size=ntiles[0], max_size=ntiles[1], unique=True))
+    w, h = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    if draw(torus):
         return make_tileset("h", tiles, num_colors=c), w, h, True, None
 
     def edge(n):
@@ -285,6 +304,12 @@ INCREMENTER_4 = tm_to_tileset(INCREMENTER, 4)
 @example((make_tileset("t", [(0, 1, 1, 0), (1, 0, 0, 1), (1, 1, 0, 0), (0, 0, 1, 1)]),
           2, 2, True, None))
 @example((make_tileset("t", [(0, 0, 1, 0), (0, 1, 1, 1), (1, 1, 0, 0)]), 2, 2, True, None))
+# a torus whose root domain lacks tile 0: cell 0 first tries the root's
+# least tile, tile 1, which drops nothing from the other cells (SAT after
+# 2 nodes); and one where tile 0 fails at cell 0 and tile 1, tried next,
+# drops tile 0 from every other cell (SAT after 3 nodes)
+@example((make_tileset("t", [(0, 0, 1, 0), (1, 0, 1, 0), (1, 1, 1, 1)]), 2, 2, True, None))
+@example((make_tileset("t", [(0, 1, 0, 0), (1, 0, 1, 0), (1, 1, 1, 1)]), 2, 2, True, None))
 def test_search_matches_naive_reference_solver(instance):
     ts, w, h, torus, boundary = instance
     if torus:
@@ -302,6 +327,17 @@ def test_search_matches_naive_reference_solver(instance):
     if not torus:
         c = count_rectangle(ts, w, h, boundary, budget)
         assert (c.status, c.count) == (("COUNT", len(tilings)) if complete else (UNKNOWN, None))
+
+
+# at least 3 tiles, so that about one draw in twelve tries a second tile at
+# cell 0 and drops the tiles below it from every other cell
+@settings(max_examples=300, deadline=None)
+@given(solve_instances(ntiles=(3, 5), max_side=6, torus=st.just(True)))
+def test_torus_search_matches_naive_reference_solver(instance):
+    ts, w, h, _, _ = instance
+    r = solve_torus(ts, w, h)
+    assert (r.status, r.tiling.cells if r.tiling else None, r.nodes) == \
+        naive_solve(ts, w, h, torus=True)
 
 
 def test_domino_honours_shared_node_budget():
