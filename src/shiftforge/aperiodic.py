@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 from .core import TileSet, make_tileset
 from .errors import InvalidInput
-from .solve import (SAT, UNKNOWN, SearchBudget, SharedBudget, solve_rectangle,
+from .solve import (SAT, UNKNOWN, UNSAT, SearchBudget, SharedBudget, solve_rectangle,
                     solve_torus)
 
 ROBINSON_TILE_COUNT = 104
@@ -144,8 +144,14 @@ class EvidenceReport:
     nodes: int = 0  # search nodes spent by all squares and tori together
 
     @property
+    def unsat_square(self) -> int | None:
+        """Side of the square found UNSAT, which rules out any plane tiling."""
+        return next((n for n, st in self.square_verdicts if st == UNSAT), None)
+
+    @property
     def consistent_with_aperiodicity(self) -> bool:
-        return self.periodic_found is None and self.largest_sat_square > 0
+        return (self.periodic_found is None and self.largest_sat_square > 0
+                and self.unsat_square is None)
 
 
 def aperiodicity_evidence(tileset: TileSet, max_square: int, max_period: int,
@@ -175,7 +181,10 @@ def format_evidence(report: EvidenceReport) -> str:
         lines.append(f"square {n}x{n}: {st}")
     for p, q, st in report.torus_verdicts:
         lines.append(f"torus {p}x{q}: {st}")
-    if report.periodic_found:
+    if report.unsat_square:
+        n = report.unsat_square
+        lines.append(f"verdict: no tiling of the plane (square {n}x{n} UNSAT)")
+    elif report.periodic_found:
         p, q = report.periodic_found
         lines.append(f"verdict: not aperiodic (periodic tiling with periods {p}x{q})")
     elif report.budget_exhausted:

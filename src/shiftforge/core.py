@@ -14,6 +14,7 @@ Conventions used everywhere in this package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 
 from .errors import InvalidSpec, MalformedInput
@@ -54,6 +55,21 @@ class TileSet:
                         f"tileset {self.name!r}: tile {t} references color {c} "
                         f"outside universe of size {n}"
                     )
+
+    @cached_property
+    def side_tables(self) -> tuple[tuple[tuple[int, ...], list[int], dict[int, int]], ...]:
+        """Per side k of `Tile.sides()` (opposite side k ^ 2): each tile's
+        color there, the bitset of the tiles showing each color there, and
+        the solver's memo from a domain (a tile bitset) to the tiles allowed
+        across that side.  Kept with this object, out of its equality, hash
+        and repr, so every solve of the set shares the memo."""
+        tables = []
+        for col in list(zip(*(t.sides() for t in self.tiles))) or [()] * 4:
+            by_color = [0] * len(self.colors)
+            for i, c in enumerate(col):
+                by_color[c] |= 1 << i
+            tables.append((col, by_color, {}))
+        return tuple(tables)
 
 
 def make_tileset(

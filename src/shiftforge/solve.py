@@ -15,21 +15,23 @@ propagates.  The loop ends when the stack is empty, when `limit` tilings
 are found or when the budget is spent.
 
 Domains are tile bitsets.  The support a domain gives its neighbor across
-one side is memoized per side, keyed by the domain alone; a miss ORs the
-opposite side's color class for each distinct color the domain shows on
-that side, one step per color rather than per tile.  Each side keeps a
-flat array of the cell across it from every cell, -1 at a rectangle's
-edge, so set-up allocates no per-cell object.  After an assignment,
-narrowed cells go through a FIFO queue.  The initial propagation revises
-every cell in row-major order, and a cell narrowed again after its own
-revision goes to the front of the queue rather than behind the rest of
-the grid, where it would start another wave through every row; on
-Turing-machine space-time diagrams this cuts the revisions per cell from
-about 5 to 1.7.  Arc consistency has a unique greatest fixpoint; every
-revision order reaches it, stopping early only when it holds an empty
-domain.  So the queue order changes neither a wipeout verdict nor the
-domains the search continues from, and node counts and witnesses do not
-depend on it.
+one side is memoized per side, keyed by the domain alone.  The memo is
+kept with the tile set and shared by every solve of it
+(`TileSet.side_tables`), since an entry depends on neither the grid, its
+boundary nor the budget.  A miss ORs the opposite side's color class for
+each distinct color the domain shows on that side, one step per color
+rather than per tile.  Each side keeps a flat array of the cell across it
+from every cell, -1 at a rectangle's edge, so set-up allocates no per-cell
+object.  After an assignment, narrowed cells go through a FIFO queue.  The
+initial propagation revises every cell in row-major order, and a cell
+narrowed again after its own revision goes to the front of the queue
+rather than behind the rest of the grid, where it would start another wave
+through every row; on Turing-machine space-time diagrams this cuts the
+revisions per cell from about 5 to 1.7.  Arc consistency has a unique
+greatest fixpoint; every revision order reaches it, stopping early only
+when it holds an empty domain.  So the queue order changes neither a
+wipeout verdict nor the domains the search continues from, and node counts
+and witnesses do not depend on it.
 
 A torus has p*q translations, and a search for its first tiling would
 refute each of them separately.  So when that search (`solve_torus`, and
@@ -46,9 +48,9 @@ a torus must list every translate, so neither uses the rule.
 Budgets are counted in search nodes (one node per attempted assignment)
 first and wall-clock milliseconds second; node counts are machine
 independent, which keeps golden tests stable.  The clock is also read once
-set-up has checked its inputs, before it builds the neighbor arrays, and
-once per 4,096 cells the initial propagation sweeps; past the deadline the
-answer is UNKNOWN with 0 nodes.  Search steps read no clock.
+set-up has checked its inputs, again after each neighbor array it builds,
+and once per 4,096 cells the initial propagation sweeps; past the deadline
+the answer is UNKNOWN with 0 nodes.  Search steps read no clock.
 """
 
 from __future__ import annotations
@@ -132,9 +134,9 @@ class SharedBudget:
 def _setup(tileset: TileSet, w: int, h: int, wrap: bool,
            boundary: BoundaryConstraint | None,
            deadline: float) -> tuple[list[int], list[tuple]] | None:
-    """Initial domains and side table of a rectangle, or of a torus if
-    `wrap`; None once the clock passes `deadline`, which is read once the
-    inputs are validated, before the neighbor arrays are built."""
+    """Initial domains and sides of a rectangle, or of a torus if `wrap`;
+    None once the clock passes `deadline`, which is read once the inputs
+    are validated and again after each neighbor array is built."""
     if w < 1 or h < 1:
         raise InvalidInput("grid dimensions must be positive")
     if wrap and boundary is not None:
@@ -142,14 +144,7 @@ def _setup(tileset: TileSet, w: int, h: int, wrap: bool,
     tiles = tileset.tiles
     n = len(tiles)
     ncolors = len(tileset.colors)
-    # side k is Tile.sides()[k] (0 north, 1 east, 2 south, 3 west); its opposite is k ^ 2
-    colors = list(zip(*(t.sides() for t in tiles))) or [()] * 4
-    by_color = []  # per side: color -> bitset of the tiles showing it there
-    for col in colors:
-        table = [0] * ncolors
-        for i, c in enumerate(col):
-            table[c] |= 1 << i
-        by_color.append(table)
+    tables = tileset.side_tables
     # wrap on a period-1 axis makes each cell its own neighbor across it
     start = (1 << n) - 1
     if wrap:
@@ -171,7 +166,7 @@ def _setup(tileset: TileSet, w: int, h: int, wrap: bool,
             for c, color in zip(cells, seq):
                 if not 0 <= color < ncolors:
                     raise InvalidInput(f"boundary color {color} outside universe")
-                dom[c] &= by_color[k][color]
+                dom[c] &= tables[k][1][color]
         for x, y, ti in boundary.forced_cells:
             if not (0 <= x < w and 0 <= y < h):
                 raise InvalidInput(f"forced cell ({x}, {y}) outside rectangle")
@@ -181,22 +176,24 @@ def _setup(tileset: TileSet, w: int, h: int, wrap: bool,
     if time.monotonic() > deadline:
         return None
 
-    # entry c is the cell across that side from c (c + 1, c - 1, c + w,
-    # c - w), with the edge column or row set to the wrapped cell or to -1
-    east = list(range(1, total + 1))
-    east[w - 1::w] = range(0, total, w) if wrap else [-1] * h
-    west = list(range(-1, total - 1))
-    west[::w] = range(w - 1, total, w) if wrap else [-1] * h
-    north = list(range(w, total + w))
-    north[total - w:] = range(w) if wrap else [-1] * w
-    south = list(range(-w, total - w))
-    south[:w] = range(total - w, total) if wrap else [-1] * w
-    # east, west, north, south: (neighbors, memo domain -> tiles allowed on
-    # the neighbor, each tile's color on that side, tiles by color on that
-    # side and the opposite one); a period-1 axis has no sides (see `start`)
-    sides = [(nb, {}, colors[k], by_color[k], by_color[k ^ 2])
-             for k, nb, period in ((1, east, w), (3, west, w), (0, north, h), (2, south, h))
-             if period > 1]
+    # east, west, north, south: (the cell across that side from every cell,
+    # c + step, or at the edge the wrapped cell c + step - jump or -1; the
+    # tile set's memo domain -> tiles allowed on the neighbor; each tile's
+    # color on that side; tiles by color on that side and the opposite one).
+    # A period-1 axis has no sides (see `start`).
+    sides = []
+    for k, step, jump, edge, period in ((1, 1, w, slice(w - 1, None, w), w),
+                                        (3, -1, -w, slice(0, None, w), w),
+                                        (0, w, total, slice(total - w, None), h),
+                                        (2, -w, -total, slice(0, w), h)):
+        if period == 1:
+            continue
+        neighbors = list(range(step, total + step))
+        neighbors[edge] = [c - jump if wrap else -1 for c in neighbors[edge]]
+        colors, by_color, memo = tables[k]
+        sides.append((neighbors, memo, colors, by_color, tables[k ^ 2][1]))
+        if time.monotonic() > deadline:
+            return None
     return dom, sides
 
 

@@ -73,6 +73,17 @@ def test_evidence_flags_periodic_control_set():
     assert "not aperiodic" in format_evidence(rep)
 
 
+def test_evidence_reports_a_set_that_cannot_tile_the_plane():
+    # 1x1 tiles; 2x2 does not, since the tile's east and west differ
+    ts = make_tileset("one", [(0, 1, 2, 3)])
+    rep = aperiodicity_evidence(ts, max_square=4, max_period=2)
+    assert rep.square_verdicts == ((1, SAT), (2, UNSAT))
+    assert rep.unsat_square == 2 and rep.largest_sat_square == 1
+    assert not rep.consistent_with_aperiodicity
+    assert format_evidence(rep).endswith(
+        "verdict: no tiling of the plane (square 2x2 UNSAT)\n")
+
+
 def test_evidence_rejects_bad_bounds():
     ts = make_tileset("free", [(0, 0, 0, 0)])
     with pytest.raises(InvalidInput):
@@ -125,3 +136,11 @@ def test_a_node_budget_only_turns_verdicts_unknown(run, max_nodes):
         assert rep.largest_sat_square == len(rep.square_verdicts) - 1
     else:
         assert rep.largest_sat_square == full.largest_sat_square
+    # an UNSAT square is certain whatever the tori say or the budget left
+    if rep.square_verdicts[-1][1] == UNSAT:
+        n = rep.square_verdicts[-1][0]
+        assert rep.unsat_square == n and not rep.consistent_with_aperiodicity
+        assert format_evidence(rep).endswith(
+            f"verdict: no tiling of the plane (square {n}x{n} UNSAT)\n")
+    else:
+        assert rep.unsat_square is None

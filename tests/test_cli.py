@@ -171,6 +171,23 @@ def test_evidence_defaults_to_the_builtin_set(capsys):
     )
 
 
+def test_evidence_on_a_set_that_cannot_tile_the_plane(tmp_path, capsys):
+    one = tmp_path / "one.tiles"
+    one.write_text("tileset t colors=4\ntile 0 1 2 3\n")
+    assert main(["evidence", "--tileset", str(one),
+                 "--max-square", "4", "--max-period", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "largest SAT square: 1\n"
+        "square 1x1: SAT\n"
+        "square 2x2: UNSAT\n"
+        "torus 1x1: UNSAT\n"
+        "torus 1x2: UNSAT\n"
+        "torus 2x1: UNSAT\n"
+        "torus 2x2: UNSAT\n"
+        "verdict: no tiling of the plane (square 2x2 UNSAT)\n"
+    )
+
+
 def test_macro_command(tmp_path, tiles_file, capsys):
     out = tmp_path / "macro.tiles"
     map_out = tmp_path / "macro.map"

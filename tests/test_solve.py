@@ -1,6 +1,8 @@
+import gc
 import random
 import time
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -170,11 +172,12 @@ def test_clock_budget_covers_setup():
         solve_rectangle(one, 600, 600, BoundaryConstraint(north=(0,)), SearchBudget(1, 1))
 
 
-def test_an_expired_clock_budget_builds_no_neighbor_arrays(monkeypatch):
-    # the clock is past the deadline from set-up's first read on, so set-up
-    # stops before the four 600 x 600 neighbor arrays (~60 MB) are built;
-    # memory, unlike time, does not depend on how fast the machine is
-    reads = iter([0.0])  # `_run` sets the deadline from this one
+def expired_setup_peak(monkeypatch, reads_in_time: int) -> int:
+    """Peak traced bytes of a 600 x 600 one-tile solve whose clock passes
+    the deadline after its first `reads_in_time` reads, the first of which
+    sets the deadline; asserts the answer is UNKNOWN with 0 nodes.  Memory,
+    unlike time, does not depend on how fast the machine is."""
+    reads = iter([0.0] * reads_in_time)
     monkeypatch.setattr(solve, "time", SimpleNamespace(monotonic=lambda: next(reads, 1e9)))
     one = make_tileset("t", [(0, 0, 0, 0)])
     tracemalloc.start()
@@ -184,7 +187,19 @@ def test_an_expired_clock_budget_builds_no_neighbor_arrays(monkeypatch):
     finally:
         tracemalloc.stop()
     assert (r.status, r.nodes) == (UNKNOWN, 0)
-    assert peak < 10_000_000
+    return peak
+
+
+def test_an_expired_clock_budget_builds_no_neighbor_arrays(monkeypatch):
+    # past the deadline from set-up's first read on, set-up stops before
+    # the four neighbor arrays (~60 MB) are built
+    assert expired_setup_peak(monkeypatch, 1) < 10_000_000
+
+
+def test_a_clock_budget_expiring_during_setup_builds_no_more_arrays(monkeypatch):
+    # past the deadline once the first neighbor array (~14 MB) is built,
+    # set-up builds none of the other three (~60 MB for all four)
+    assert expired_setup_peak(monkeypatch, 2) < 25_000_000
 
 
 def stop_the_clock_until_the_first_sweep_slice(monkeypatch):
@@ -257,26 +272,39 @@ def test_determinism_identical_runs():
         assert a == b
 
 
-@st.composite
-def solve_instances(draw, ntiles=(1, 6), max_side=4, torus=st.booleans()):
-    """(tile set, w, h, torus, boundary) with ntiles[0] to ntiles[1] tiles,
-    <= 3 colors and sides <= `max_side`; a torus if `torus` draws True."""
-    c = draw(st.integers(1, 3))
+def boundaries(c: int, ntiles: int, w: int, h: int):
+    """None or a boundary of a w x h rectangle over c colors and ntiles
+    tiles: each edge free or forced, and up to 3 forced cells."""
     color = st.integers(0, c - 1)
-    tiles = draw(st.lists(st.tuples(color, color, color, color),
-                          min_size=ntiles[0], max_size=ntiles[1], unique=True))
-    w, h = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
-    if draw(torus):
-        return make_tileset("h", tiles, num_colors=c), w, h, True, None
 
     def edge(n):
         return st.none() | st.tuples(*[color] * n)
 
     forced = st.tuples(st.integers(0, w - 1), st.integers(0, h - 1),
-                       st.integers(0, len(tiles) - 1))
-    boundary = draw(st.none() | st.builds(
+                       st.integers(0, ntiles - 1))
+    return st.none() | st.builds(
         BoundaryConstraint, north=edge(w), south=edge(w), east=edge(h), west=edge(h),
-        forced_cells=st.lists(forced, max_size=3).map(tuple)))
+        forced_cells=st.lists(forced, max_size=3).map(tuple))
+
+
+@st.composite
+def tile_lists(draw, ntiles=(1, 6)):
+    """(c, ntiles[0] to ntiles[1] distinct tiles over c <= 3 colors)."""
+    c = draw(st.integers(1, 3))
+    color = st.integers(0, c - 1)
+    return c, draw(st.lists(st.tuples(color, color, color, color),
+                            min_size=ntiles[0], max_size=ntiles[1], unique=True))
+
+
+@st.composite
+def solve_instances(draw, ntiles=(1, 6), max_side=4, torus=st.booleans()):
+    """(tile set, w, h, torus, boundary) with ntiles[0] to ntiles[1] tiles,
+    <= 3 colors and sides <= `max_side`; a torus if `torus` draws True."""
+    c, tiles = draw(tile_lists(ntiles))
+    w, h = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    if draw(torus):
+        return make_tileset("h", tiles, num_colors=c), w, h, True, None
+    boundary = draw(boundaries(c, len(tiles), w, h))
     return make_tileset("h", tiles, num_colors=c), w, h, False, boundary
 
 
@@ -338,6 +366,75 @@ def test_torus_search_matches_naive_reference_solver(instance):
     r = solve_torus(ts, w, h)
     assert (r.status, r.tiling.cells if r.tiling else None, r.nodes) == \
         naive_solve(ts, w, h, torus=True)
+
+
+@st.composite
+def call_sequences(draw):
+    """(c, tiles, calls): 1 to 6 solver calls on grids up to 4 x 4, each
+    (kind, w, h, boundary, limit); tori and torus enumerations have no
+    boundary."""
+    c, tiles = draw(tile_lists())
+    calls = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["rect", "torus", "count", "enum", "enum-torus"]))
+        w, h = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        boundary = None if "torus" in kind else draw(boundaries(c, len(tiles), w, h))
+        calls.append((kind, w, h, boundary, draw(st.sampled_from([None, 1, 3]))))
+    return c, tiles, calls
+
+
+ENOUGH = SearchBudget(max_nodes=2_000)  # a free 4-tile 4 x 4 square has 4**16 tilings
+
+
+def call(ts, kind, w, h, boundary, limit):
+    if kind == "rect":
+        return solve_rectangle(ts, w, h, boundary)
+    if kind == "torus":
+        return solve_torus(ts, w, h)
+    if kind == "count":
+        return count_rectangle(ts, w, h, boundary, ENOUGH)
+    return enumerate_tilings(ts, w, h, boundary, ENOUGH, wrap=kind == "enum-torus",
+                             limit=limit)
+
+
+@settings(max_examples=150, deadline=None)
+@given(call_sequences())
+def test_solves_sharing_a_tile_set_match_solves_of_a_fresh_copy(sequence):
+    # every call on `shared` finds the memos its earlier calls filled; the
+    # same call on an equal, new tile set starts from empty ones
+    c, tiles, calls = sequence
+    shared = make_tileset("h", tiles, num_colors=c)
+    for kind, w, h, boundary, limit in calls:
+        fresh = make_tileset("h", tiles, num_colors=c)
+        got = call(shared, kind, w, h, boundary, limit)
+        assert got == call(fresh, kind, w, h, boundary, limit)
+        status, cells, nodes = naive_solve(shared, w, h, torus="torus" in kind,
+                                           boundary=boundary)
+        if kind in ("rect", "torus"):
+            assert (got.status, got.tiling.cells if got.tiling else None, got.nodes) == \
+                (status, cells, nodes)
+        elif kind == "count":
+            assert got.status == UNKNOWN or (got.count > 0) == (status == SAT)
+        else:
+            tilings, complete = got
+            if tilings:
+                assert tilings[0].cells == cells
+            elif complete:
+                assert status == UNSAT
+        # what the fresh copy memoized, the shared set memoized alike
+        for (_, _, mine), (_, _, theirs) in zip(shared.side_tables, fresh.side_tables):
+            assert theirs.items() <= mine.items()
+
+
+def test_a_tile_sets_tables_die_with_it():
+    ts = make_tileset("t", [(0, 1, 0, 1), (1, 0, 1, 0), (1, 1, 1, 1)])
+    solve_torus(ts, 2, 2)
+    count_rectangle(ts, 3, 3)
+    assert all(memo for _, _, memo in ts.side_tables)
+    alive = weakref.ref(ts)
+    del ts
+    gc.collect()
+    assert alive() is None
 
 
 def test_domino_honours_shared_node_budget():
