@@ -37,8 +37,7 @@ from dataclasses import dataclass
 
 from .core import TileSet, make_tileset
 from .errors import InvalidInput
-from .solve import (SAT, UNKNOWN, UNSAT, SearchBudget, SharedBudget, solve_rectangle,
-                    solve_torus)
+from .solve import SAT, UNKNOWN, UNSAT, SearchBudget, sweep
 
 ROBINSON_TILE_COUNT = 104
 
@@ -156,23 +155,19 @@ class EvidenceReport:
 
 def aperiodicity_evidence(tileset: TileSet, max_square: int, max_period: int,
                           budget: SearchBudget = SearchBudget()) -> EvidenceReport:
-    """Run the square/torus evidence suite against any tile set.  All
+    """Run the square/torus evidence suite against any tile set: every
+    record of `sweep`, with the tori listed in lexicographic order.  All
     searches share one node total and one deadline."""
     if max_square < 1 or max_period < 1:
         raise InvalidInput("bounds must be positive")
-    shared = SharedBudget(budget)
-    squares = []
-    for n in range(1, max_square + 1):
-        squares.append((n, shared.status(solve_rectangle, tileset, n, n)))
-        if squares[-1][1] != SAT:
-            break  # an UNSAT (or unknown) square rules out larger ones
-    tori = [(p, q, shared.status(solve_torus, tileset, p, q))
-            for p in range(1, max_period + 1) for q in range(1, max_period + 1)]
+    records = list(sweep(tileset, max_square, max_period, budget))
+    squares = tuple((w, st) for kind, w, _, st, _ in records if kind == "square")
+    tori = tuple(sorted((w, h, st) for kind, w, h, st, _ in records if kind == "torus"))
     largest = sum(st == SAT for _, st in squares)
     periodic = next(((p, q) for p, q, st in tori if st == SAT), None)
-    exhausted = UNKNOWN in [v[-1] for v in squares + tori]
-    return EvidenceReport(largest, tuple(squares), tuple(tori), periodic, exhausted,
-                          shared.spent)
+    exhausted = records[-1][3] == UNKNOWN  # the sweep ends at its first UNKNOWN
+    return EvidenceReport(largest, squares, tori, periodic, exhausted,
+                          sum(r[4] for r in records))
 
 
 def format_evidence(report: EvidenceReport) -> str:

@@ -35,7 +35,7 @@ and witnesses do not depend on it.
 
 A torus has p*q translations, and a search for its first tiling would
 refute each of them separately.  So when that search (`solve_torus`, and
-`evidence` and `domino` through it) branches on cell 0 with tile t, it
+the `sweep` behind `evidence` and `domino`) branches on cell 0 with tile t, it
 drops every tile below t from every other cell: the lex-leader rule of
 Crawford, Ginsberg, Luks and Roy (KR 1996).  Some translate of any torus
 tiling has its least tile at cell 0, so the rule prunes no least witness
@@ -110,25 +110,6 @@ class DominoVerdict:
     n: int | None = None
     completed_n: int = 0
     nodes: int = 0
-
-
-class SharedBudget:
-    """One node total and one deadline spent by a sequence of searches."""
-
-    def __init__(self, budget: SearchBudget):
-        self.max_nodes = budget.max_nodes
-        self.spent = 0
-        self.deadline = time.monotonic() + budget.max_millis / 1000.0
-
-    def status(self, solver, tileset: TileSet, w: int, h: int) -> str:
-        """Status of `solver` on a w x h grid under what is left; UNKNOWN
-        without searching once the nodes or the time are spent."""
-        ms = int((self.deadline - time.monotonic()) * 1000)
-        if self.spent >= self.max_nodes or ms < 1:
-            return UNKNOWN
-        r = solver(tileset, w, h, budget=SearchBudget(self.max_nodes - self.spent, ms))
-        self.spent += r.nodes
-        return r.status
 
 
 def _setup(tileset: TileSet, w: int, h: int, wrap: bool,
@@ -367,36 +348,55 @@ def enumerate_tilings(tileset: TileSet, w: int, h: int,
     return tilings, complete
 
 
+def sweep(tileset: TileSet, max_square: int, max_period: int,
+          budget: SearchBudget = SearchBudget()):
+    """(kind, w, h, status, nodes) of each "square" and "torus" instance:
+    for n = 1, 2, ... the n x n square if n <= max_square, then the tori with
+    max(p, q) == n if n <= max_period, in lexicographic order.  All searches
+    share one node total and one deadline; once either is spent the next
+    instance is UNKNOWN with 0 nodes.  The sweep ends after an UNKNOWN
+    record and after an UNSAT square, since no larger instance can tile."""
+    spent = 0
+    deadline = time.monotonic() + budget.max_millis / 1000.0
+    for n in range(1, max(max_square, max_period) + 1):
+        level = [("square", n, n)] if n <= max_square else []
+        if n <= max_period:
+            level += [("torus", p, q) for p in range(1, n + 1) for q in range(1, n + 1)
+                      if max(p, q) == n]
+        for kind, w, h in level:
+            ms = int((deadline - time.monotonic()) * 1000)
+            if spent >= budget.max_nodes or ms < 1:
+                yield kind, w, h, UNKNOWN, 0
+                return
+            solver = solve_rectangle if kind == "square" else solve_torus
+            r = solver(tileset, w, h, budget=SearchBudget(budget.max_nodes - spent, ms))
+            spent += r.nodes
+            yield kind, w, h, r.status, r.nodes
+            if r.status == UNKNOWN or kind == "square" and r.status == UNSAT:
+                return
+
+
 def domino_semidecide(tileset: TileSet, max_n: int,
                       budget: SearchBudget = SearchBudget()) -> DominoVerdict:
     """Interleaved semidecision sweep for the domino problem.
 
-    For n = 1..max_n: (a) solve the n x n square; UNSAT there rules out any
-    plane tiling (compactness), so answer NO_TILING(n).  (b) try every torus
-    (p, q) with p, q <= n not tried before, in lexicographic order; SAT
-    certifies a periodic plane tiling.  On tile sets that tile the plane
-    only aperiodically the sweep never decides; that is expected.
+    Walks `sweep` up to max_n for both bounds: an UNSAT n x n square rules
+    out any plane tiling (compactness), so the answer is NO_TILING(n); a SAT
+    p x q torus certifies a periodic plane tiling.  `completed_n` is the
+    largest n whose square and tori were all tried.  On tile sets that tile
+    the plane only aperiodically the sweep never decides; that is expected.
     """
     if max_n < 1:
         raise InvalidInput("max_n must be positive")
-    shared = SharedBudget(budget)
-    completed = 0
-    for n in range(1, max_n + 1):
-        status = shared.status(solve_rectangle, tileset, n, n)
+    nodes = 0
+    for kind, w, h, status, cost in sweep(tileset, max_n, max_n, budget):
+        nodes += cost
+        done = max(w, h) - 1
         if status == UNKNOWN:
-            return DominoVerdict("UNDETERMINED", completed_n=completed, nodes=shared.spent)
-        if status == UNSAT:
-            return DominoVerdict("NO_TILING", n=n, completed_n=completed, nodes=shared.spent)
-        for p in range(1, n + 1):
-            for q in range(1, n + 1):
-                if max(p, q) < n:
-                    continue  # tried at an earlier n
-                status = shared.status(solve_torus, tileset, p, q)
-                if status == UNKNOWN:
-                    return DominoVerdict("UNDETERMINED", completed_n=completed,
-                                         nodes=shared.spent)
-                if status == SAT:
-                    return DominoVerdict("TILES_PERIODICALLY", p=p, q=q,
-                                         completed_n=completed, nodes=shared.spent)
-        completed = n
-    return DominoVerdict("UNDETERMINED", completed_n=completed, nodes=shared.spent)
+            return DominoVerdict("UNDETERMINED", completed_n=done, nodes=nodes)
+        if kind == "square" and status == UNSAT:
+            return DominoVerdict("NO_TILING", n=w, completed_n=done, nodes=nodes)
+        if kind == "torus" and status == SAT:
+            return DominoVerdict("TILES_PERIODICALLY", p=w, q=h, completed_n=done,
+                                 nodes=nodes)
+    return DominoVerdict("UNDETERMINED", completed_n=max_n, nodes=nodes)

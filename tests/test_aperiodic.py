@@ -1,13 +1,13 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftforge.aperiodic import (ROBINSON_TILE_COUNT, aperiodicity_evidence,
                                   format_evidence, robinson_tileset)
 from shiftforge.core import make_tileset, validate_tiling
 from shiftforge.errors import InvalidInput
-from shiftforge.solve import (SAT, UNKNOWN, UNSAT, SearchBudget, solve_rectangle,
-                             solve_torus)
+from shiftforge.solve import (SAT, UNKNOWN, UNSAT, SearchBudget, domino_semidecide,
+                              solve_rectangle, solve_torus, sweep)
 
 
 def test_tile_count_and_normal_form():
@@ -76,8 +76,10 @@ def test_evidence_flags_periodic_control_set():
 def test_evidence_reports_a_set_that_cannot_tile_the_plane():
     # 1x1 tiles; 2x2 does not, since the tile's east and west differ
     ts = make_tileset("one", [(0, 1, 2, 3)])
-    rep = aperiodicity_evidence(ts, max_square=4, max_period=2)
+    rep = aperiodicity_evidence(ts, max_square=4, max_period=3)
     assert rep.square_verdicts == ((1, SAT), (2, UNSAT))
+    # no torus of level 2 or 3 is set up after the UNSAT square
+    assert rep.torus_verdicts == ((1, 1, UNSAT),)
     assert rep.unsat_square == 2 and rep.largest_sat_square == 1
     assert not rep.consistent_with_aperiodicity
     assert format_evidence(rep).endswith(
@@ -96,9 +98,10 @@ def test_evidence_shares_one_node_budget():
                                 budget=SearchBudget(max_nodes=2))
     assert rep.budget_exhausted
     assert rep.nodes <= 2
+    # square 1 and torus 1x1 take a node each, before square 2 is reached
     assert rep.square_verdicts == ((1, SAT), (2, UNKNOWN))
-    assert all(st == UNKNOWN for _, _, st in rep.torus_verdicts)
-    assert "inconclusive (budget exhausted)" in format_evidence(rep)
+    assert rep.torus_verdicts == ((1, 1, SAT),)
+    assert "not aperiodic (periodic tiling with periods 1x1)" in format_evidence(rep)
     # a budget that is not hit gives each search what it gets on its own
     rep = aperiodicity_evidence(free, max_square=4, max_period=2)
     alone = [solve_rectangle(free, n, n) for n in range(1, 5)]
@@ -121,21 +124,28 @@ def evidence_runs(draw):
 @given(evidence_runs(), st.integers(1, 60))
 def test_a_node_budget_only_turns_verdicts_unknown(run, max_nodes):
     ts, max_square, max_period = run
-    rep = aperiodicity_evidence(ts, max_square, max_period, SearchBudget(max_nodes=max_nodes))
+    budget = SearchBudget(max_nodes=max_nodes)
+    rep = aperiodicity_evidence(ts, max_square, max_period, budget)
     full = aperiodicity_evidence(ts, max_square, max_period)
-    assert rep.nodes <= max_nodes
-    # a square that is not SAT ends the squares, so a budget only shortens them
-    assert len(rep.square_verdicts) <= len(full.square_verdicts)
-    pairs = (list(zip(rep.square_verdicts, full.square_verdicts))
-             + list(zip(rep.torus_verdicts, full.torus_verdicts, strict=True)))
-    for got, want in pairs:
-        assert got[:-1] == want[:-1] and got[-1] in (UNKNOWN, want[-1])
+    # in sweep order, a budget only cuts the records short at an UNKNOWN one
+    got = list(sweep(ts, max_square, max_period, budget))
+    want = list(sweep(ts, max_square, max_period))
+    k = len(got)
+    assert got[:k - 1] == want[:k - 1]
+    if got[-1][3] == UNKNOWN:
+        assert got[-1][:3] == want[k - 1][:3]
+    else:
+        assert got == want
+    assert rep.nodes == sum(r[4] for r in got) <= max_nodes
+    assert len(rep.square_verdicts) + len(rep.torus_verdicts) == k
     verdicts = [v for _, v in rep.square_verdicts] + [v for _, _, v in rep.torus_verdicts]
     assert rep.budget_exhausted == (UNKNOWN in verdicts)
-    if rep.square_verdicts[-1][1] == UNKNOWN:
-        assert rep.largest_sat_square == len(rep.square_verdicts) - 1
+    if rep.budget_exhausted:
+        # every square the sweep reached before the budget ran out tiles
+        assert ([st for _, st in rep.square_verdicts if st != UNKNOWN]
+                == [SAT] * rep.largest_sat_square)
     else:
-        assert rep.largest_sat_square == full.largest_sat_square
+        assert rep == full
     # an UNSAT square is certain whatever the tori say or the budget left
     if rep.square_verdicts[-1][1] == UNSAT:
         n = rep.square_verdicts[-1][0]
@@ -144,3 +154,33 @@ def test_a_node_budget_only_turns_verdicts_unknown(run, max_nodes):
             f"verdict: no tiling of the plane (square {n}x{n} UNSAT)\n")
     else:
         assert rep.unsat_square is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(evidence_runs(), st.none() | st.integers(1, 60))
+# square 2 runs on the one node square 1 leaves, after the 1x1 torus fails
+@example((make_tileset("h", [(0, 0, 0, 1), (0, 1, 0, 0)]), 2, 1), 2)
+def test_domino_and_evidence_answer_from_one_sweep(run, max_nodes):
+    ts, n, _ = run
+    budget = SearchBudget() if max_nodes is None else SearchBudget(max_nodes=max_nodes)
+    v = domino_semidecide(ts, n, budget)
+    rep = aperiodicity_evidence(ts, n, n, budget)
+    assert (v.kind == "NO_TILING") == (rep.unsat_square is not None)
+    assert v.n == rep.unsat_square
+    assert (v.kind == "TILES_PERIODICALLY") == (rep.periodic_found is not None)
+    # the documented order, one search at a time on what the budget has left
+    order = [inst for m in range(1, n + 1) for inst in
+             [(solve_rectangle, m, m, UNSAT)]
+             + [(solve_torus, p, q, SAT) for p in range(1, m + 1) for q in range(1, m + 1)
+                if max(p, q) == m]]
+    nodes, completed = 0, n
+    for solver, w, h, decisive in order:
+        if nodes >= budget.max_nodes:
+            completed = max(w, h) - 1
+            break
+        r = solver(ts, w, h, budget=SearchBudget(max_nodes=budget.max_nodes - nodes))
+        nodes += r.nodes
+        if r.status in (UNKNOWN, decisive):
+            completed = max(w, h) - 1
+            break
+    assert (v.nodes, v.completed_n) == (nodes, completed)

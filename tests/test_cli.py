@@ -181,10 +181,21 @@ def test_evidence_on_a_set_that_cannot_tile_the_plane(tmp_path, capsys):
         "square 1x1: SAT\n"
         "square 2x2: UNSAT\n"
         "torus 1x1: UNSAT\n"
-        "torus 1x2: UNSAT\n"
-        "torus 2x1: UNSAT\n"
-        "torus 2x2: UNSAT\n"
         "verdict: no tiling of the plane (square 2x2 UNSAT)\n"
+    )
+
+
+def test_evidence_ends_at_the_first_instance_its_budget_leaves_unknown(tmp_path, capsys):
+    rob = tmp_path / "rob.tiles"
+    assert main(["robinson", "export", "--out", str(rob)]) == 0
+    # square 1 takes the one node; no UNKNOWN line follows for the other tori
+    assert main(["evidence", "--tileset", str(rob), "--max-square", "2",
+                 "--max-period", "300", "--budget-nodes", "1"]) == 0
+    assert capsys.readouterr().out == (
+        "largest SAT square: 1\n"
+        "square 1x1: SAT\n"
+        "torus 1x1: UNKNOWN\n"
+        "verdict: inconclusive (budget exhausted)\n"
     )
 
 
