@@ -8,12 +8,12 @@ such blocks into an ordinary tile set, so the grouping can be iterated.
 Two notions of "one tile set behaving like another" are provided:
 ``find_simulation`` (an adjacency-preserving map, a homomorphism) and
 ``check_isomorphism`` (a bijection that preserves and reflects adjacency
-on both axes).
+on both axes).  Both return the lexicographically least such map, found
+by forward checking on the target's per-color tile bitsets.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from .core import Grid, TileSet, make_tileset
@@ -100,26 +100,13 @@ class TileSetMap:
     assignment: tuple[int, ...]
 
 
-def _adjacency(ts: TileSet) -> tuple[list[list[bool]], list[list[bool]]]:
-    """(H, V): H[i][j] iff j may sit directly east of i; V[i][j] iff j may
-    sit directly north of i."""
-    m = len(ts.tiles)
-    H = [[ts.tiles[i].east == ts.tiles[j].west for j in range(m)] for i in range(m)]
-    V = [[ts.tiles[i].north == ts.tiles[j].south for j in range(m)] for i in range(m)]
-    return H, V
-
-
 def preserves_adjacency(m: TileSetMap) -> bool:
-    """Independent check of the TileSetMap invariant."""
-    HS, VS = _adjacency(m.source)
-    HT, VT = _adjacency(m.target)
-    k = len(m.source.tiles)
-    a = m.assignment
-    return all(
-        (not HS[i][j] or HT[a[i]][a[j]]) and (not VS[i][j] or VT[a[i]][a[j]])
-        for i in range(k)
-        for j in range(k)
-    )
+    """Independent check of the TileSetMap invariant: source tiles that
+    meet east-west or north-south have images that meet the same way."""
+    s, t, a = m.source.tiles, m.target.tiles, m.assignment
+    return all((s[i].east != s[j].west or t[a[i]].east == t[a[j]].west)
+               and (s[i].north != s[j].south or t[a[i]].north == t[a[j]].south)
+               for i in range(len(s)) for j in range(len(s)))
 
 
 def _least_map(source: TileSet, target: TileSet, bijective: bool) -> TileSetMap | None:
@@ -127,34 +114,46 @@ def _least_map(source: TileSet, target: TileSet, bijective: bool) -> TileSetMap 
     which every source adjacency is a target adjacency, or None (the
     search is exhaustive).  A `bijective` map must also be injective and
     reflect adjacency: a pair is adjacent in the source iff its image is
-    adjacent in the target."""
-    HS, VS = _adjacency(source)
-    HT, VT = _adjacency(target)
-    fits = operator.eq if bijective else operator.le  # booleans: a <= b is a -> b
+    adjacent in the target.
+
+    Forward checking, depth first over the source tiles in index order:
+    image v for tile i masks the images left to tile i itself (a tile can
+    meet itself) and to every later tile with v's by-color rows of
+    `TileSet.side_tables`, the row where the source colors match and
+    (bijective) its complement where they differ, v dropped.  Masks drop
+    only images that break a constraint with an assigned tile and images
+    ascend, so the first complete map is the least."""
+    sides = [t.sides() for t in source.tiles]
+    tables = target.side_tables
+    # stack[i][j - i]: tile j's images allowed beside tiles < i (untried, if j == i)
+    stack = [[(1 << len(target.tiles)) - 1] * len(sides)]
     assign: list[int] = []
-
-    def ok(k: int, v: int) -> bool:
-        if bijective and v in assign:
-            return False
-        for i, w in enumerate(assign + [v]):
-            if not (fits(HS[i][k], HT[w][v]) and fits(HS[k][i], HT[v][w])
-                    and fits(VS[i][k], VT[w][v]) and fits(VS[k][i], VT[v][w])):
-                return False
-        return True
-
-    # depth-first in lexicographic order; a backtrack resumes after the popped value
-    v = 0
-    while len(assign) < len(source.tiles):
-        if v == len(target.tiles):
-            if not assign:
-                return None
-            v = assign.pop() + 1
-        elif ok(len(assign), v):
-            assign.append(v)
-            v = 0
+    while stack:
+        i = len(stack) - 1
+        if i == len(sides):
+            return TileSetMap(source, target, tuple(assign))
+        doms = stack[-1]
+        if not doms[0]:
+            stack.pop()
+            continue
+        low = doms[0] & -doms[0]
+        doms[0] ^= low
+        v = low.bit_length() - 1
+        assign[i:] = [v]
+        fits = [tables[k ^ 2][1][tables[k][0][v]] for k in range(4)]
+        misses, keep = ([~f for f in fits], ~low) if bijective else ([-1] * 4, -1)
+        mine = sides[i]
+        new = []
+        for j, (d, theirs) in enumerate(zip(doms, sides[i:])):
+            d = d & keep if j else low
+            for k in range(4):
+                d &= fits[k] if mine[k] == theirs[k ^ 2] else misses[k]
+            if not d:
+                break
+            new.append(d)
         else:
-            v += 1
-    return TileSetMap(source, target, tuple(assign))
+            stack.append(new[1:])
+    return None
 
 
 def find_simulation(source: TileSet, target: TileSet) -> TileSetMap | None:

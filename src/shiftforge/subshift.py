@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 from .core import Grid, Patterns, SftSpec, check_alphabet
@@ -35,6 +36,10 @@ class ExplicitWords:
         for w in self.words:
             if not w:
                 raise InvalidSpec("forbidden words must be nonempty")
+
+    def generate(self) -> Iterator[str]:
+        """The words in list order, drawn like a `WordStream`'s."""
+        return iter(self.words)
 
 
 @dataclass
@@ -116,28 +121,18 @@ def check_sequence(
 ) -> SequenceVerdict:
     """Test a finite string against the spec's forbidden words.
 
-    At most ``budget`` words are drawn from the source.  An explicit list
-    that is exhausted without a hit gives CLEAN; a stream that hits the
-    budget gives the one-sided BUDGET_EXHAUSTED_CLEAN.  A match reports
-    the earliest occurrence (then the shortest word there).
+    At most ``budget`` words are checked.  A source that has no more
+    words gives CLEAN without a hit; one that has more gives the
+    one-sided BUDGET_EXHAUSTED_CLEAN.  A match reports the earliest
+    occurrence (then the shortest word there).
     """
     if budget < 1:
         raise InvalidInput("budget must be positive")
     _check_letters(spec.alphabet, s)
-    if isinstance(spec.source, ExplicitWords):
-        words = list(spec.source.words[:budget])
-        exhausted = len(spec.source.words) > budget
-    else:
-        words = []
-        exhausted = False
-        it = spec.source.generate()
-        for _ in range(budget):
-            try:
-                words.append(next(it))
-            except StopIteration:
-                break
-        else:
-            exhausted = True
+    words = list(islice(spec.source.generate(), budget + 1))
+    # one word past the budget tells a cut-off source from a finished one
+    exhausted = len(words) > budget
+    del words[budget:]
     if not all(words):
         raise InvalidSpec("forbidden words must be nonempty")
     # shortest first, so the least index at a start is the shortest word there

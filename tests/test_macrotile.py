@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from oracles import naive_blocks, naive_least_map
 from shiftforge.aperiodic import robinson_tileset
-from shiftforge.core import Tile, make_tileset, validate_tiling
+from shiftforge.core import Grid, Tile, make_tileset, validate_tiling
 from shiftforge.errors import InvalidInput
 from shiftforge.macrotile import (BUDGET_EXCEEDED, TileSetMap,
                                   check_isomorphism, find_simulation,
@@ -180,3 +180,44 @@ def test_least_map_of_a_set_larger_than_the_recursion_limit():
     source = make_tileset("s", [(i, 0, i, 0) for i in range(1100)])
     target = make_tileset("t", [(0, 0, 0, 0)])
     assert find_simulation(source, target).assignment == (0,) * 1100
+    assert check_isomorphism(source, source).assignment == tuple(range(1100))
+
+
+def test_isomorphism_of_empty_sets_is_the_empty_map():
+    empty = make_tileset("e", [])
+    assert check_isomorphism(empty, empty).assignment == ()
+
+
+def test_robinson_simulates_itself():
+    ts = robinson_tileset().tileset
+    m = find_simulation(ts, ts)
+    assert m is not None and preserves_adjacency(m)
+
+
+def test_robinson_is_isomorphic_to_its_quarter_turn():
+    ts = robinson_tileset().tileset
+    # a quarter turn counterclockwise: east becomes north, north becomes west
+    turned = make_tileset("turned", [(t.east, t.south, t.west, t.north) for t in ts.tiles],
+                          num_colors=len(ts.colors))
+    m = check_isomorphism(ts, turned)
+    assert m is not None and sorted(m.assignment) == list(range(len(ts.tiles)))
+    inverse = [0] * len(ts.tiles)
+    for i, v in enumerate(m.assignment):
+        inverse[v] = i
+    assert preserves_adjacency(m)
+    assert preserves_adjacency(TileSetMap(turned, ts, tuple(inverse)))
+
+
+def test_robinson_substitutes_into_its_macro_tiles():
+    # sigma maps each tile to a 2 x 2 block, so k substitutions of tile 0
+    # build a 2^k x 2^k Robinson square with no search
+    ts = robinson_tileset().tileset
+    macro = macro_tiles(ts, 2)
+    sigma = find_simulation(ts, macro.tileset)
+    assert sigma is not None and preserves_adjacency(sigma)
+    rows = [(0,)]
+    for k in range(1, 6):
+        blocks = [[macro.blocks[sigma.assignment[t]].cells for t in row] for row in rows]
+        rows = [sum((b[y] for b in row), ()) for row in blocks for y in range(2)]
+        assert len(rows) == len(rows[0]) == 2 ** k
+        assert validate_tiling(ts, Grid.from_rows(rows))

@@ -89,6 +89,20 @@ def test_check_sequence_stream_budget():
     assert check_sequence(spec, "ab", budget=10).kind == VIOLATION
 
 
+@settings(max_examples=100, deadline=None)
+@given(words=words_strategy, s=text_strategy)
+@example(words=["aa", "bb"], s="ab")
+def test_word_sources_agree_at_every_budget(words, s):
+    words = tuple(dict.fromkeys(words))
+    for budget in range(1, len(words) + 2):
+        verdicts = {check_sequence(Subshift1dSpec(("a", "b"), source), s, budget)
+                    for source in (WordStream("words", lambda: iter(words)),
+                                   ExplicitWords(words))}
+        assert len(verdicts) == 1
+        if budget >= len(words):  # the source is finished, not cut off
+            assert verdicts.pop().kind != BUDGET_EXHAUSTED_CLEAN
+
+
 def test_check_sequence_stream_repeatable():
     stream = WordStream("all>=1", lambda: all_words_min_len(("a", "b"), 1))
     spec = Subshift1dSpec(("a", "b"), stream)
