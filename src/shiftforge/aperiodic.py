@@ -141,6 +141,7 @@ class EvidenceReport:
     periodic_found: tuple[int, int] | None
     budget_exhausted: bool
     nodes: int = 0  # search nodes spent by all squares and tori together
+    completed_n: int = 0  # the largest n whose square and tori were all tried
 
     @property
     def unsat_square(self) -> int | None:
@@ -157,7 +158,8 @@ def aperiodicity_evidence(tileset: TileSet, max_square: int, max_period: int,
                           budget: SearchBudget = SearchBudget()) -> EvidenceReport:
     """Run the square/torus evidence suite against any tile set: every
     record of `sweep`, with the tori listed in lexicographic order.  All
-    searches share one node total and one deadline."""
+    searches share one node total and one deadline, and the report ends
+    where the sweep does: at `unsat_square`, `periodic_found` or UNKNOWN."""
     if max_square < 1 or max_period < 1:
         raise InvalidInput("bounds must be positive")
     records = list(sweep(tileset, max_square, max_period, budget))
@@ -165,9 +167,12 @@ def aperiodicity_evidence(tileset: TileSet, max_square: int, max_period: int,
     tori = tuple(sorted((w, h, st) for kind, w, h, st, _ in records if kind == "torus"))
     largest = sum(st == SAT for _, st in squares)
     periodic = next(((p, q) for p, q, st in tori if st == SAT), None)
-    exhausted = records[-1][3] == UNKNOWN  # the sweep ends at its first UNKNOWN
-    return EvidenceReport(largest, squares, tori, periodic, exhausted,
-                          sum(r[4] for r in records))
+    kind, w, h, last, _ = records[-1]
+    # the sweep goes on only past a SAT square or an UNSAT torus
+    ended = last != (SAT if kind == "square" else UNSAT)
+    return EvidenceReport(largest, squares, tori, periodic, last == UNKNOWN,
+                          sum(r[4] for r in records),
+                          max(w, h) - 1 if ended else max(max_square, max_period))
 
 
 def format_evidence(report: EvidenceReport) -> str:

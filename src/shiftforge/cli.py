@@ -17,8 +17,7 @@ from .core import Grid, validate_tiling
 from .errors import InvalidInput, MalformedInput, ShiftforgeError, UnsupportedSpec
 from .macrotile import BUDGET_EXCEEDED, macro_tiles
 from .render import RenderSpec, render
-from .solve import (SAT, SearchBudget, domino_semidecide, solve_rectangle,
-                    solve_torus)
+from .solve import SAT, SearchBudget, solve_rectangle, solve_torus
 from .subshift import DEFAULT_STREAM_BUDGET, VIOLATION, check_sequence, lift_1d
 from .textio import (is_window, parse_sft, parse_subshift, parse_tiling,
                      parse_tileset, parse_tm, parse_window, serialize_compilation,
@@ -75,13 +74,15 @@ def cmd_solve(args) -> int:
     elif mode == "domino":
         if len(dims) != 1:
             raise InvalidInput("domino mode takes max_n")
-        v = domino_semidecide(ts, dims[0], budget=budget)
-        if v.kind == "TILES_PERIODICALLY":
-            body = f"TILES_PERIODICALLY {v.p} {v.q}\n"
-        elif v.kind == "NO_TILING":
-            body = f"NO_TILING {v.n}\n"
+        if dims[0] < 1:
+            raise InvalidInput("max_n must be positive")
+        rep = aperiodicity_evidence(ts, dims[0], dims[0], budget=budget)
+        if rep.periodic_found:
+            body = "TILES_PERIODICALLY %d %d\n" % rep.periodic_found
+        elif rep.unsat_square:
+            body = f"NO_TILING {rep.unsat_square}\n"
         else:
-            body = f"UNDETERMINED completed_n={v.completed_n}\n"
+            body = f"UNDETERMINED completed_n={rep.completed_n}\n"
     else:
         raise InvalidInput(f"unknown solve mode {mode!r}")
     _emit(body, args.out)

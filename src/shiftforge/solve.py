@@ -47,10 +47,10 @@ a torus must list every translate, so neither uses the rule.
 
 Budgets are counted in search nodes (one node per attempted assignment)
 first and wall-clock milliseconds second; node counts are machine
-independent, which keeps golden tests stable.  The clock is also read once
-set-up has checked its inputs, again after each neighbor array it builds,
-and once per 4,096 cells the initial propagation sweeps; past the deadline
-the answer is UNKNOWN with 0 nodes.  Search steps read no clock.
+independent, which keeps golden tests stable.  The clock is read before
+every node, after set-up's input checks and each neighbor array it builds,
+and after each 4,096-cell slice of a sweep of every cell (the initial
+propagation, the lex-leader step); past the deadline the answer is UNKNOWN.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from .errors import InvalidInput
 SAT = "SAT"
 UNSAT = "UNSAT"
 UNKNOWN = "UNKNOWN"
-_SWEEP_SLICE = 4096  # cells the initial propagation sweeps between clock reads
+_SWEEP_SLICE = 4096  # cells per slice of a full sweep; the clock is read after each
 
 
 @dataclass(frozen=True)
@@ -99,16 +99,6 @@ class SearchResult:
     status: str
     tiling: Grid | None = None
     count: int | None = None
-    nodes: int = 0
-
-
-@dataclass(frozen=True)
-class DominoVerdict:
-    kind: str  # TILES_PERIODICALLY / NO_TILING / UNDETERMINED
-    p: int | None = None
-    q: int | None = None
-    n: int | None = None
-    completed_n: int = 0
     nodes: int = 0
 
 
@@ -225,6 +215,21 @@ def _propagate(dom: list[int], dirty: tuple[int] | range, sides: list[tuple],
     return True
 
 
+def _sweep_cells(dom: list[int], slices: list[range], sides: list[tuple],
+                 deadline: float) -> bool | None:
+    """`_propagate` from every cell, a row-major slice at a time, with a
+    clock read after each slice (a slice ends with an empty queue, so the
+    slicing moves no revision): False on wipeout, None past `deadline`."""
+    pending = bytearray(b"\1") * len(dom)
+    for cells in slices:
+        ok = _propagate(dom, cells, sides, pending)
+        if time.monotonic() > deadline:
+            return None
+        if not ok:
+            return False
+    return True
+
+
 def _run(tileset: TileSet, w: int, h: int, boundary: BoundaryConstraint | None,
          budget: SearchBudget, wrap: bool, limit: int | None,
          keep: bool = True) -> tuple[list[Grid], int, bool, int]:
@@ -241,18 +246,11 @@ def _run(tileset: TileSet, w: int, h: int, boundary: BoundaryConstraint | None,
     tilings: list[Grid] = []
     found = nodes = cell = 0
     stack: list[tuple[list[int], int, int]] = []  # (domains, cell, untried tiles)
-    # the initial propagation sweeps the cells in row-major slices and reads
-    # the clock after each; a slice ends only with an empty queue, so the
-    # slicing moves no revision
-    pending = bytearray(b"\1") * total
-    for start in range(0, total, _SWEEP_SLICE):
-        ok = _propagate(dom, range(start, min(start + _SWEEP_SLICE, total)), sides, pending)
-        if time.monotonic() > deadline:
-            return [], 0, False, 0
-        if not ok:
-            break
+    # built once: a torus search may sweep every cell at each tile of cell 0
+    slices = [range(c, min(c + _SWEEP_SLICE, total)) for c in range(0, total, _SWEEP_SLICE)]
+    ok = _sweep_cells(dom, slices, sides, deadline)  # None once past the deadline
     lex_leader = wrap and limit == 1
-    while True:
+    while ok is not None:
         if ok:
             while cell < total and dom[cell].bit_count() == 1:
                 cell += 1
@@ -272,16 +270,14 @@ def _run(tileset: TileSet, w: int, h: int, boundary: BoundaryConstraint | None,
         lsb = d & -d
         if d != lsb:
             stack.append((parent, cell, d ^ lsb))
-        if nodes >= budget.max_nodes:
+        if nodes >= budget.max_nodes or time.monotonic() > deadline:
             break
         nodes += 1
-        if nodes % 1024 == 0 and time.monotonic() > deadline:
-            break
         if cell == 0 and lex_leader and parent[0] & (lsb - 1):
             # the root holds one domain everywhere: drop cell 0's lower tiles
             dom = [parent[0] & -lsb] * total
             dom[0] = lsb
-            ok = _propagate(dom, range(total), sides, bytearray(b"\1") * total)
+            ok = _sweep_cells(dom, slices, sides, deadline)
         else:
             dom = parent.copy()
             dom[cell] = lsb
@@ -354,8 +350,11 @@ def sweep(tileset: TileSet, max_square: int, max_period: int,
     for n = 1, 2, ... the n x n square if n <= max_square, then the tori with
     max(p, q) == n if n <= max_period, in lexicographic order.  All searches
     share one node total and one deadline; once either is spent the next
-    instance is UNKNOWN with 0 nodes.  The sweep ends after an UNKNOWN
-    record and after an UNSAT square, since no larger instance can tile."""
+    instance is UNKNOWN with 0 nodes.  The sweep ends at an UNKNOWN record
+    and at the first that answers the domino problem: an UNSAT square rules
+    out any plane tiling (by compactness a set tiles the plane iff it tiles
+    every square), and a SAT torus repeats into a periodic one.  A set that
+    tiles the plane only aperiodically answers neither way."""
     spent = 0
     deadline = time.monotonic() + budget.max_millis / 1000.0
     for n in range(1, max(max_square, max_period) + 1):
@@ -372,31 +371,6 @@ def sweep(tileset: TileSet, max_square: int, max_period: int,
             r = solver(tileset, w, h, budget=SearchBudget(budget.max_nodes - spent, ms))
             spent += r.nodes
             yield kind, w, h, r.status, r.nodes
-            if r.status == UNKNOWN or kind == "square" and r.status == UNSAT:
+            if r.status != (SAT if kind == "square" else UNSAT):
                 return
 
-
-def domino_semidecide(tileset: TileSet, max_n: int,
-                      budget: SearchBudget = SearchBudget()) -> DominoVerdict:
-    """Interleaved semidecision sweep for the domino problem.
-
-    Walks `sweep` up to max_n for both bounds: an UNSAT n x n square rules
-    out any plane tiling (compactness), so the answer is NO_TILING(n); a SAT
-    p x q torus certifies a periodic plane tiling.  `completed_n` is the
-    largest n whose square and tori were all tried.  On tile sets that tile
-    the plane only aperiodically the sweep never decides; that is expected.
-    """
-    if max_n < 1:
-        raise InvalidInput("max_n must be positive")
-    nodes = 0
-    for kind, w, h, status, cost in sweep(tileset, max_n, max_n, budget):
-        nodes += cost
-        done = max(w, h) - 1
-        if status == UNKNOWN:
-            return DominoVerdict("UNDETERMINED", completed_n=done, nodes=nodes)
-        if kind == "square" and status == UNSAT:
-            return DominoVerdict("NO_TILING", n=w, completed_n=done, nodes=nodes)
-        if kind == "torus" and status == SAT:
-            return DominoVerdict("TILES_PERIODICALLY", p=w, q=h, completed_n=done,
-                                 nodes=nodes)
-    return DominoVerdict("UNDETERMINED", completed_n=max_n, nodes=nodes)

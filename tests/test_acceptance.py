@@ -12,13 +12,13 @@ import random
 
 from oracles import (all_windows, legal_torus_configs, naive_count_tilings,
                      tm_run)
-from shiftforge.aperiodic import robinson_tileset
+from shiftforge.aperiodic import aperiodicity_evidence, robinson_tileset
 from shiftforge.cli import main
 from shiftforge.compilers import (TmSpec, decode_row, sft_to_wang,
                                   tm_initial_boundary, tm_to_tileset)
 from shiftforge.core import Grid, SftSpec, make_tileset
-from shiftforge.solve import (SAT, UNSAT, count_rectangle, domino_semidecide,
-                              enumerate_tilings, solve_rectangle, solve_torus)
+from shiftforge.solve import (SAT, UNSAT, count_rectangle, enumerate_tilings,
+                              solve_rectangle, solve_torus)
 from shiftforge.subshift import (CLEAN, ExplicitWords, Subshift1dSpec,
                                  check_window, lift_1d)
 
@@ -173,15 +173,15 @@ def test_criterion_4_aperiodicity_evidence():
 
 def test_criterion_5_domino_sanity():
     ok = True
-    v = domino_semidecide(make_tileset("free", [(0, 0, 0, 0)]), 4)
-    if (v.kind, v.p, v.q) != ("TILES_PERIODICALLY", 1, 1):
+    rep = aperiodicity_evidence(make_tileset("free", [(0, 0, 0, 0)]), 4, 4)
+    if (rep.periodic_found, rep.unsat_square) != ((1, 1), None):
         ok = False
     # (0,1,0,2): 1x1 rect SAT, every torus so far UNSAT, 2x2 rect UNSAT
-    v = domino_semidecide(make_tileset("mismatch", [(0, 1, 0, 2)]), 4)
-    if (v.kind, v.n) != ("NO_TILING", 2):
+    rep = aperiodicity_evidence(make_tileset("mismatch", [(0, 1, 0, 2)]), 4, 4)
+    if (rep.periodic_found, rep.unsat_square) != (None, 2):
         ok = False
-    v = domino_semidecide(robinson_tileset().tileset, 6)
-    if (v.kind, v.completed_n) != ("UNDETERMINED", 6):
+    rep = aperiodicity_evidence(robinson_tileset().tileset, 6, 6)
+    if (rep.periodic_found, rep.unsat_square, rep.completed_n) != (None, None, 6):
         ok = False
     _report(5, "domino semidecider sanity verdicts", ok)
 

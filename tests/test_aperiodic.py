@@ -6,8 +6,8 @@ from shiftforge.aperiodic import (ROBINSON_TILE_COUNT, aperiodicity_evidence,
                                   format_evidence, robinson_tileset)
 from shiftforge.core import make_tileset, validate_tiling
 from shiftforge.errors import InvalidInput
-from shiftforge.solve import (SAT, UNKNOWN, UNSAT, SearchBudget, domino_semidecide,
-                              solve_rectangle, solve_torus, sweep)
+from shiftforge.solve import (SAT, UNKNOWN, UNSAT, SearchBudget, solve_rectangle,
+                              solve_torus, sweep)
 
 
 def test_tile_count_and_normal_form():
@@ -96,19 +96,31 @@ def test_evidence_shares_one_node_budget():
     free = make_tileset("free", [(0, 0, 0, 0), (0, 1, 0, 1), (1, 0, 1, 0), (1, 1, 1, 1)])
     rep = aperiodicity_evidence(free, max_square=4, max_period=2,
                                 budget=SearchBudget(max_nodes=2))
-    assert rep.budget_exhausted
-    assert rep.nodes <= 2
-    # square 1 and torus 1x1 take a node each, before square 2 is reached
-    assert rep.square_verdicts == ((1, SAT), (2, UNKNOWN))
+    # square 1 and torus 1x1 take a node each, and the SAT torus ends the
+    # sweep before square 2 would need a third
+    assert not rep.budget_exhausted and rep.nodes == 2 and rep.completed_n == 0
+    assert rep.square_verdicts == ((1, SAT),)
     assert rep.torus_verdicts == ((1, 1, SAT),)
-    assert "not aperiodic (periodic tiling with periods 1x1)" in format_evidence(rep)
+    assert format_evidence(rep).endswith(
+        "torus 1x1: SAT\nverdict: not aperiodic (periodic tiling with periods 1x1)\n")
+    # columns of period 3 tile every square but no torus of height 1 or 2, so
+    # this sweep runs on past its tori; square n branches once per column,
+    # so squares 1 and 2 take 3 nodes and leave one for the 1x2 torus
+    cycle = make_tileset("cycle", [(1, 0, 0, 0), (2, 0, 1, 0), (0, 0, 2, 0)])
+    rep = aperiodicity_evidence(cycle, max_square=4, max_period=2,
+                                budget=SearchBudget(max_nodes=4))
+    assert rep.budget_exhausted and rep.nodes == 4 and rep.completed_n == 1
+    assert rep.square_verdicts == ((1, SAT), (2, SAT))
+    assert rep.torus_verdicts == ((1, 1, UNSAT), (1, 2, UNKNOWN))
+    assert format_evidence(rep).endswith("verdict: inconclusive (budget exhausted)\n")
     # a budget that is not hit gives each search what it gets on its own
-    rep = aperiodicity_evidence(free, max_square=4, max_period=2)
-    alone = [solve_rectangle(free, n, n) for n in range(1, 5)]
-    alone += [solve_torus(free, p, q) for p in (1, 2) for q in (1, 2)]
+    rep = aperiodicity_evidence(cycle, max_square=4, max_period=2)
+    alone = [solve_rectangle(cycle, n, n) for n in range(1, 5)]
+    alone += [solve_torus(cycle, p, q) for p in (1, 2) for q in (1, 2)]
     assert not rep.budget_exhausted and rep.nodes == sum(r.nodes for r in alone)
     assert [st for _, st in rep.square_verdicts] == [r.status for r in alone[:4]]
     assert [st for _, _, st in rep.torus_verdicts] == [r.status for r in alone[4:]]
+    assert rep.completed_n == 4 and rep.consistent_with_aperiodicity
 
 
 @st.composite
@@ -161,19 +173,17 @@ def test_a_node_budget_only_turns_verdicts_unknown(run, max_nodes):
 # square 2 runs on the one node square 1 leaves, after the 1x1 torus fails
 @example((make_tileset("h", [(0, 0, 0, 1), (0, 1, 0, 0)]), 2, 1), 2)
 def test_domino_and_evidence_answer_from_one_sweep(run, max_nodes):
-    ts, n, _ = run
+    ts, max_square, max_period = run
     budget = SearchBudget() if max_nodes is None else SearchBudget(max_nodes=max_nodes)
-    v = domino_semidecide(ts, n, budget)
-    rep = aperiodicity_evidence(ts, n, n, budget)
-    assert (v.kind == "NO_TILING") == (rep.unsat_square is not None)
-    assert v.n == rep.unsat_square
-    assert (v.kind == "TILES_PERIODICALLY") == (rep.periodic_found is not None)
-    # the documented order, one search at a time on what the budget has left
-    order = [inst for m in range(1, n + 1) for inst in
-             [(solve_rectangle, m, m, UNSAT)]
+    rep = aperiodicity_evidence(ts, max_square, max_period, budget)
+    # the documented order, one search at a time on what the budget has left,
+    # up to the first UNKNOWN, UNSAT square or SAT torus
+    top = max(max_square, max_period)
+    order = [inst for m in range(1, top + 1) for inst in
+             [(solve_rectangle, m, m, UNSAT)] * (m <= max_square)
              + [(solve_torus, p, q, SAT) for p in range(1, m + 1) for q in range(1, m + 1)
-                if max(p, q) == m]]
-    nodes, completed = 0, n
+                if max(p, q) == m and m <= max_period]]
+    nodes, completed, unsat_square, periodic = 0, top, None, None
     for solver, w, h, decisive in order:
         if nodes >= budget.max_nodes:
             completed = max(w, h) - 1
@@ -182,5 +192,10 @@ def test_domino_and_evidence_answer_from_one_sweep(run, max_nodes):
         nodes += r.nodes
         if r.status in (UNKNOWN, decisive):
             completed = max(w, h) - 1
+            if r.status == UNSAT:
+                unsat_square = w
+            elif r.status == SAT:
+                periodic = (w, h)
             break
-    assert (v.nodes, v.completed_n) == (nodes, completed)
+    assert (rep.nodes, rep.completed_n) == (nodes, completed)
+    assert (rep.unsat_square, rep.periodic_found) == (unsat_square, periodic)

@@ -10,7 +10,7 @@ from shiftforge.cli import main
 from shiftforge.compilers import sft_to_wang
 from shiftforge.subshift import lift_1d
 from shiftforge.textio import parse_subshift, serialize_compilation
-from test_solve import stop_the_clock_until_the_first_sweep_slice
+from test_solve import stop_the_clock_after_propagating
 
 SUBSHIFT_11 = "subshift alphabet=0,1\nforbid 11\n"
 TM_TEXT = (
@@ -131,6 +131,13 @@ def test_domino_reports_no_tiling_and_undetermined(tmp_path, capsys):
     assert capsys.readouterr().out == "UNDETERMINED completed_n=2\n"
 
 
+def test_domino_rejects_a_bound_below_one(tmp_path, capsys):
+    one = tmp_path / "one.tiles"
+    one.write_text("tileset t colors=1\ntile 0 0 0 0\n")
+    assert main(["solve", str(one), "--mode", "domino", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: max_n must be positive\n")
+
+
 def test_render_ppm_and_validation_failure(tmp_path, tiles_file, capsys):
     tiling = tmp_path / "t.tiling"
     assert main(["solve", str(tiles_file), "--mode", "rect", "2", "2",
@@ -182,6 +189,19 @@ def test_evidence_on_a_set_that_cannot_tile_the_plane(tmp_path, capsys):
         "square 2x2: UNSAT\n"
         "torus 1x1: UNSAT\n"
         "verdict: no tiling of the plane (square 2x2 UNSAT)\n"
+    )
+
+
+def test_evidence_ends_at_the_first_periodic_torus(tmp_path, capsys):
+    one = tmp_path / "one.tiles"
+    one.write_text("tileset t colors=1\ntile 0 0 0 0\n")
+    assert main(["evidence", "--tileset", str(one),
+                 "--max-square", "4", "--max-period", "3"]) == 0
+    assert capsys.readouterr().out == (
+        "largest SAT square: 1\n"
+        "square 1x1: SAT\n"
+        "torus 1x1: SAT\n"
+        "verdict: not aperiodic (periodic tiling with periods 1x1)\n"
     )
 
 
@@ -456,7 +476,7 @@ def test_a_clock_budget_covers_the_solver_setup(tmp_path, capsys):
 
 
 def test_a_clock_budget_covers_the_initial_propagation(tmp_path, capsys, monkeypatch):
-    stop_the_clock_until_the_first_sweep_slice(monkeypatch)
+    stop_the_clock_after_propagating(monkeypatch)
     one = tmp_path / "one.tiles"
     one.write_text("tileset t colors=1\ntile 0 0 0 0\n")
     assert main(["solve", str(one), "--mode", "rect", "100", "100", "--budget-ms", "1"]) == 0

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 from oracles import naive_count_tilings, naive_solve
 from shiftforge import solve
+from shiftforge.aperiodic import aperiodicity_evidence, robinson_tileset
 from shiftforge.compilers import tm_initial_boundary, tm_to_tileset
 from shiftforge.core import make_tileset, validate_tiling
 from shiftforge.errors import InvalidInput
 from shiftforge.solve import (SAT, UNKNOWN, UNSAT, BoundaryConstraint,
-                              SearchBudget, count_rectangle, domino_semidecide,
-                              enumerate_tilings, solve_rectangle, solve_torus)
+                              SearchBudget, count_rectangle, enumerate_tilings,
+                              solve_rectangle, solve_torus)
 from test_compilers import INCREMENTER
 
 
@@ -202,29 +203,50 @@ def test_a_clock_budget_expiring_during_setup_builds_no_more_arrays(monkeypatch)
     assert expired_setup_peak(monkeypatch, 2) < 25_000_000
 
 
-def stop_the_clock_until_the_first_sweep_slice(monkeypatch):
-    """The solver's clock stands still until the first slice of the initial
-    propagation has returned, then jumps past every deadline: only an
-    initial propagation that reads the clock while it runs answers UNKNOWN,
-    however fast the machine and however often set-up reads the clock."""
-    swept = []
+def stop_the_clock_after_propagating(monkeypatch, calls=1):
+    """The solver's clock stands still until `_propagate` has returned
+    `calls` times (a sweep slice or a search step each), then jumps past
+    every deadline: only a solver that reads the clock after that call
+    answers UNKNOWN, however fast the machine and however often set-up
+    reads the clock."""
+    returned = []
     propagate = solve._propagate
 
-    def propagate_then_jump(*args):
+    def propagate_then_count(*args):
         ok = propagate(*args)
-        swept.append(1)
+        returned.append(1)
         return ok
 
-    monkeypatch.setattr(solve, "_propagate", propagate_then_jump)
-    monkeypatch.setattr(solve, "time",
-                        SimpleNamespace(monotonic=lambda: 1e9 if swept else 0.0))
+    monkeypatch.setattr(solve, "_propagate", propagate_then_count)
+    monkeypatch.setattr(solve, "time", SimpleNamespace(
+        monotonic=lambda: 1e9 if len(returned) >= calls else 0.0))
 
 
 def test_clock_budget_covers_the_initial_propagation(monkeypatch):
-    stop_the_clock_until_the_first_sweep_slice(monkeypatch)
+    stop_the_clock_after_propagating(monkeypatch)
     one = make_tileset("t", [(0, 0, 0, 0)])
     r = solve_rectangle(one, 100, 100, budget=SearchBudget(1, 1))
     assert (r.status, r.nodes) == (UNKNOWN, 0)
+
+
+def test_clock_budget_covers_every_search_node(monkeypatch):
+    # every cell of the row branches; the clock passes the deadline once the
+    # first node has propagated, so the second node is not tried
+    stop_the_clock_after_propagating(monkeypatch, 2)
+    r = solve_rectangle(FREE_COLUMNS, 5, 1, budget=SearchBudget(max_millis=1))
+    assert (r.status, r.nodes) == (UNKNOWN, 1)
+
+
+def test_clock_budget_covers_the_lex_leader_step(monkeypatch):
+    # columns of tiles 0 and 1 alternate, so an odd height leaves tile 2
+    # alone: the fourth propagation is the lex-leader step of the third and
+    # last node, which would answer SAT
+    odd = make_tileset("t", [(1, 0, 2, 0), (2, 0, 1, 0), (3, 0, 3, 0)])
+    r = solve_torus(odd, 2, 3)
+    assert (r.status, r.nodes) == (SAT, 3)
+    stop_the_clock_after_propagating(monkeypatch, 4)
+    r = solve_torus(odd, 2, 3, budget=SearchBudget(max_millis=1))
+    assert (r.status, r.nodes) == (UNKNOWN, 3)
 
 
 @pytest.mark.parametrize("limit", [0, -3])
@@ -236,8 +258,8 @@ def test_enumerate_rejects_limit_below_one(limit):
 
 def test_domino_all_zero_tile_periodic_1_1():
     ts = make_tileset("t", [(0, 0, 0, 0)])
-    v = domino_semidecide(ts, 4)
-    assert (v.kind, v.p, v.q) == ("TILES_PERIODICALLY", 1, 1)
+    rep = aperiodicity_evidence(ts, 4, 4)
+    assert (rep.periodic_found, rep.unsat_square, rep.completed_n) == ((1, 1), None, 0)
 
 
 def test_domino_mismatch_tile_no_tiling_at_2():
@@ -247,20 +269,21 @@ def test_domino_mismatch_tile_no_tiling_at_2():
     assert solve_rectangle(ts, 1, 1).status == SAT
     assert solve_torus(ts, 1, 1).status == UNSAT
     assert solve_rectangle(ts, 2, 2).status == UNSAT
-    v = domino_semidecide(ts, 5)
-    assert (v.kind, v.n, v.completed_n) == ("NO_TILING", 2, 1)
+    rep = aperiodicity_evidence(ts, 5, 5)
+    assert (rep.periodic_found, rep.unsat_square, rep.completed_n) == (None, 2, 1)
 
 
 def test_domino_undecided_reports_completed_sweep():
-    # two tiles that tile the plane only with both colors in each row: still
-    # periodic, but verify UNDETERMINED shape on a tiny budget-less sweep
     ts = make_tileset("t", [(0, 0, 0, 0), (1, 1, 1, 1)])
-    v = domino_semidecide(ts, 3)
-    assert v.kind == "TILES_PERIODICALLY"
+    assert aperiodicity_evidence(ts, 3, 3).periodic_found == (1, 1)
     checker = make_tileset("t", [(0, 1, 0, 2), (0, 2, 0, 1)])
-    v = domino_semidecide(checker, 2)
+    rep = aperiodicity_evidence(checker, 2, 2)
     # checkerboard-ish pair: 1x1 torus impossible, 2x? torus works
-    assert v.kind == "TILES_PERIODICALLY" and (v.p, v.q) == (2, 1)
+    assert (rep.periodic_found, rep.completed_n) == ((2, 1), 1)
+    # no torus and no UNSAT square: every square and torus up to 2 is tried
+    rep = aperiodicity_evidence(robinson_tileset().tileset, 2, 2)
+    assert (rep.periodic_found, rep.unsat_square, rep.completed_n) == (None, None, 2)
+    assert len(rep.square_verdicts) + len(rep.torus_verdicts) == 2 + 4
 
 
 def test_determinism_identical_runs():
@@ -445,8 +468,8 @@ def test_domino_honours_shared_node_budget():
     free = make_tileset("t", [(0, 0, 0, 0), (0, 1, 0, 1), (1, 0, 1, 0), (1, 1, 1, 1)])
     for ts in (costly, free):
         for max_nodes in range(1, 12):
-            v = domino_semidecide(ts, 4, budget=SearchBudget(max_nodes=max_nodes))
-            assert v.nodes <= max_nodes
+            rep = aperiodicity_evidence(ts, 4, 4, budget=SearchBudget(max_nodes=max_nodes))
+            assert rep.nodes <= max_nodes
 
 
 # two tiles that agree east-west and differ north-south: on a 1-row grid
