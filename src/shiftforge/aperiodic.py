@@ -6,21 +6,20 @@ one arrow with a direction along its axis, a multiplicity (single or
 double), and a *side bit*: the transverse direction toward the square
 the arrow belongs to.
 
-* A *cross* emits arrows outward on all four edges.  Its facing (one of
-  NE/NW/SE/SW) selects which two arms are double: those trace the sides
-  of the squares the cross is a corner of; the two back arms are single.
-  All four arrows carry the cross's transverse facing as their side bit.
-* A *meet* is the midpoint between two consecutive crosses of a line:
-  it absorbs two colliding arrow heads of equal multiplicity and equal
-  side bit (facing arms give a double-double meet, back arms a
-  single-single meet).  Mixed collisions have no tile, which forces the
-  facings of consecutive crosses along any line to alternate.
-* Across its other axis a meet passes one arrow unchanged — the line of
-  the next level crossing there.  At a double-double meet that arrow
-  must point *away* from the absorbed side bit: it is the arm of the
-  square's center cross exiting through the border's midpoint.  This is
-  the rule that glues consecutive levels: a square of side 2^n is forced
-  to carry a cross of the next level at its center.
+* The *arm rule*: a cross emits arrows outward on all four edges.  An
+  arm is double iff it points along the cross's facing (one of
+  NE/NW/SE/SW), tracing a side of a square the cross is a corner of;
+  its side bit is the cross's facing on the other axis.
+* The *meet rule*, run once per axis (heads E/W with side bits N/S, or
+  heads N/S with side bits E/W): a meet, midway between two consecutive
+  crosses of a line, absorbs two colliding heads of equal multiplicity
+  and equal side bit.  Mixed collisions have no tile, which forces the
+  facings of consecutive crosses along a line to alternate.  Across the
+  other axis it passes one arrow unchanged, the line of the next level.
+  A double meet passes only the arrow that points away from its side:
+  the arm of the square's center cross exiting through the border's
+  midpoint.  This glues consecutive levels: a square of side 2^n is
+  forced to carry a cross of the next level at its center.
 * A 2-color parity component on every edge pins the first level: cells
   at odd-odd positions are crosses, their horizontal and vertical
   neighbors are meets, and the remaining quarter of cells is free to
@@ -60,37 +59,26 @@ def _signal_tiles():
     out = []
     for fx in ("E", "W"):
         for fy in ("N", "S"):
-            west = ("W", "d" if fx == "W" else "s", fy)
-            east = ("E", "d" if fx == "E" else "s", fy)
-            south = ("S", "d" if fy == "S" else "s", fx)
-            north = ("N", "d" if fy == "N" else "s", fx)
-            out.append(("cross", west, east, south, north,
-                        f"cross facing {fy}{fx}"))
+            # the arm rule: double along the facing, side bit across it
+            arms = [(a, "d" if a in (fx, fy) else "s", fy if a in "EW" else fx)
+                    for a in ("W", "E", "S", "N")]
+            out.append(("cross", *arms, f"cross facing {fy}{fx}"))
     for mult in ("d", "s"):
-        for side in ("N", "S"):
-            west = ("E", mult, side)
-            east = ("W", mult, side)
-            # double heads collide on a square's border: the perpendicular
-            # arrow is the center's arm and must exit away from the square
-            dirs = (_OPP[side],) if mult == "d" else ("N", "S")
-            for dv in dirs:
-                for mv in ("d", "s"):
-                    for tau in ("E", "W"):
-                        v = (dv, mv, tau)
-                        out.append(("hmeet", west, east, v, v,
-                                    f"h-meet {mult}{mult} side {side}, "
-                                    f"passing {mv}{dv}"))
-        for side in ("E", "W"):
-            south = ("N", mult, side)
-            north = ("S", mult, side)
-            dirs = (_OPP[side],) if mult == "d" else ("E", "W")
-            for dh in dirs:
-                for mh in ("d", "s"):
-                    for tau in ("N", "S"):
-                        h = (dh, mh, tau)
-                        out.append(("vmeet", h, h, south, north,
-                                    f"v-meet {mult}{mult} side {side}, "
-                                    f"passing {mh}{dh}"))
+        # the meet rule, once per axis: its heads, then its side bits
+        for axis, heads, sides in (("h", ("E", "W"), ("N", "S")),
+                                   ("v", ("N", "S"), ("E", "W"))):
+            for side in sides:
+                low, high = [(head, mult, side) for head in heads]
+                # double heads collide on a square's border: the passing
+                # arrow is the center's arm and must exit away from the square
+                for d in (_OPP[side],) if mult == "d" else sides:
+                    for m in ("d", "s"):
+                        for tau in heads:
+                            p = (d, m, tau)
+                            edges = (low, high, p, p) if axis == "h" else (p, p, low, high)
+                            out.append((f"{axis}meet", *edges,
+                                        f"{axis}-meet {mult}{mult} side {side}, "
+                                        f"passing {m}{d}"))
     return out
 
 
@@ -150,8 +138,8 @@ class EvidenceReport:
 
     @property
     def consistent_with_aperiodicity(self) -> bool:
-        return (self.periodic_found is None and self.largest_sat_square > 0
-                and self.unsat_square is None)
+        """No UNSAT square, no SAT torus and no budget run out."""
+        return not (self.unsat_square or self.periodic_found or self.budget_exhausted)
 
 
 def aperiodicity_evidence(tileset: TileSet, max_square: int, max_period: int,
@@ -181,14 +169,14 @@ def format_evidence(report: EvidenceReport) -> str:
         lines.append(f"square {n}x{n}: {st}")
     for p, q, st in report.torus_verdicts:
         lines.append(f"torus {p}x{q}: {st}")
-    if report.unsat_square:
+    if report.consistent_with_aperiodicity:
+        lines.append("verdict: consistent with aperiodicity at tested bounds")
+    elif report.unsat_square:
         n = report.unsat_square
         lines.append(f"verdict: no tiling of the plane (square {n}x{n} UNSAT)")
     elif report.periodic_found:
         p, q = report.periodic_found
         lines.append(f"verdict: not aperiodic (periodic tiling with periods {p}x{q})")
-    elif report.budget_exhausted:
-        lines.append("verdict: inconclusive (budget exhausted)")
     else:
-        lines.append("verdict: consistent with aperiodicity at tested bounds")
+        lines.append("verdict: inconclusive (budget exhausted)")
     return "\n".join(lines) + "\n"

@@ -187,8 +187,6 @@ def _propagate(dom: list[int], dirty: tuple[int] | range, sides: list[tuple],
         c = queue.popleft()
         in_queue[c] = 0
         dc = dom[c]
-        if dc == 0:
-            return False
         for neighbors, memo, colors, mine, theirs in sides:
             nc = neighbors[c]
             if nc < 0:
@@ -242,6 +240,8 @@ def _run(tileset: TileSet, w: int, h: int, boundary: BoundaryConstraint | None,
     if setup is None:
         return [], 0, False, 0
     dom, sides = setup
+    if 0 in dom:  # only a start domain can be empty: narrowing stops short of one
+        return [], 0, True, 0
     total = w * h
     tilings: list[Grid] = []
     found = nodes = cell = 0

@@ -9,9 +9,8 @@ is checked against the 2D patterns a spec was lifted to.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import count, islice, product
 from typing import Callable, Iterable, Iterator
 
 from .core import Grid, Patterns, SftSpec, check_alphabet
@@ -69,14 +68,11 @@ class Subshift1dSpec:
 
 def all_words_min_len(alphabet: tuple[str, ...], min_len: int) -> Iterator[str]:
     """All words of length >= min_len in length-lexicographic order."""
+    check_alphabet(alphabet)  # with no letters, the loop over lengths would never yield
     letters = sorted(alphabet)
-    queue: deque[str] = deque([""])
-    while queue:
-        w = queue.popleft()
-        if len(w) >= min_len:
-            yield w
-        for a in letters:
-            queue.append(w + a)
+    for n in count(min_len):
+        for w in product(letters, repeat=n):
+            yield "".join(w)
 
 
 def make_stream(name: str, alphabet: tuple[str, ...], params: list[str]) -> WordStream:

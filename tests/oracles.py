@@ -30,6 +30,16 @@ def naive_first_match(words, s: str):
     return best[2], best[0]
 
 
+def naive_words(alphabet, min_len: int, max_len: int) -> list[str]:
+    """Every word over `alphabet` with length in [min_len, max_len],
+    sorted by (length, word)."""
+    words, layer = [""], [""]
+    for _ in range(max_len):
+        layer = [w + a for w in layer for a in alphabet]
+        words += layer
+    return sorted((w for w in words if len(w) >= min_len), key=lambda w: (len(w), w))
+
+
 def tm_run(tm: TmSpec, w: str, n: int, head: int = 0, input_at: int = 0,
            max_steps: int = 1000):
     """Configurations of tm on an n-cell tape, as tuples of cell strings

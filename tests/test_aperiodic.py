@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shiftforge.aperiodic import (ROBINSON_TILE_COUNT, aperiodicity_evidence,
-                                  format_evidence, robinson_tileset)
+from shiftforge.aperiodic import (ROBINSON_TILE_COUNT, _signal_tiles,
+                                  aperiodicity_evidence, format_evidence,
+                                  robinson_tileset)
 from shiftforge.core import make_tileset, validate_tiling
 from shiftforge.errors import InvalidInput
 from shiftforge.solve import (SAT, UNKNOWN, UNSAT, SearchBudget, solve_rectangle,
@@ -30,6 +33,41 @@ def test_roles_stay_aligned_with_tiles():
     for tile, role in zip(rs.tileset.tiles, rs.tile_roles):
         px, py = map(int, role.rsplit("(", 1)[1][:3:2])
         assert rs.tileset.colors[tile.north][:3] == ("v", px, py)
+
+
+def signal_kind(west, east, south, north):
+    """The module docstring's rules read as a test of one quadruple of
+    (direction, multiplicity, side bit) arrows: "cross", "hmeet", "vmeet"
+    or None."""
+    away = {"N": "S", "S": "N", "E": "W", "W": "E"}
+    arms = (west, east, south, north)
+    if tuple(a[0] for a in arms) == ("W", "E", "S", "N"):
+        # arm rule: some facing (fx, fy) makes exactly its arms double, and
+        # every arm's side bit is the facing on the other axis
+        return next(("cross" for fx in "EW" for fy in "NS"
+                     if all((a[1] == "d") == (a[0] in (fx, fy))
+                            and a[2] == (fy if a[0] in "EW" else fx) for a in arms)), None)
+    for kind, low, high, across, other, heads in (("hmeet", west, east, south, north, "EW"),
+                                                  ("vmeet", south, north, west, east, "NS")):
+        # meet rule: two heads meet with equal multiplicity and side bit, the
+        # other axis passes one arrow unchanged, and a double meet's passing
+        # arrow points away from its side
+        if ((low[0], high[0]) == tuple(heads) and low[1:] == high[1:]
+                and across == other and (low[1] == "s" or across[0] == away[low[2]])):
+            return kind
+    return None
+
+
+def test_signal_tiles_are_the_quadruples_the_rules_allow():
+    # every (direction, multiplicity, side bit) arrow an edge can carry:
+    # along the edge's line, with a side bit across it
+    horizontal = list(itertools.product("EW", "ds", "NS"))
+    vertical = list(itertools.product("NS", "ds", "EW"))
+    allowed = {(kind, *q) for q in itertools.product(horizontal, horizontal, vertical, vertical)
+               if (kind := signal_kind(*q))}
+    signals = [t[:5] for t in _signal_tiles()]
+    assert len(signals) == len(set(signals)) == ROBINSON_TILE_COUNT // 2
+    assert set(signals) == allowed
 
 
 def test_squares_tile_up_to_12():
@@ -199,3 +237,20 @@ def test_domino_and_evidence_answer_from_one_sweep(run, max_nodes):
             break
     assert (rep.nodes, rep.completed_n) == (nodes, completed)
     assert (rep.unsat_square, rep.periodic_found) == (unsat_square, periodic)
+
+
+@settings(max_examples=150, deadline=None)
+@given(evidence_runs(), st.none() | st.integers(1, 60))
+# Robinson runs out one node short of square 16: no UNSAT square, no SAT
+# torus, and still not consistent
+@example((robinson_tileset().tileset, 16, 12), 12_650)
+def test_consistent_with_aperiodicity_is_the_printed_verdict(run, max_nodes):
+    ts, max_square, max_period = run
+    budget = SearchBudget() if max_nodes is None else SearchBudget(max_nodes=max_nodes)
+    rep = aperiodicity_evidence(ts, max_square, max_period, budget)
+    assert rep.consistent_with_aperiodicity == format_evidence(rep).endswith(
+        "\nverdict: consistent with aperiodicity at tested bounds\n")
+    # every square tried tiles and every torus tried is refuted
+    assert rep.consistent_with_aperiodicity == (
+        {st for _, st in rep.square_verdicts} == {SAT}
+        and {st for _, _, st in rep.torus_verdicts} <= {UNSAT})

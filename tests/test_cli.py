@@ -353,6 +353,44 @@ def test_usage_errors_give_one_line_and_exit_2(argv, capsys):
     assert_one_error_line(capsys)
 
 
+ONE_TILE = "tileset t colors=1\ntile 0 0 0 0\n"
+TM_HEAD = "tm states=q0,q1 start=q0 blank=0\n"
+
+
+@pytest.mark.parametrize("files,argv,message", [
+    ({"t": ONE_TILE}, ["solve", "t", "--mode", "rect", "5"],
+     "rect mode takes width and height"),
+    ({"t": ONE_TILE}, ["solve", "t", "--mode", "torus", "3"], "torus mode takes two periods"),
+    ({"t": ONE_TILE}, ["solve", "t", "--mode", "domino", "2", "3"], "domino mode takes max_n"),
+    ({"t": ONE_TILE}, ["solve", "t", "--mode", "hex", "3"], "unknown solve mode 'hex'"),
+    ({"t": ONE_TILE}, ["solve", "t", "--mode", "rect", "2", "2", "--budget-nodes", "0"],
+     "budget values must be positive"),
+    ({"s": SUBSHIFT_11, "g": "SAT\n0 0\n"}, ["verify", "s", "g"],
+     "verifying a tiling requires --tileset with decode lines"),
+    ({"s": SUBSHIFT_11, "w": "window 2 1\n02\n"}, ["verify", "s", "w"],
+     "letter '2' outside the spec's alphabet"),
+    ({"s": SUBSHIFT_11, "w": "window 2 1\n01\n"}, ["verify", "s", "w", "--budget", "0"],
+     "budget must be positive"),
+    ({"m": TM_HEAD + "rule q0 0 -> q9 1 R\n"}, ["compile", "m", "--kind", "tm"],
+     "transition references unknown state"),
+    ({"m": TM_HEAD + "tape 0,1\nrule q0 2 -> q1 1 R\n"}, ["compile", "m", "--kind", "tm"],
+     "transition references unknown symbol"),
+    ({"m": TM_HEAD + "halt q9\n"}, ["compile", "m", "--kind", "tm"],
+     "halting state 'q9' not in state set"),
+    ({"s": "subshift alphabet=0,0\n"}, ["compile", "s", "--kind", "subshift1d"],
+     "alphabet letters must be distinct"),
+    ({"t": "tileset t 4\n"}, ["solve", "t", "--mode", "rect", "1", "1"],
+     "line 1: expected colors=<...>, got '4'"),
+])
+def test_each_input_error_has_its_own_line(tmp_path, monkeypatch, capsys, files, argv,
+                                           message):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
     binary = tmp_path / "spec.bin"
     binary.write_bytes(b"\xff\xfe\x00sft")

@@ -137,6 +137,8 @@ def test_tm_spec_invariants():
     with pytest.raises(InvalidSpec):
         TmSpec(("a",), "a", ("0",), "0",
                {("a", "0"): ("a", "0", "R")}, frozenset(["a"]))
+    with pytest.raises(InvalidSpec, match="move must be L or R, got 'X'"):
+        TmSpec(("a",), "a", ("0",), "0", {("a", "0"): ("a", "0", "X")}, frozenset())
 
 
 def test_tape_width_must_be_positive():
@@ -267,3 +269,5 @@ def test_compilation_decode_must_be_total():
     comp = tm_to_tileset(HALT_NOW, 2)
     with pytest.raises(InvalidSpec):
         TileCompilation(comp.tileset, comp.decode[:-1], comp.provenance)
+    with pytest.raises(InvalidSpec, match="provenance must be total on the tile set"):
+        TileCompilation(comp.tileset, comp.decode, comp.provenance[:-1])

@@ -1,6 +1,7 @@
 import pytest
 
-from shiftforge.core import Grid, SftSpec, Tile, make_tileset, validate_tiling
+from shiftforge.core import (Grid, SftSpec, Tile, check_alphabet, make_tileset,
+                             validate_tiling)
 from shiftforge.errors import InvalidSpec, MalformedInput
 
 
@@ -30,6 +31,13 @@ def test_pattern_from_rows_bottom_up():
 def test_pattern_dimension_mismatch():
     with pytest.raises(InvalidSpec):
         Grid(2, 1, (("a",),))
+    with pytest.raises(InvalidSpec, match="grid dimensions must be positive"):
+        Grid(0, 1, ((),))
+
+
+def test_an_alphabet_needs_a_letter():
+    with pytest.raises(InvalidSpec, match="alphabet must be nonempty"):
+        check_alphabet(())
 
 
 def test_sft_spec_window_property():

@@ -16,8 +16,8 @@ from shiftforge.compilers import tm_initial_boundary, tm_to_tileset
 from shiftforge.core import make_tileset, validate_tiling
 from shiftforge.errors import InvalidInput
 from shiftforge.solve import (SAT, UNKNOWN, UNSAT, BoundaryConstraint,
-                              SearchBudget, count_rectangle, enumerate_tilings,
-                              solve_rectangle, solve_torus)
+                              SearchBudget, SearchResult, count_rectangle,
+                              enumerate_tilings, solve_rectangle, solve_torus)
 from test_compilers import INCREMENTER
 
 
@@ -136,6 +136,17 @@ def test_period_one_torus_self_constraints():
     assert solve_torus(bad, 1, 1).status == UNSAT
     ok = make_tileset("t", [(1, 0, 1, 0)])
     assert solve_torus(ok, 1, 1).status == SAT
+
+
+def test_an_empty_start_domain_is_unsat_before_any_propagation(monkeypatch):
+    # a boundary color no tile shows, a period-1 torus axis whose tiles do
+    # not match themselves, and an empty set each leave a cell no tile
+    monkeypatch.setattr(solve, "_propagate", lambda *args: pytest.fail("propagated"))
+    ts = make_tileset("t", [(0, 1, 0, 2)], num_colors=4)
+    empty = make_tileset("e", [], num_colors=1)
+    assert solve_rectangle(ts, 3, 2, BoundaryConstraint(north=(0, 3, 0))) == SearchResult(UNSAT)
+    assert solve_torus(ts, 1, 4) == SearchResult(UNSAT)
+    assert count_rectangle(empty, 2, 2) == SearchResult("COUNT", count=0)
 
 
 def test_node_budget_gives_unknown():

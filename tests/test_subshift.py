@@ -4,7 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_first_match, naive_first_occurrence, window_has_pattern
+from oracles import (naive_first_match, naive_first_occurrence, naive_words,
+                     window_has_pattern)
 from shiftforge.core import Grid, SftSpec
 from shiftforge.errors import InvalidInput, InvalidSpec, UnsupportedSpec
 from shiftforge.subshift import (BUDGET_EXHAUSTED_CLEAN, CLEAN, VIOLATION,
@@ -114,6 +115,20 @@ def test_check_sequence_stream_repeatable():
 def test_all_words_min_len_order():
     it = all_words_min_len(("b", "a"), 1)
     assert [next(it) for _ in range(6)] == ["a", "b", "aa", "ab", "ba", "bb"]
+    with pytest.raises(InvalidSpec, match="alphabet must be nonempty"):
+        next(all_words_min_len((), 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.sampled_from("01abc"), min_size=1).map(tuple),
+       st.integers(0, 3), st.integers(0, 3))
+def test_all_words_min_len_matches_naive_enumeration(alphabet, min_len, extra):
+    max_len = min_len + extra
+    want = naive_words(alphabet, min_len, max_len)
+    it = all_words_min_len(alphabet, min_len)
+    assert list(itertools.islice(it, len(want))) == want
+    # the stream goes on with the least longer word
+    assert next(it) == min(alphabet) * (max_len + 1)
 
 
 def test_make_stream_registry():
