@@ -9,9 +9,11 @@ Two translations live here:
   correspond exactly to legal torus configurations of the input.
 * ``tm_to_tileset`` — rows of a tiling encode successive configurations
   of a deterministic Turing machine on a fixed-width tape: vertical
-  colors carry cell contents (optionally with the head), horizontal
-  colors carry the head crossing between cells, and forcing the bottom
-  row pins the whole rectangle to the machine's space-time diagram.
+  colors carry cell contents (optionally with the head) and a tag naming
+  the tape ends the cell touches, horizontal colors carry the head
+  crossing between cells, and forcing the bottom row pins the whole
+  rectangle to the machine's space-time diagram.  Per move direction one
+  receive rule and one apply rule make the head-crossing tiles.
 """
 
 from __future__ import annotations
@@ -152,80 +154,62 @@ _NONE = "none"
 
 
 def _tag_of(x: int, n: int) -> str:
-    if n == 1:
-        return "LR"
-    if x == 0:
-        return "L"
-    if x == n - 1:
-        return "R"
-    return "I"
+    """The tape ends cell x of an n-cell tape touches ("L", "R" or "LR"),
+    or "I" for an interior cell."""
+    return ("L" if x == 0 else "") + ("R" if x == n - 1 else "") or "I"
 
 
 def tm_to_tileset(tm: TmSpec, tape_width: int) -> TileCompilation:
     """Tiles whose rows encode successive machine configurations on an
     n-cell tape.  Row r's south colors spell the configuration at step r.
 
-    Column-position tags (leftmost / interior / rightmost) ride on every
-    vertical color, so a forced bottom row pins each column's tag all the
-    way up and the side edges of the rectangle carry boundary colors.
-    A head move that would leave the tape finds no tile (fail closed),
-    and a halted head admits no row above it.
+    Each vertical color carries its column's tag, the tape ends the cell
+    touches, so a forced bottom row pins every tag all the way up.  Sides
+    are named by tape end ("L" west, "R" east); an idle side on a tape end
+    shows the outer-boundary color.  Per move direction mv, one receive rule
+    lets a head arrive through the side opposite mv and one apply rule sends
+    it out through side mv, each only where that side is no tape end, so a
+    head move that would leave the tape finds no tile (fail closed).  A
+    halted head admits no row above it.
     """
     if tape_width < 1:
         raise InvalidInput("tape width must be positive")
     n = tape_width
     # positions 0, 1 and n-1 show every tag, in first-seen order
-    tags = list(dict.fromkeys(_tag_of(x, n) for x in (0, 1, n - 1)))
-    # head-crossing signals that the transition table can actually emit
-    right_states = sorted({t[0] for t in tm.transitions.values() if t[2] == "R"})
-    left_states = sorted({t[0] for t in tm.transitions.values() if t[2] == "L"})
+    tags = list(dict.fromkeys(_tag_of(x, n) for x in (0, 1, n - 1)[:n]))
+    # per move, the head-crossing states the transition table can emit
+    movers = {mv: sorted({t[0] for t in tm.transitions.values() if t[2] == mv})
+              for mv in "RL"}
 
     color_ids: dict[tuple, int] = {}
-
-    def cid(key: tuple) -> int:
-        if key not in color_ids:
-            color_ids[key] = len(color_ids)
-        return color_ids[key]
-
-    def west_idle(tag: str) -> int:
-        return cid(("h", _B if tag in ("L", "LR") else _NONE))
-
-    def east_idle(tag: str) -> int:
-        return cid(("h", _B if tag in ("R", "LR") else _NONE))
-
     entries = []  # ((n,e,s,w), decode, provenance)
 
-    def add(tag, south_pl, north_pl, west, east, decode, desc):
+    def cid(key: tuple) -> int:
+        return color_ids.setdefault(key, len(color_ids))
+
+    def add(tag, south_pl, north_pl, edges, decode, desc):
+        # colors are numbered at first use: west, east, north, south
+        west, east = cid(edges["L"]), cid(edges["R"])
         t = (cid(("v", tag, north_pl)), east, cid(("v", tag, south_pl)), west)
         entries.append((t, decode, f"{desc} [{tag}]"))
 
     for tag in tags:
+        idle = {end: ("h", _B if end in tag else _NONE) for end in "LR"}
         for a in tm.tape_alphabet:
-            add(tag, ("s", a), ("s", a), west_idle(tag), east_idle(tag),
-                a, f"pass {a}")
-            for q in right_states:
-                if tag not in ("L", "LR"):  # head arriving from the west
-                    add(tag, ("s", a), ("h", q, a),
-                        cid(("h", "R", q)), east_idle(tag),
-                        a, f"receive head {q} from west over {a}")
-            for q in left_states:
-                if tag not in ("R", "LR"):  # head arriving from the east
-                    add(tag, ("s", a), ("h", q, a),
-                        west_idle(tag), cid(("h", "L", q)),
-                        a, f"receive head {q} from east over {a}")
+            add(tag, ("s", a), ("s", a), idle, a, f"pass {a}")
+            # a head in state q that moves mv arrives through `side`
+            for mv, side, name in (("R", "L", "west"), ("L", "R", "east")):
+                for q in movers[mv]:
+                    if side not in tag:
+                        add(tag, ("s", a), ("h", q, a), {**idle, side: ("h", mv, q)},
+                            a, f"receive head {q} from {name} over {a}")
             for q in sorted(tm.halting):
-                add(tag, ("h", q, a), ("halted",),
-                    west_idle(tag), east_idle(tag),
-                    f"{q}.{a}", f"halt in {q} over {a}")
+                add(tag, ("h", q, a), ("halted",), idle, f"{q}.{a}", f"halt in {q} over {a}")
+        # a transition that moves mv leaves through side mv
         for (q, a), (q2, a2, mv) in sorted(tm.transitions.items()):
-            if mv == "R" and tag not in ("R", "LR"):
-                add(tag, ("h", q, a), ("s", a2),
-                    west_idle(tag), cid(("h", "R", q2)),
-                    f"{q}.{a}", f"apply {q},{a}->{q2},{a2},R")
-            if mv == "L" and tag not in ("L", "LR"):
-                add(tag, ("h", q, a), ("s", a2),
-                    cid(("h", "L", q2)), east_idle(tag),
-                    f"{q}.{a}", f"apply {q},{a}->{q2},{a2},L")
+            if mv not in tag:
+                add(tag, ("h", q, a), ("s", a2), {**idle, mv: ("h", mv, q2)},
+                    f"{q}.{a}", f"apply {q},{a}->{q2},{a2},{mv}")
 
     return _compilation("tm", entries, list(color_ids))
 

@@ -125,18 +125,20 @@ def check_sequence(
     if budget < 1:
         raise InvalidInput("budget must be positive")
     _check_letters(spec.alphabet, s)
-    words = list(islice(spec.source.generate(), budget + 1))
-    # one word past the budget tells a cut-off source from a finished one
-    exhausted = len(words) > budget
-    del words[budget:]
-    if not all(words):
-        raise InvalidSpec("forbidden words must be nonempty")
+    source = spec.source.generate()
+    words = []  # only words that fit in s can occur in it
+    for w in islice(source, budget):
+        if not w:
+            raise InvalidSpec("forbidden words must be nonempty")
+        if len(w) <= len(s):
+            words.append(w)
     # shortest first, so the least index at a start is the shortest word there
     words.sort(key=len)
     hit = Patterns([(w,) for w in words]).first((s,))
     if hit is not None:
         return SequenceVerdict(VIOLATION, words[hit[2]], hit[1])
-    if exhausted:
+    # one word past the budget tells a cut-off source from a finished one
+    if next(source, None) is not None:
         return SequenceVerdict(BUDGET_EXHAUSTED_CLEAN)
     return SequenceVerdict(CLEAN)
 

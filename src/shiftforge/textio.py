@@ -110,6 +110,8 @@ def parse_tileset(text: str) -> tuple[TileSet, tuple[str, ...] | None]:
         if directive == "tileset":
             name = args[0]
             num_colors = _int(_kv(args[1], "colors", ln), "color count", ln)
+            if num_colors < 0:
+                raise ParseError("color count must not be negative", ln)
         elif directive == "tile":
             n, e, s, w = (_int(t, "color", ln) for t in args)
             for c in (n, e, s, w):

@@ -381,6 +381,8 @@ TM_HEAD = "tm states=q0,q1 start=q0 blank=0\n"
      "alphabet letters must be distinct"),
     ({"t": "tileset t 4\n"}, ["solve", "t", "--mode", "rect", "1", "1"],
      "line 1: expected colors=<...>, got '4'"),
+    ({"t": "tileset t colors=-1\n"}, ["solve", "t", "--mode", "rect", "1", "1"],
+     "line 1: color count must not be negative"),
 ])
 def test_each_input_error_has_its_own_line(tmp_path, monkeypatch, capsys, files, argv,
                                            message):

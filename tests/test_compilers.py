@@ -1,7 +1,10 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import legal_torus_configs, tm_run, torus_config_legal
 from shiftforge.compilers import (TileCompilation, TmSpec, decode_row,
@@ -11,6 +14,7 @@ from shiftforge.core import Grid, SftSpec
 from shiftforge.errors import InvalidInput, InvalidSpec
 from shiftforge.solve import SAT, UNSAT, count_rectangle, enumerate_tilings, solve_rectangle
 from shiftforge.subshift import ExplicitWords, Subshift1dSpec, lift_1d
+from shiftforge.textio import serialize_compilation
 
 GOLDEN_FREE = SftSpec(("0", "1"), ())
 
@@ -221,6 +225,63 @@ def test_long_counter_diagrams_decode_to_simulator_configs(bits, decrement, mirr
     c = count_rectangle(comp.tileset, n, height, boundary=boundary)
     assert (c.status, c.count) == ("COUNT", 1)
     assert run_and_check(tm, tape, n, height + 1, head=head)[3].status == UNSAT
+
+
+@st.composite
+def tm_starts(draw):
+    """(tm, w, n, head, input_at): a machine with at most 3 states and 3
+    symbols, any of its states halting and any of its rules defined, on a
+    1- to 6-cell tape with a random input and head."""
+    states = tuple(f"q{i}" for i in range(draw(st.integers(1, 3))))
+    symbols = tuple("01#"[:draw(st.integers(1, 3))])
+    halting = frozenset(draw(st.sets(st.sampled_from(states))))
+    keys = [(q, a) for q in states if q not in halting for a in symbols]
+    rule = st.tuples(st.sampled_from(states), st.sampled_from(symbols), st.sampled_from("LR"))
+    transitions = draw(st.dictionaries(st.sampled_from(keys), rule) if keys else st.just({}))
+    n = draw(st.integers(1, 6))
+    w = draw(st.text(alphabet=symbols, max_size=n))
+    return (TmSpec(states, "q0", symbols, symbols[0], transitions, halting), w, n,
+            draw(st.integers(0, n - 1)), draw(st.integers(0, n - len(w))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tm_starts())
+def test_random_machine_diagrams_match_the_simulator(start):
+    tm, w, n, head, input_at = start
+    comp = tm_to_tileset(tm, n)
+    # rules are read in sorted order, so their insertion order changes nothing
+    flipped = dataclasses.replace(tm, transitions=dict(reversed(tm.transitions.items())))
+    other = tm_to_tileset(flipped, n)
+    assert serialize_compilation(other) == serialize_compilation(comp)
+    assert other.tileset.colors == comp.tileset.colors
+    # tiles exist for exactly the tape ends some column touches
+    ends = {"LR"} if n == 1 else {"L", "R"} | ({"I"} if n > 2 else set())
+    assert {p[p.rindex("[") + 1:-1] for p in comp.provenance} == ends
+    configs = tm_run(tm, w, n, head=head, input_at=input_at)
+    assume(configs is not None)  # the head left the tape or the run kept going
+
+    def solve(height):
+        boundary = tm_initial_boundary(tm, comp, w, n, height, head=head, input_at=input_at)
+        return boundary, solve_rectangle(comp.tileset, n, height, boundary=boundary)
+
+    try:
+        tm_initial_boundary(tm, comp, w, n, 1, head=head, input_at=input_at)
+    except InvalidInput:  # no tile reads the start configuration's head
+        assume(False)
+    h = len(configs)
+    halted = next(c for c in configs[-1] if "." in c).split(".")[0] in tm.halting
+    if not halted:  # the run stalled: its last configuration has no row above it
+        assert solve(h)[1].status == UNSAT
+        h -= 1
+        if h == 0:
+            return
+    boundary, r = solve(h)
+    assert r.status == SAT
+    assert [decode_row(comp, r.tiling, y) for y in range(h)] == configs[:h]
+    if halted:
+        c = count_rectangle(comp.tileset, n, h, boundary=boundary)
+        assert (c.status, c.count) == ("COUNT", 1)
+        assert solve(h + 1)[1].status == UNSAT
 
 
 def test_head_running_off_tape_fails_closed():

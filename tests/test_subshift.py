@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -110,6 +111,22 @@ def test_check_sequence_stream_repeatable():
     first = check_sequence(spec, "ba", budget=3)
     second = check_sequence(spec, "ba", budget=3)
     assert first == second
+
+
+def test_check_sequence_holds_only_words_that_fit_in_the_string():
+    # 400 stream words of 10,000 letters are 4 MB; none can occur in a
+    # 3-letter string, so none is kept, and the peak is about one word's
+    # letter tuple
+    spec = Subshift1dSpec(("0", "1"),
+                          make_stream("all_words_min_len", ("0", "1"), ["10000"]))
+    tracemalloc.start()
+    try:
+        verdict = check_sequence(spec, "010", budget=400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.kind == BUDGET_EXHAUSTED_CLEAN
+    assert peak < 1_500_000
 
 
 def test_all_words_min_len_order():
