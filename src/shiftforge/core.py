@@ -71,6 +71,13 @@ class TileSet:
             tables.append((col, by_color, {}))
         return tuple(tables)
 
+    @cached_property
+    def closed_walks(self) -> dict[tuple[int, int], int]:
+        """The solver's memo from (side k, period p) to the bitset of the
+        tiles on a closed walk of p steps across side k, kept like
+        `side_tables`."""
+        return {}
+
 
 def make_tileset(
     name: str,

@@ -45,6 +45,20 @@ the step is built at once and swept like the initial propagation.
 Rectangles have no such symmetry, and enumerating more than one tiling of
 a torus must list every translate, so neither uses the rule.
 
+Every row of a p x q torus tiling is a closed walk of p steps in the
+digraph "t -> u iff t's east color is u's west color", and every column one
+of q steps across north and south; such walks exist iff trace(A^p) > 0
+(Lind and Marcus, *Symbolic Dynamics and Coding*, 1995, ch. 2).  So every
+torus search, enumeration included, starts each cell from the tiles on a
+walk of each kind; the others appear in no torus tiling, so only node
+counts change.  Arc consistency cannot see an odd cycle fail, so alone it
+would try tile after tile at cell 0 of an odd-period torus over Robinson's
+2 x 2 parity lattice; the rule starts every cell of one empty.  The walks
+stop at their first repeated set, so any period costs a bounded number of
+steps, and one mask per side and period is kept with the tile set
+(`TileSet.closed_walks`).  At p = 1 the rule keeps the tiles that match
+themselves, so a period-1 axis needs no special case.
+
 Budgets are counted in search nodes (one node per attempted assignment)
 first and wall-clock milliseconds second; node counts are machine
 independent, which keeps golden tests stable.  The clock is read before
@@ -102,6 +116,51 @@ class SearchResult:
     nodes: int = 0
 
 
+def _across(d: int, colors: tuple[int, ...], mine: list[int], theirs: list[int]) -> int:
+    """The tiles allowed across one side of domain `d`, given each tile's
+    color on that side and the tiles by color on it (`mine`) and on the
+    opposite side (`theirs`): one step per distinct color `d` shows there."""
+    allowed = 0
+    while d:
+        col = colors[(d & -d).bit_length() - 1]
+        allowed |= theirs[col]
+        d &= ~mine[col]
+    return allowed
+
+
+def _closed_walk_tiles(tileset: TileSet, k: int, period: int) -> int:
+    """Bitset of the tiles on a closed walk of `period` steps across side k
+    of `Tile.sides()`, memoized in `TileSet.closed_walks`.  Tiles showing
+    one color on side k reach the same set in one step, so one walk per
+    color steps that set through side k's memo; once the set repeats, the
+    walk jumps ahead by the cycle, so it takes at most one step per
+    distinct set whatever the period."""
+    masks = tileset.closed_walks
+    if (k, period) not in masks:
+        colors, mine, memo = tileset.side_tables[k]
+        theirs = tileset.side_tables[k ^ 2][1]
+        mask = 0
+        for col, tiles in enumerate(mine):
+            if not tiles:
+                continue
+            # walk[i]: the tiles i + 1 steps from a tile of color col
+            walk, seen = [theirs[col]], {}
+            while len(walk) < period and walk[-1] not in seen:
+                d = walk[-1]
+                seen[d] = len(walk) - 1
+                nd = memo.get(d)
+                if nd is None:
+                    nd = memo[d] = _across(d, colors, mine, theirs)
+                walk.append(nd)
+            i = len(walk) - 1
+            if i < period - 1:  # walk[i] repeats walk[j]
+                j = seen[walk[i]]
+                i = j + (period - 1 - j) % (i - j)
+            mask |= walk[i] & tiles
+        masks[k, period] = mask
+    return masks[k, period]
+
+
 def _setup(tileset: TileSet, w: int, h: int, wrap: bool,
            boundary: BoundaryConstraint | None,
            deadline: float) -> tuple[list[int], list[tuple]] | None:
@@ -112,16 +171,12 @@ def _setup(tileset: TileSet, w: int, h: int, wrap: bool,
         raise InvalidInput("grid dimensions must be positive")
     if wrap and boundary is not None:
         raise InvalidInput("a torus has no boundary")
-    tiles = tileset.tiles
-    n = len(tiles)
+    n = len(tileset.tiles)
     ncolors = len(tileset.colors)
     tables = tileset.side_tables
-    # wrap on a period-1 axis makes each cell its own neighbor across it
     start = (1 << n) - 1
     if wrap:
-        for i, t in enumerate(tiles):
-            if (w == 1 and t.east != t.west) or (h == 1 and t.north != t.south):
-                start &= ~(1 << i)
+        start = _closed_walk_tiles(tileset, 1, w) & _closed_walk_tiles(tileset, 0, h)
     total = w * h
     dom = [start] * total
     if boundary is not None:
@@ -151,14 +206,11 @@ def _setup(tileset: TileSet, w: int, h: int, wrap: bool,
     # c + step, or at the edge the wrapped cell c + step - jump or -1; the
     # tile set's memo domain -> tiles allowed on the neighbor; each tile's
     # color on that side; tiles by color on that side and the opposite one).
-    # A period-1 axis has no sides (see `start`).
     sides = []
-    for k, step, jump, edge, period in ((1, 1, w, slice(w - 1, None, w), w),
-                                        (3, -1, -w, slice(0, None, w), w),
-                                        (0, w, total, slice(total - w, None), h),
-                                        (2, -w, -total, slice(0, w), h)):
-        if period == 1:
-            continue
+    for k, step, jump, edge in ((1, 1, w, slice(w - 1, None, w)),
+                                (3, -1, -w, slice(0, None, w)),
+                                (0, w, total, slice(total - w, None)),
+                                (2, -w, -total, slice(0, w))):
         neighbors = list(range(step, total + step))
         neighbors[edge] = [c - jump if wrap else -1 for c in neighbors[edge]]
         colors, by_color, memo = tables[k]
@@ -193,14 +245,7 @@ def _propagate(dom: list[int], dirty: tuple[int] | range, sides: list[tuple],
                 continue
             allowed = memo.get(dc)
             if allowed is None:
-                # one step per distinct color on this side of dc
-                allowed = 0
-                d = dc
-                while d:
-                    col = colors[(d & -d).bit_length() - 1]
-                    allowed |= theirs[col]
-                    d &= ~mine[col]
-                memo[dc] = allowed
+                allowed = memo[dc] = _across(dc, colors, mine, theirs)
             old = dom[nc]
             nd = old & allowed
             if nd != old:
@@ -306,13 +351,16 @@ def solve_torus(tileset: TileSet, p: int, q: int,
     """Least p x q torus tiling or exhaustive UNSAT.  A SAT answer
     certifies a fully periodic tiling of the entire plane.
 
-    Each torus is refuted once, not once per translation: with tile t at
-    cell 0 the search allows no tile below t elsewhere, a step built at once
-    from the root's one domain and swept like the initial propagation.  Some
-    translate of any tiling has its least tile at cell 0, so statuses and
-    the least witness are those of the plain search and only node counts fall.
-    `enumerate_tilings` with `wrap` must list every translate, so it uses
-    the rule only when `limit` is 1."""
+    Every cell starts from the tiles on a closed walk of p steps east and of
+    q steps north, since each row and column of a tiling is one.  Each torus
+    is refuted once, not once per translation: with tile t at cell 0 the
+    search allows no tile below t elsewhere, a step built at once from the
+    root's one domain and swept like the initial propagation.  Some
+    translate of any tiling has its least tile at cell 0.  So statuses and
+    the least witness are those of the plain search and only node counts
+    fall.  `enumerate_tilings` with `wrap` starts from the same domains but
+    must list every translate, so it uses the translation rule only when
+    `limit` is 1."""
     return _first(tileset, p, q, None, budget, wrap=True)
 
 

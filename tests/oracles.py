@@ -68,8 +68,13 @@ def tm_run(tm: TmSpec, w: str, n: int, head: int = 0, input_at: int = 0,
 
 def naive_count_tilings(ts: TileSet, w: int, h: int, torus: bool = False) -> int:
     """Count valid assignments by checking all |tiles|^(w*h) grids."""
+    return sum(1 for _ in naive_tilings(ts, w, h, torus))
+
+
+def naive_tilings(ts: TileSet, w: int, h: int, torus: bool = False):
+    """Every valid assignment, as a flat row-major tuple of tile indices,
+    found by checking all |tiles|^(w*h) grids."""
     tiles = ts.tiles
-    count = 0
     for flat in itertools.product(range(len(tiles)), repeat=w * h):
         ok = True
         for y in range(h):
@@ -86,8 +91,22 @@ def naive_count_tilings(ts: TileSet, w: int, h: int, torus: bool = False) -> int
             if not ok:
                 break
         if ok:
-            count += 1
-    return count
+            yield flat
+
+
+def naive_closed_walk_tiles(ts: TileSet, side: str, p: int) -> set[int]:
+    """Indices of the tiles on a closed walk of p steps in the digraph
+    a -> b iff a's `side` ("east" or "north") color is b's opposite color:
+    the diagonal of the p-th boolean power of its adjacency matrix."""
+    opposite = {"east": "west", "north": "south"}[side]
+    tiles = ts.tiles
+    n = len(tiles)
+    adj = [[getattr(a, side) == getattr(b, opposite) for b in tiles] for a in tiles]
+    power = [[i == j for j in range(n)] for i in range(n)]
+    for _ in range(p):
+        power = [[any(power[i][m] and adj[m][j] for m in range(n)) for j in range(n)]
+                 for i in range(n)]
+    return {t for t in range(n) if power[t][t]}
 
 
 def naive_blocks(ts: TileSet, n: int) -> list[tuple[tuple[int, ...], ...]]:
@@ -205,13 +224,18 @@ def naive_solve(ts: TileSet, w: int, h: int, torus: bool = False,
     ascending index order; a cell whose domain is already a single tile is
     skipped.  Every attempted assignment is one node and is followed by arc
     consistency recomputed from scratch to a full fixpoint.  On a torus,
+    every cell starts from the tiles on a closed walk of w steps east and
+    of h steps north, since each row and column of a tiling is one; and
     assigning tile t to cell 0 also removes every tile below t from every
     other cell: some translate of any torus tiling has its least tile at
     cell 0, so the least tiling survives.  `cells` is the first solution as
     rows of tile indices, or None.
     """
     tiles = ts.tiles
-    doms = [set(range(len(tiles))) for _ in range(w * h)]
+    start = set(range(len(tiles)))
+    if torus:
+        start = naive_closed_walk_tiles(ts, "east", w) & naive_closed_walk_tiles(ts, "north", h)
+    doms = [set(start) for _ in range(w * h)]
     if boundary is not None:
         for x in range(w):
             if boundary.south is not None:

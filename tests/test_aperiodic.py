@@ -85,6 +85,17 @@ def test_no_small_torus():
             assert solve_torus(ts, p, q).status == UNSAT
 
 
+def test_odd_period_tori_are_refuted_at_their_start_domains():
+    # the 2x2 parity lattice puts every tile on closed walks of even length
+    # only, so a torus with an odd period starts with every cell empty
+    ts = robinson_tileset().tileset
+    for p in range(1, 13):
+        for q in range(1, 13):
+            if p % 2 or q % 2:
+                r = solve_torus(ts, p, q)
+                assert (r.status, r.nodes) == (UNSAT, 0)
+
+
 def test_translations_of_a_torus_are_refuted_once():
     # a bound, not a golden count: one refutation per translation of the
     # 32 x 32 torus takes over 5,000 nodes
@@ -142,14 +153,16 @@ def test_evidence_shares_one_node_budget():
     assert format_evidence(rep).endswith(
         "torus 1x1: SAT\nverdict: not aperiodic (periodic tiling with periods 1x1)\n")
     # columns of period 3 tile every square but no torus of height 1 or 2, so
-    # this sweep runs on past its tori; square n branches once per column,
-    # so squares 1 and 2 take 3 nodes and leave one for the 1x2 torus
+    # this sweep runs on past its tori, which their start domains refute at 0
+    # nodes (no tile is on a closed walk of 1 or 2 steps north); square n
+    # branches once per column, so squares 1 and 2 take 3 nodes and leave
+    # one of the 3 that square 3 needs
     cycle = make_tileset("cycle", [(1, 0, 0, 0), (2, 0, 1, 0), (0, 0, 2, 0)])
     rep = aperiodicity_evidence(cycle, max_square=4, max_period=2,
                                 budget=SearchBudget(max_nodes=4))
-    assert rep.budget_exhausted and rep.nodes == 4 and rep.completed_n == 1
-    assert rep.square_verdicts == ((1, SAT), (2, SAT))
-    assert rep.torus_verdicts == ((1, 1, UNSAT), (1, 2, UNKNOWN))
+    assert rep.budget_exhausted and rep.nodes == 4 and rep.completed_n == 2
+    assert rep.square_verdicts == ((1, SAT), (2, SAT), (3, UNKNOWN))
+    assert rep.torus_verdicts == ((1, 1, UNSAT), (1, 2, UNSAT), (2, 1, UNSAT), (2, 2, UNSAT))
     assert format_evidence(rep).endswith("verdict: inconclusive (budget exhausted)\n")
     # a budget that is not hit gives each search what it gets on its own
     rep = aperiodicity_evidence(cycle, max_square=4, max_period=2)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_count_tilings, naive_solve
+from oracles import naive_closed_walk_tiles, naive_count_tilings, naive_solve, naive_tilings
 from shiftforge import solve
 from shiftforge.aperiodic import aperiodicity_evidence, robinson_tileset
 from shiftforge.compilers import tm_initial_boundary, tm_to_tileset
@@ -249,10 +249,12 @@ def test_clock_budget_covers_every_search_node(monkeypatch):
 
 
 def test_clock_budget_covers_the_lex_leader_step(monkeypatch):
-    # columns of tiles 0 and 1 alternate, so an odd height leaves tile 2
-    # alone: the fourth propagation is the lex-leader step of the third and
-    # last node, which would answer SAT
-    odd = make_tileset("t", [(1, 0, 2, 0), (2, 0, 1, 0), (3, 0, 3, 0)])
+    # tiles 0 and 1 alternate both ways and tile 2 matches itself, so every
+    # tile is on closed walks of 2 and 3 steps (0 -> 1 -> 2 -> 0) and starts
+    # in every cell; but the 0/1 checkerboard needs even periods, so tiles 0
+    # and 1 fail at cell 0 and the fourth propagation is the lex-leader step
+    # of the third and last node, which would answer SAT
+    odd = make_tileset("t", [(0, 0, 1, 1), (1, 1, 0, 0), (1, 1, 1, 1)])
     r = solve_torus(odd, 2, 3)
     assert (r.status, r.nodes) == (SAT, 3)
     stop_the_clock_after_propagating(monkeypatch, 4)
@@ -352,7 +354,10 @@ INCREMENTER_4 = tm_to_tileset(INCREMENTER, 4)
 @example((make_tileset("t", [(0, 0, 0, 0), (1, 1, 1, 1)]), 2, 2, False,
           BoundaryConstraint(forced_cells=((1, 1, 0), (1, 1, 1)))))
 @example((make_tileset("t", [(0, 1, 0, 2), (1, 1, 1, 1)]), 1, 3, True, None))
-# a torus whose search the translation rule shortens: 5 nodes, not 14
+# a torus whose search the translation rule shortens: 4 nodes, not 11
+@example((make_tileset("t", [(0, 0, 1, 1), (0, 1, 1, 0), (1, 0, 0, 0), (1, 1, 1, 1)]),
+          3, 3, True, None))
+# one with 8 tilings, 3 of them with a tile at cell 0 that is not their least
 @example((make_tileset("t", [(0, 1, 1, 1), (1, 0, 0, 1), (1, 1, 1, 1), (1, 0, 1, 0)]),
           3, 3, True, None))
 @example((INCREMENTER_4.tileset, 4, 3, False, BoundaryConstraint(
@@ -369,9 +374,9 @@ INCREMENTER_4 = tm_to_tileset(INCREMENTER, 4)
 # a torus whose root domain lacks tile 0: cell 0 first tries the root's
 # least tile, tile 1, which drops nothing from the other cells (SAT after
 # 2 nodes); and one where tile 0 fails at cell 0 and tile 1, tried next,
-# drops tile 0 from every other cell (SAT after 3 nodes)
+# drops tile 0 from every other cell (SAT after 2 nodes)
 @example((make_tileset("t", [(0, 0, 1, 0), (1, 0, 1, 0), (1, 1, 1, 1)]), 2, 2, True, None))
-@example((make_tileset("t", [(0, 1, 0, 0), (1, 0, 1, 0), (1, 1, 1, 1)]), 2, 2, True, None))
+@example((make_tileset("t", [(0, 0, 0, 1), (0, 0, 1, 1), (1, 1, 0, 0)]), 2, 2, True, None))
 def test_search_matches_naive_reference_solver(instance):
     ts, w, h, torus, boundary = instance
     if torus:
@@ -400,6 +405,36 @@ def test_torus_search_matches_naive_reference_solver(instance):
     r = solve_torus(ts, w, h)
     assert (r.status, r.tiling.cells if r.tiling else None, r.nodes) == \
         naive_solve(ts, w, h, torus=True)
+
+
+@settings(max_examples=200, deadline=None)
+# at most 4**6 grids, to keep the enumeration cheap
+@given(tile_lists(ntiles=(1, 4)),
+       st.sampled_from([(p, q) for p in (1, 2, 3) for q in (1, 2, 3) if p * q <= 6]))
+def test_torus_start_domains_drop_only_tiles_in_no_tiling(tiles, periods):
+    (c, tiles), (p, q) = tiles, periods
+    ts = make_tileset("h", tiles, num_colors=c)
+    mask = solve._closed_walk_tiles(ts, 1, p) & solve._closed_walk_tiles(ts, 0, q)
+    start = {t for t in range(len(tiles)) if mask >> t & 1}
+    assert start == naive_closed_walk_tiles(ts, "east", p) & naive_closed_walk_tiles(ts, "north", q)
+    for flat in naive_tilings(ts, p, q, torus=True):
+        assert set(flat) <= start
+
+
+def test_closed_walks_of_any_period_stop_at_a_repeat():
+    # east of tile 0 lies the 2-cycle 1 -> 2 -> 1, so tile 0 is on no closed
+    # walk and tiles 1 and 2 are on every even one; 10**18 steps would never
+    # finish, and no grid is built
+    ts = make_tileset("t", [(0, 1, 0, 0), (0, 2, 0, 1), (0, 1, 0, 2)])
+    tracemalloc.start()
+    try:
+        masks = [solve._closed_walk_tiles(ts, 1, p) for p in (10**18, 10**18 + 1)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert masks == [0b110, 0]
+    assert peak < 100_000
+    assert ts.closed_walks == {(1, 10**18): 0b110, (1, 10**18 + 1): 0}
 
 
 @st.composite
