@@ -129,7 +129,8 @@ class EvidenceReport:
     periodic_found: tuple[int, int] | None
     budget_exhausted: bool
     nodes: int = 0  # search nodes spent by all squares and tori together
-    completed_n: int = 0  # the largest n whose square and tori were all tried
+    # the largest n whose square and tori were all tried and left the domino problem open
+    completed_n: int = 0
 
     @property
     def unsat_square(self) -> int | None:

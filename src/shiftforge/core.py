@@ -57,26 +57,44 @@ class TileSet:
                     )
 
     @cached_property
-    def side_tables(self) -> tuple[tuple[tuple[int, ...], list[int], dict[int, int]], ...]:
-        """Per side k of `Tile.sides()` (opposite side k ^ 2): each tile's
-        color there, the bitset of the tiles showing each color there, and
-        the solver's memo from a domain (a tile bitset) to the tiles allowed
-        across that side.  Kept with this object, out of its equality, hash
-        and repr, so every solve of the set shares the memo."""
-        tables = []
-        for col in list(zip(*(t.sides() for t in self.tiles))) or [()] * 4:
-            by_color = [0] * len(self.colors)
+    def side_tables(self) -> tuple[SideTable, ...]:
+        """One `SideTable` per side k of `Tile.sides()`, facing side k ^ 2.
+        Kept with this object, out of its equality, hash and repr, so every
+        solve of the set shares the memos."""
+        cols = list(zip(*(t.sides() for t in self.tiles))) or [()] * 4
+        by_color = [[0] * len(self.colors) for _ in cols]
+        for row, col in zip(by_color, cols):
             for i, c in enumerate(col):
-                by_color[c] |= 1 << i
-            tables.append((col, by_color, {}))
-        return tuple(tables)
+                row[c] |= 1 << i
+        return tuple(SideTable(cols[k], by_color[k], by_color[k ^ 2]) for k in range(4))
 
-    @cached_property
-    def closed_walks(self) -> dict[tuple[int, int], int]:
-        """The solver's memo from (side k, period p) to the bitset of the
-        tiles on a closed walk of p steps across side k, kept like
-        `side_tables`."""
-        return {}
+
+class SideTable(dict):
+    """One side of a tile set's tiles: each tile's color there (`colors`),
+    the bitset of the tiles showing each color there (`mine`) and on the
+    opposite side (`theirs`), and the solver's closed-walk masks by period
+    (`walks`).
+
+    The dict is the solver's support memo, from a domain (a tile bitset) to
+    the tiles allowed across this side.  An entry depends on neither the
+    grid, its boundary nor the budget, so the memo is shared by every solve
+    of the set.  A miss ORs the opposite side's color class for each
+    distinct color the domain shows here and drops that color's tiles from
+    the domain, so it takes one step per color rather than per tile."""
+
+    def __init__(self, colors: tuple[int, ...], mine: list[int], theirs: list[int]):
+        super().__init__()
+        self.colors, self.mine, self.theirs = colors, mine, theirs
+        self.walks: dict[int, int] = {}
+
+    def __missing__(self, domain: int) -> int:
+        allowed, d = 0, domain
+        while d:
+            col = self.colors[(d & -d).bit_length() - 1]
+            allowed |= self.theirs[col]
+            d &= ~self.mine[col]
+        self[domain] = allowed
+        return allowed
 
 
 def make_tileset(

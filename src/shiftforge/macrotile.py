@@ -118,8 +118,8 @@ def _least_map(source: TileSet, target: TileSet, bijective: bool) -> TileSetMap 
 
     Forward checking, depth first over the source tiles in index order:
     image v for tile i masks the images left to tile i itself (a tile can
-    meet itself) and to every later tile with v's by-color rows of
-    `TileSet.side_tables`, the row where the source colors match and
+    meet itself) and to every later tile with the rows of `SideTable.theirs`
+    at v's colors, the row where the source colors match and
     (bijective) its complement where they differ, v dropped.  Masks drop
     only images that break a constraint with an assigned tile and images
     ascend, so the first complete map is the least."""
@@ -140,7 +140,7 @@ def _least_map(source: TileSet, target: TileSet, bijective: bool) -> TileSetMap 
         doms[0] ^= low
         v = low.bit_length() - 1
         assign[i:] = [v]
-        fits = [tables[k ^ 2][1][tables[k][0][v]] for k in range(4)]
+        fits = [side.theirs[side.colors[v]] for side in tables]
         misses, keep = ([~f for f in fits], ~low) if bijective else ([-1] * 4, -1)
         mine = sides[i]
         new = []

@@ -15,23 +15,19 @@ propagates.  The loop ends when the stack is empty, when `limit` tilings
 are found or when the budget is spent.
 
 Domains are tile bitsets.  The support a domain gives its neighbor across
-one side is memoized per side, keyed by the domain alone.  The memo is
-kept with the tile set and shared by every solve of it
-(`TileSet.side_tables`), since an entry depends on neither the grid, its
-boundary nor the budget.  A miss ORs the opposite side's color class for
-each distinct color the domain shows on that side, one step per color
-rather than per tile.  Each side keeps a flat array of the cell across it
-from every cell, -1 at a rectangle's edge, so set-up allocates no per-cell
-object.  After an assignment, narrowed cells go through a FIFO queue.  The
-initial propagation revises every cell in row-major order, and a cell
-narrowed again after its own revision goes to the front of the queue
-rather than behind the rest of the grid, where it would start another wave
-through every row; on Turing-machine space-time diagrams this cuts the
-revisions per cell from about 5 to 1.7.  Arc consistency has a unique
-greatest fixpoint; every revision order reaches it, stopping early only
-when it holds an empty domain.  So the queue order changes neither a
-wipeout verdict nor the domains the search continues from, and node counts
-and witnesses do not depend on it.
+one side is read from that side's `SideTable`, a memo kept with the tile
+set and shared by every solve of it.  Each side keeps a flat array of the
+cell across it from every cell, -1 at a rectangle's edge, so set-up
+allocates no per-cell object.  After an assignment, narrowed cells go
+through a FIFO queue.  The initial propagation revises every cell in
+row-major order, and a cell narrowed again after its own revision goes to
+the front of the queue rather than behind the rest of the grid, where it
+would start another wave through every row; on Turing-machine space-time
+diagrams this cuts the revisions per cell from about 5 to 1.7.  Arc
+consistency has a unique greatest fixpoint; every revision order reaches
+it, stopping early only when it holds an empty domain.  So the queue order
+changes neither a wipeout verdict nor the domains the search continues
+from, and node counts and witnesses do not depend on it.
 
 A torus has p*q translations, and a search for its first tiling would
 refute each of them separately.  So when that search (`solve_torus`, and
@@ -56,7 +52,7 @@ would try tile after tile at cell 0 of an odd-period torus over Robinson's
 2 x 2 parity lattice; the rule starts every cell of one empty.  The walks
 stop at their first repeated set, so any period costs a bounded number of
 steps, and one mask per side and period is kept with the tile set
-(`TileSet.closed_walks`).  At p = 1 the rule keeps the tiles that match
+(`SideTable.walks`).  At p = 1 the rule keeps the tiles that match
 themselves, so a period-1 axis needs no special case.
 
 Budgets are counted in search nodes (one node per attempted assignment)
@@ -116,49 +112,31 @@ class SearchResult:
     nodes: int = 0
 
 
-def _across(d: int, colors: tuple[int, ...], mine: list[int], theirs: list[int]) -> int:
-    """The tiles allowed across one side of domain `d`, given each tile's
-    color on that side and the tiles by color on it (`mine`) and on the
-    opposite side (`theirs`): one step per distinct color `d` shows there."""
-    allowed = 0
-    while d:
-        col = colors[(d & -d).bit_length() - 1]
-        allowed |= theirs[col]
-        d &= ~mine[col]
-    return allowed
-
-
 def _closed_walk_tiles(tileset: TileSet, k: int, period: int) -> int:
     """Bitset of the tiles on a closed walk of `period` steps across side k
-    of `Tile.sides()`, memoized in `TileSet.closed_walks`.  Tiles showing
-    one color on side k reach the same set in one step, so one walk per
-    color steps that set through side k's memo; once the set repeats, the
-    walk jumps ahead by the cycle, so it takes at most one step per
+    of `Tile.sides()`, memoized in that side's `SideTable.walks`.  Tiles
+    showing one color on side k reach the same set in one step, so one walk
+    per color steps that set through side k's memo; once the set repeats,
+    the walk jumps ahead by the cycle, so it takes at most one step per
     distinct set whatever the period."""
-    masks = tileset.closed_walks
-    if (k, period) not in masks:
-        colors, mine, memo = tileset.side_tables[k]
-        theirs = tileset.side_tables[k ^ 2][1]
+    side = tileset.side_tables[k]
+    if period not in side.walks:
         mask = 0
-        for col, tiles in enumerate(mine):
+        for col, tiles in enumerate(side.mine):
             if not tiles:
                 continue
             # walk[i]: the tiles i + 1 steps from a tile of color col
-            walk, seen = [theirs[col]], {}
+            walk, seen = [side.theirs[col]], {}
             while len(walk) < period and walk[-1] not in seen:
-                d = walk[-1]
-                seen[d] = len(walk) - 1
-                nd = memo.get(d)
-                if nd is None:
-                    nd = memo[d] = _across(d, colors, mine, theirs)
-                walk.append(nd)
+                seen[walk[-1]] = len(walk) - 1
+                walk.append(side[walk[-1]])
             i = len(walk) - 1
             if i < period - 1:  # walk[i] repeats walk[j]
                 j = seen[walk[i]]
                 i = j + (period - 1 - j) % (i - j)
             mask |= walk[i] & tiles
-        masks[k, period] = mask
-    return masks[k, period]
+        side.walks[period] = mask
+    return side.walks[period]
 
 
 def _setup(tileset: TileSet, w: int, h: int, wrap: bool,
@@ -192,7 +170,7 @@ def _setup(tileset: TileSet, w: int, h: int, wrap: bool,
             for c, color in zip(cells, seq):
                 if not 0 <= color < ncolors:
                     raise InvalidInput(f"boundary color {color} outside universe")
-                dom[c] &= tables[k][1][color]
+                dom[c] &= tables[k].mine[color]
         for x, y, ti in boundary.forced_cells:
             if not (0 <= x < w and 0 <= y < h):
                 raise InvalidInput(f"forced cell ({x}, {y}) outside rectangle")
@@ -204,8 +182,7 @@ def _setup(tileset: TileSet, w: int, h: int, wrap: bool,
 
     # east, west, north, south: (the cell across that side from every cell,
     # c + step, or at the edge the wrapped cell c + step - jump or -1; the
-    # tile set's memo domain -> tiles allowed on the neighbor; each tile's
-    # color on that side; tiles by color on that side and the opposite one).
+    # tile set's `SideTable` for that side).
     sides = []
     for k, step, jump, edge in ((1, 1, w, slice(w - 1, None, w)),
                                 (3, -1, -w, slice(0, None, w)),
@@ -213,8 +190,7 @@ def _setup(tileset: TileSet, w: int, h: int, wrap: bool,
                                 (2, -w, -total, slice(0, w))):
         neighbors = list(range(step, total + step))
         neighbors[edge] = [c - jump if wrap else -1 for c in neighbors[edge]]
-        colors, by_color, memo = tables[k]
-        sides.append((neighbors, memo, colors, by_color, tables[k ^ 2][1]))
+        sides.append((neighbors, tables[k]))
         if time.monotonic() > deadline:
             return None
     return dom, sides
@@ -239,15 +215,12 @@ def _propagate(dom: list[int], dirty: tuple[int] | range, sides: list[tuple],
         c = queue.popleft()
         in_queue[c] = 0
         dc = dom[c]
-        for neighbors, memo, colors, mine, theirs in sides:
+        for neighbors, table in sides:
             nc = neighbors[c]
             if nc < 0:
                 continue
-            allowed = memo.get(dc)
-            if allowed is None:
-                allowed = memo[dc] = _across(dc, colors, mine, theirs)
             old = dom[nc]
-            nd = old & allowed
+            nd = old & table[dc]
             if nd != old:
                 if nd == 0:
                     return False

@@ -9,6 +9,7 @@ is checked against the 2D patterns a spec was lifted to.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from itertools import count, islice, product
 from typing import Callable, Iterable, Iterator
@@ -124,6 +125,8 @@ def check_sequence(
     """
     if budget < 1:
         raise InvalidInput("budget must be positive")
+    if budget > sys.maxsize:
+        raise InvalidInput("budget must be at most sys.maxsize")
     _check_letters(spec.alphabet, s)
     source = spec.source.generate()
     words = []  # only words that fit in s can occur in it

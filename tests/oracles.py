@@ -109,6 +109,15 @@ def naive_closed_walk_tiles(ts: TileSet, side: str, p: int) -> set[int]:
     return {t for t in range(n) if power[t][t]}
 
 
+def naive_allowed(ts: TileSet, k: int, d: int) -> set[int]:
+    """Indices of the tiles allowed across side k of `Tile.sides()` from
+    the tiles in bitset d: those whose opposite side (k ^ 2) shows side
+    k's color of some tile in d."""
+    sides = [t.sides() for t in ts.tiles]
+    shown = {s[k] for i, s in enumerate(sides) if d >> i & 1}
+    return {u for u, s in enumerate(sides) if s[k ^ 2] in shown}
+
+
 def naive_blocks(ts: TileSet, n: int) -> list[tuple[tuple[int, ...], ...]]:
     """Every valid n x n block as rows of tile indices, bottom-up, in
     lexicographic order: all stacks of n horizontally valid rows whose

@@ -383,6 +383,9 @@ TM_HEAD = "tm states=q0,q1 start=q0 blank=0\n"
      "line 1: expected colors=<...>, got '4'"),
     ({"t": "tileset t colors=-1\n"}, ["solve", "t", "--mode", "rect", "1", "1"],
      "line 1: color count must not be negative"),
+    ({"s": SUBSHIFT_11, "w": "window 2 1\n01\n"},
+     ["verify", "s", "w", "--budget", "99999999999999999999"],
+     "budget must be at most sys.maxsize"),
 ])
 def test_each_input_error_has_its_own_line(tmp_path, monkeypatch, capsys, files, argv,
                                            message):

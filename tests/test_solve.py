@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_closed_walk_tiles, naive_count_tilings, naive_solve, naive_tilings
+from oracles import (naive_allowed, naive_closed_walk_tiles, naive_count_tilings,
+                     naive_solve, naive_tilings)
 from shiftforge import solve
 from shiftforge.aperiodic import aperiodicity_evidence, robinson_tileset
 from shiftforge.compilers import tm_initial_boundary, tm_to_tileset
@@ -434,7 +435,23 @@ def test_closed_walks_of_any_period_stop_at_a_repeat():
         tracemalloc.stop()
     assert masks == [0b110, 0]
     assert peak < 100_000
-    assert ts.closed_walks == {(1, 10**18): 0b110, (1, 10**18 + 1): 0}
+    assert ts.side_tables[1].walks == {10**18: 0b110, 10**18 + 1: 0}
+
+
+@settings(max_examples=200, deadline=None)
+@given(tile_lists(ntiles=(0, 6)), st.integers(0, 2), st.data())
+def test_each_side_table_allows_what_the_oracle_allows(tiles, unused, data):
+    # `unused` extra colors no tile shows; the empty domain is always looked
+    # up, and each lookup stores its entry (`get` never fills the memo)
+    c, tiles = tiles
+    ts = make_tileset("h", tiles, num_colors=c + unused)
+    domains = data.draw(st.lists(st.integers(0, (1 << len(tiles)) - 1), max_size=6)) + [0]
+    for k, table in enumerate(ts.side_tables):
+        for d in domains:
+            got = table[d]
+            assert {u for u in range(len(tiles)) if got >> u & 1} == naive_allowed(ts, k, d)
+            assert table.get(d) == got
+        assert table.keys() == set(domains)
 
 
 @st.composite
@@ -491,7 +508,7 @@ def test_solves_sharing_a_tile_set_match_solves_of_a_fresh_copy(sequence):
             elif complete:
                 assert status == UNSAT
         # what the fresh copy memoized, the shared set memoized alike
-        for (_, _, mine), (_, _, theirs) in zip(shared.side_tables, fresh.side_tables):
+        for mine, theirs in zip(shared.side_tables, fresh.side_tables):
             assert theirs.items() <= mine.items()
 
 
@@ -499,7 +516,7 @@ def test_a_tile_sets_tables_die_with_it():
     ts = make_tileset("t", [(0, 1, 0, 1), (1, 0, 1, 0), (1, 1, 1, 1)])
     solve_torus(ts, 2, 2)
     count_rectangle(ts, 3, 3)
-    assert all(memo for _, _, memo in ts.side_tables)
+    assert all(ts.side_tables)
     alive = weakref.ref(ts)
     del ts
     gc.collect()

@@ -1,4 +1,5 @@
 import itertools
+import sys
 import tracemalloc
 
 import pytest
@@ -81,6 +82,13 @@ def test_check_sequence_explicit_budget_one_sided():
     assert check_sequence(spec, "a", budget=2).kind == BUDGET_EXHAUSTED_CLEAN
     # a hit within the budget is still reported
     assert check_sequence(spec, "aa", budget=2).kind == VIOLATION
+
+
+def test_check_sequence_budget_fits_in_sys_maxsize():
+    spec = Subshift1dSpec(("a", "b"), ExplicitWords(("bb",)))
+    assert check_sequence(spec, "ab", budget=sys.maxsize).kind == CLEAN
+    with pytest.raises(InvalidInput, match="budget must be at most sys.maxsize"):
+        check_sequence(spec, "ab", budget=sys.maxsize + 1)
 
 
 def test_check_sequence_stream_budget():
