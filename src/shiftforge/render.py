@@ -9,6 +9,7 @@ bytes.
 from __future__ import annotations
 
 import hashlib
+import sys
 from dataclasses import dataclass
 
 from .core import Grid, TileSet, validate_tiling
@@ -41,7 +42,10 @@ def render(tileset: TileSet, tiling: Grid, spec: RenderSpec = RenderSpec()) -> b
     if not validate_tiling(tileset, tiling):
         raise MalformedInput("tiling does not validate against the tile set")
     if spec.format == PPM:
-        return _render_ppm(tileset, tiling, spec.cell_pixels)
+        c = spec.cell_pixels
+        if 3 * (tiling.width * c) * (tiling.height * c) > sys.maxsize:
+            raise InvalidInput("PPM body must be at most sys.maxsize bytes")
+        return _render_ppm(tileset, tiling, c)
     return _render_svg(tileset, tiling, spec.cell_pixels)
 
 

@@ -27,7 +27,10 @@ diagrams this cuts the revisions per cell from about 5 to 1.7.  Arc
 consistency has a unique greatest fixpoint; every revision order reaches
 it, stopping early only when it holds an empty domain.  So the queue order
 changes neither a wipeout verdict nor the domains the search continues
-from, and node counts and witnesses do not depend on it.
+from, and node counts and witnesses do not depend on it.  A search with no
+boundary starts every cell from one domain; when that domain supports
+itself across every side, it is already the fixpoint, so the initial
+propagation revises no cell and moves no domain, count or witness.
 
 A torus has p*q translations, and a search for its first tiling would
 refute each of them separately.  So when that search (`solve_torus`, and
@@ -266,7 +269,11 @@ def _run(tileset: TileSet, w: int, h: int, boundary: BoundaryConstraint | None,
     stack: list[tuple[list[int], int, int]] = []  # (domains, cell, untried tiles)
     # built once: a torus search may sweep every cell at each tile of cell 0
     slices = [range(c, min(c + _SWEEP_SLICE, total)) for c in range(0, total, _SWEEP_SLICE)]
-    ok = _sweep_cells(dom, slices, sides, deadline)  # None once past the deadline
+    # a boundary-free start u that supports itself is already the fixpoint:
+    # sweep no cell, but still read the clock (ok is None past the deadline)
+    u = dom[0]
+    settled = boundary is None and all(u & table[u] == u for _, table in sides)
+    ok = _sweep_cells(dom, [range(0)] if settled else slices, sides, deadline)
     lex_leader = wrap and limit == 1
     while ok is not None:
         if ok:

@@ -386,6 +386,9 @@ TM_HEAD = "tm states=q0,q1 start=q0 blank=0\n"
     ({"s": SUBSHIFT_11, "w": "window 2 1\n01\n"},
      ["verify", "s", "w", "--budget", "99999999999999999999"],
      "budget must be at most sys.maxsize"),
+    ({"t": ONE_TILE, "g": "0 0\n"},
+     ["render", "t", "g", "--cell-pixels", "99999999999999999999", "--out", "x.ppm"],
+     "PPM body must be at most sys.maxsize bytes"),
 ])
 def test_each_input_error_has_its_own_line(tmp_path, monkeypatch, capsys, files, argv,
                                            message):
@@ -524,6 +527,18 @@ def test_a_clock_budget_covers_the_initial_propagation(tmp_path, capsys, monkeyp
     one.write_text("tileset t colors=1\ntile 0 0 0 0\n")
     assert main(["solve", str(one), "--mode", "rect", "100", "100", "--budget-ms", "1"]) == 0
     assert capsys.readouterr().out == "UNKNOWN\n"
+
+
+def test_a_clock_budget_covers_each_slice_of_an_initial_propagation_with_work(
+        tmp_path, capsys, monkeypatch):
+    # tile 1 fits only in the east column, so the sweep revises all 10,000
+    # cells in three slices; the clock stops it after the first
+    returned = stop_the_clock_after_propagating(monkeypatch)
+    two = tmp_path / "two.tiles"
+    two.write_text("tileset t colors=2\ntile 0 0 0 0\ntile 0 1 0 0\n")
+    assert main(["solve", str(two), "--mode", "rect", "100", "100", "--budget-ms", "1"]) == 0
+    assert capsys.readouterr().out == "UNKNOWN\n"
+    assert len(returned) == 1
 
 
 NINES = "9" * 400

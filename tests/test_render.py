@@ -80,6 +80,14 @@ def test_render_spec_validation():
         RenderSpec(format="png")
 
 
+def test_a_ppm_body_past_sys_maxsize_bytes_is_rejected_before_drawing():
+    # 3 * 10**40 bytes; drawing even one pixel row of it would never end
+    with pytest.raises(InvalidInput):
+        render(TS, ONE, RenderSpec(cell_pixels=10**20))
+    # an SVG's size does not grow with the cell size
+    assert render(TS, ONE, RenderSpec(cell_pixels=10**20, format=SVG)).startswith(b"<svg")
+
+
 def test_render_is_deterministic():
     a = render(TS, ONE, RenderSpec(cell_pixels=5))
     b = render(TS, ONE, RenderSpec(cell_pixels=5))

@@ -220,7 +220,7 @@ def stop_the_clock_after_propagating(monkeypatch, calls=1):
     `calls` times (a sweep slice or a search step each), then jumps past
     every deadline: only a solver that reads the clock after that call
     answers UNKNOWN, however fast the machine and however often set-up
-    reads the clock."""
+    reads the clock.  Returns the list that gains an entry per return."""
     returned = []
     propagate = solve._propagate
 
@@ -232,6 +232,7 @@ def stop_the_clock_after_propagating(monkeypatch, calls=1):
     monkeypatch.setattr(solve, "_propagate", propagate_then_count)
     monkeypatch.setattr(solve, "time", SimpleNamespace(
         monotonic=lambda: 1e9 if len(returned) >= calls else 0.0))
+    return returned
 
 
 def test_clock_budget_covers_the_initial_propagation(monkeypatch):
@@ -239,6 +240,18 @@ def test_clock_budget_covers_the_initial_propagation(monkeypatch):
     one = make_tileset("t", [(0, 0, 0, 0)])
     r = solve_rectangle(one, 100, 100, budget=SearchBudget(1, 1))
     assert (r.status, r.nodes) == (UNKNOWN, 0)
+
+
+def test_clock_budget_covers_each_slice_of_an_initial_propagation_with_work(monkeypatch):
+    # a boundary makes the sweep revise all 10,000 cells in three slices;
+    # the clock passes the deadline once the first slice has propagated,
+    # so the other two are not revised
+    returned = stop_the_clock_after_propagating(monkeypatch)
+    one = make_tileset("t", [(0, 0, 0, 0)])
+    r = solve_rectangle(one, 100, 100, BoundaryConstraint(north=(0,) * 100),
+                        SearchBudget(1, 1))
+    assert (r.status, r.nodes) == (UNKNOWN, 0)
+    assert len(returned) == 1
 
 
 def test_clock_budget_covers_every_search_node(monkeypatch):
@@ -261,6 +274,68 @@ def test_clock_budget_covers_the_lex_leader_step(monkeypatch):
     stop_the_clock_after_propagating(monkeypatch, 4)
     r = solve_torus(odd, 2, 3, budget=SearchBudget(max_millis=1))
     assert (r.status, r.nodes) == (UNKNOWN, 3)
+
+
+def record_propagated_cells(monkeypatch) -> list[list[int]]:
+    """The cells each `_propagate` call starts from, in call order."""
+    starts = []
+    propagate = solve._propagate
+
+    def record_then_propagate(dom, dirty, *args):
+        starts.append(list(dirty))
+        return propagate(dom, dirty, *args)
+
+    monkeypatch.setattr(solve, "_propagate", record_then_propagate)
+    return starts
+
+
+def sweep_slices(total: int) -> list[list[int]]:
+    return [list(range(c, min(c + solve._SWEEP_SLICE, total)))
+            for c in range(0, total, solve._SWEEP_SLICE)]
+
+
+def solved(r: SearchResult) -> tuple:
+    return r.status, r.tiling.cells if r.tiling else None, r.nodes
+
+
+def test_a_start_that_supports_itself_is_not_swept(monkeypatch):
+    # with no boundary every cell of the square starts from all of
+    # Robinson's tiles, which support themselves across every side
+    starts = record_propagated_cells(monkeypatch)
+    rob = robinson_tileset().tileset
+    r = solve_rectangle(rob, 12, 12)
+    assert starts[0] == []
+    assert solved(r) == naive_solve(rob, 12, 12)
+
+
+def test_a_boundary_sweeps_every_cell_slice_by_slice(monkeypatch):
+    # the start domain supports itself, but the boundary may narrow it
+    starts = record_propagated_cells(monkeypatch)
+    one = make_tileset("t", [(0, 0, 0, 0)])
+    boundary = BoundaryConstraint(north=(0,) * 70)
+    r = solve_rectangle(one, 70, 70, boundary)
+    assert starts == sweep_slices(70 * 70) and len(starts) == 2
+    assert solved(r) == naive_solve(one, 70, 70, boundary=boundary)
+
+
+def test_a_start_that_does_not_support_itself_sweeps_every_cell(monkeypatch):
+    # tile 1's east color is no tile's west color, so tile 1 fits only in
+    # the east column: the start narrows with no boundary
+    starts = record_propagated_cells(monkeypatch)
+    ts = make_tileset("t", [(0, 0, 0, 0), (0, 1, 0, 0)])
+    r = solve_rectangle(ts, 3, 3)
+    assert starts[:1] == sweep_slices(9)
+    assert solved(r) == naive_solve(ts, 3, 3)
+
+
+def test_the_lex_leader_step_sweeps_every_cell(monkeypatch):
+    # the torus start supports itself, so only the initial sweep is empty;
+    # tile 0 fails at cell 0 and tile 1 drops it from every other cell
+    starts = record_propagated_cells(monkeypatch)
+    odd = make_tileset("t", [(0, 0, 1, 1), (1, 1, 0, 0), (1, 1, 1, 1)])
+    r = solve_torus(odd, 2, 3)
+    assert starts[:3] == [[], [0], list(range(6))]
+    assert solved(r) == naive_solve(odd, 2, 3, torus=True)
 
 
 @pytest.mark.parametrize("limit", [0, -3])
