@@ -225,21 +225,13 @@ def naive_first_occurrence(grid, patterns):
     return min(hits, default=None)
 
 
-def naive_solve(ts: TileSet, w: int, h: int, torus: bool = False,
-                boundary=None):
-    """(status, cells, nodes) of the documented search, computed naively.
-
-    Cells are tried in row-major order (bottom row first) and tiles in
-    ascending index order; a cell whose domain is already a single tile is
-    skipped.  Every attempted assignment is one node and is followed by arc
-    consistency recomputed from scratch to a full fixpoint.  On a torus,
-    every cell starts from the tiles on a closed walk of w steps east and
-    of h steps north, since each row and column of a tiling is one; and
-    assigning tile t to cell 0 also removes every tile below t from every
-    other cell: some translate of any torus tiling has its least tile at
-    cell 0, so the least tiling survives.  `cells` is the first solution as
-    rows of tile indices, or None.
-    """
+def naive_start_domains(ts: TileSet, w: int, h: int, torus: bool = False,
+                        boundary=None) -> list[set[int]]:
+    """Each cell's tiles before any propagation, in row-major order (bottom
+    row first): on a torus, the tiles on a closed walk of w steps east and
+    of h steps north, since each row and column of a tiling is one; on a
+    rectangle, the tiles showing `boundary`'s colors on its edges and its
+    forced tiles."""
     tiles = ts.tiles
     start = set(range(len(tiles)))
     if torus:
@@ -261,6 +253,15 @@ def naive_solve(ts: TileSet, w: int, h: int, torus: bool = False,
                 doms[c] = {i for i in doms[c] if tiles[i].east == boundary.east[y]}
         for x, y, i in boundary.forced_cells:
             doms[y * w + x] &= {i}
+    return doms
+
+
+def naive_arc_consistency(ts: TileSet, w: int, h: int, torus: bool,
+                          doms: list[set[int]]) -> bool:
+    """Narrow `doms` in place to their arc-consistency fixpoint, revising
+    every pair of adjacent cells until a pass changes nothing.  False if a
+    domain ends empty."""
+    tiles = ts.tiles
     # (cell, its side, neighbor, the neighbor's facing side)
     arcs = []
     for y in range(h):
@@ -273,22 +274,37 @@ def naive_solve(ts: TileSet, w: int, h: int, torus: bool = False,
     def fits(a, side_a, b, side_b):
         return getattr(tiles[a], side_a) == getattr(tiles[b], side_b)
 
-    def consistent(doms):
-        changed = True
-        while changed:
-            changed = False
-            for a, sa, b, sb in arcs:
-                if a == b:  # period-1 axis: the tile meets itself
-                    new_a = {i for i in doms[a] if fits(i, sa, i, sb)}
-                    new_b = new_a
-                else:
-                    new_a = {i for i in doms[a] if any(fits(i, sa, j, sb) for j in doms[b])}
-                    new_b = {j for j in doms[b] if any(fits(i, sa, j, sb) for i in doms[a])}
-                if new_a != doms[a] or new_b != doms[b]:
-                    doms[a], doms[b] = new_a, new_b
-                    changed = True
-        return all(doms)
+    changed = True
+    while changed:
+        changed = False
+        for a, sa, b, sb in arcs:
+            if a == b:  # period-1 axis: the tile meets itself
+                new_a = {i for i in doms[a] if fits(i, sa, i, sb)}
+                new_b = new_a
+            else:
+                new_a = {i for i in doms[a] if any(fits(i, sa, j, sb) for j in doms[b])}
+                new_b = {j for j in doms[b] if any(fits(i, sa, j, sb) for i in doms[a])}
+            if new_a != doms[a] or new_b != doms[b]:
+                doms[a], doms[b] = new_a, new_b
+                changed = True
+    return all(doms)
 
+
+def naive_solve(ts: TileSet, w: int, h: int, torus: bool = False,
+                boundary=None):
+    """(status, cells, nodes) of the documented search, computed naively.
+
+    Cells start from `naive_start_domains` and are tried in row-major order
+    (bottom row first) and tiles in ascending index order; a cell whose
+    domain is already a single tile is skipped.  Every attempted assignment
+    is one node and is followed by `naive_arc_consistency`, recomputed from
+    scratch to a full fixpoint.  On a torus, assigning tile t to cell 0 also
+    removes every tile below t from every other cell: some translate of any
+    torus tiling has its least tile at cell 0, so the least tiling
+    survives.  `cells` is the first solution as rows of tile indices, or
+    None.
+    """
+    doms = naive_start_domains(ts, w, h, torus, boundary)
     nodes = 0
 
     def search(doms, cell):
@@ -303,13 +319,13 @@ def naive_solve(ts: TileSet, w: int, h: int, torus: bool = False,
             trial[cell] = {i}
             if torus and cell == 0:
                 trial = [{j for j in d if j >= i} for d in trial]
-            if consistent(trial):
+            if naive_arc_consistency(ts, w, h, torus, trial):
                 found = search(trial, cell + 1)
                 if found is not None:
                     return found
         return None
 
-    found = search(doms, 0) if consistent(doms) else None
+    found = search(doms, 0) if naive_arc_consistency(ts, w, h, torus, doms) else None
     if found is None:
         return "UNSAT", None, nodes
     return "SAT", tuple(tuple(found[y * w:(y + 1) * w]) for y in range(h)), nodes

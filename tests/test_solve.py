@@ -3,23 +3,25 @@ import random
 import time
 import tracemalloc
 import weakref
+from collections import deque
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (naive_allowed, naive_closed_walk_tiles, naive_count_tilings,
-                     naive_solve, naive_tilings)
+from oracles import (naive_allowed, naive_arc_consistency, naive_closed_walk_tiles,
+                     naive_count_tilings, naive_solve, naive_start_domains,
+                     naive_tilings, tm_run)
 from shiftforge import solve
 from shiftforge.aperiodic import aperiodicity_evidence, robinson_tileset
-from shiftforge.compilers import tm_initial_boundary, tm_to_tileset
+from shiftforge.compilers import decode_row, tm_initial_boundary, tm_to_tileset
 from shiftforge.core import make_tileset, validate_tiling
 from shiftforge.errors import InvalidInput
 from shiftforge.solve import (SAT, UNKNOWN, UNSAT, BoundaryConstraint,
                               SearchBudget, SearchResult, count_rectangle,
                               enumerate_tilings, solve_rectangle, solve_torus)
-from test_compilers import INCREMENTER
+from test_compilers import INCREMENTER, counter, run_and_check
 
 
 def random_tileset(rng, max_tiles=4, max_colors=3):
@@ -420,9 +422,17 @@ def solve_instances(draw, ntiles=(1, 6), max_side=4, torus=st.booleans()):
     return make_tileset("h", tiles, num_colors=c), w, h, False, boundary
 
 
-# an incrementer's space-time diagram with its bottom row forced, on which
-# the initial propagation narrows cells again after their revision
+# an incrementer's space-time diagram with its bottom row forced: the
+# initial propagation revises each of its 12 cells once
 INCREMENTER_4 = tm_to_tileset(INCREMENTER, 4)
+INCREMENTER_4_SOUTH = BoundaryConstraint(
+    south=tm_initial_boundary(INCREMENTER, INCREMENTER_4, "1", 4, 3).south)
+# the same diagram with only its top row forced, to the colors its halted
+# row shows north: the top row is narrowed before the rows below it are
+# revised, and narrows them again after their revision
+INCREMENTER_4_NORTH = BoundaryConstraint(north=tuple(
+    INCREMENTER_4.tileset.tiles[t].north for t in solve_rectangle(
+        INCREMENTER_4.tileset, 4, 3, INCREMENTER_4_SOUTH).tiling.cells[-1]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -436,8 +446,8 @@ INCREMENTER_4 = tm_to_tileset(INCREMENTER, 4)
 # one with 8 tilings, 3 of them with a tile at cell 0 that is not their least
 @example((make_tileset("t", [(0, 1, 1, 1), (1, 0, 0, 1), (1, 1, 1, 1), (1, 0, 1, 0)]),
           3, 3, True, None))
-@example((INCREMENTER_4.tileset, 4, 3, False, BoundaryConstraint(
-    south=tm_initial_boundary(INCREMENTER, INCREMENTER_4, "1", 4, 3).south)))
+@example((INCREMENTER_4.tileset, 4, 3, False, INCREMENTER_4_SOUTH))
+@example((INCREMENTER_4.tileset, 4, 3, False, INCREMENTER_4_NORTH))
 # tori of period 1 or 2 over tiles whose opposite sides differ: a cell is
 # its own neighbor across a period-1 axis, and across a period-2 axis both
 # of its neighbors are the same cell
@@ -481,6 +491,82 @@ def test_torus_search_matches_naive_reference_solver(instance):
     r = solve_torus(ts, w, h)
     assert (r.status, r.tiling.cells if r.tiling else None, r.nodes) == \
         naive_solve(ts, w, h, torus=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(solve_instances(max_side=6))
+@example((INCREMENTER_4.tileset, 4, 3, False, INCREMENTER_4_SOUTH))
+@example((INCREMENTER_4.tileset, 4, 3, False, INCREMENTER_4_NORTH))
+def test_the_initial_propagation_reaches_the_arc_consistency_fixpoint(instance):
+    # at every slice length, so that cells pull from east neighbors that a
+    # later slice revises
+    ts, w, h, torus, boundary = instance
+    doms = naive_start_domains(ts, w, h, torus, boundary)
+    fixpoint = doms if naive_arc_consistency(ts, w, h, torus, doms) else None
+    sweep_cells = solve._sweep_cells
+    for cells in (1, 2, 3, 4096):
+        swept = []
+
+        def record_sweep(dom, *args):
+            ok = sweep_cells(dom, *args)
+            swept.append([{t for t in range(len(ts.tiles)) if d >> t & 1} for d in dom]
+                         if ok else None)
+            return ok
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solve, "_SWEEP_SLICE", cells)
+            mp.setattr(solve, "_sweep_cells", record_sweep)
+            budget = SearchBudget(max_nodes=1)  # only the initial propagation matters
+            if torus:
+                solve_torus(ts, w, h, budget)
+            else:
+                solve_rectangle(ts, w, h, boundary, budget)
+        # an empty start domain is a wipeout found before any sweep
+        assert (swept[0] if swept else None) == fixpoint
+
+
+def count_revisions(monkeypatch) -> list[int]:
+    """A one-item list counting the cells `_propagate` revises from now on:
+    each revision pops one cell from its queue."""
+    revisions = [0]
+
+    class CountingDeque(deque):
+        def popleft(self):
+            revisions[0] += 1
+            return super().popleft()
+
+    monkeypatch.setattr(solve, "deque", CountingDeque)
+    return revisions
+
+
+@pytest.mark.parametrize("mirrored", [False, True], ids=["plain", "mirrored"])
+@pytest.mark.parametrize("decrement", [False, True], ids=["inc", "dec"])
+def test_a_forced_counter_diagram_takes_one_revision_per_cell(monkeypatch, decrement,
+                                                              mirrored):
+    # a 6-bit counter counts through 898 rows of an 8-cell tape: 7,184
+    # cells, two slices of the initial propagation.  Each cell takes its
+    # east neighbor's support before its revision, and no revision narrows
+    # a cell revised before it.
+    tape = "#" + ("1" if decrement else "0") * 6 + "#"
+    n = len(tape)
+    head = n - 1 if mirrored else 0
+    tm = counter(decrement, mirrored)
+    height = len(tm_run(tm, tape, n, head=head))
+    assert n * height > solve._SWEEP_SLICE
+    revisions = count_revisions(monkeypatch)
+    comp, _, configs, r = run_and_check(tm, tape, n, height, head=head)
+    assert (r.status, r.nodes, revisions[0]) == (SAT, 0, n * height)
+    assert [decode_row(comp, r.tiling, y) for y in range(height)] == configs
+
+
+def test_a_cell_narrowed_after_its_revision_is_revised_again(monkeypatch):
+    revisions = count_revisions(monkeypatch)
+    south = solve_rectangle(INCREMENTER_4.tileset, 4, 3, INCREMENTER_4_SOUTH)
+    assert (south.nodes, revisions[0]) == (0, 12)
+    revisions[0] = 0
+    north = solve_rectangle(INCREMENTER_4.tileset, 4, 3, INCREMENTER_4_NORTH)
+    assert north.nodes == 0 and revisions[0] > 12
+    assert north.tiling == south.tiling
 
 
 @settings(max_examples=200, deadline=None)
