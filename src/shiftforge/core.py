@@ -60,7 +60,7 @@ class TileSet:
     def side_tables(self) -> tuple[SideTable, ...]:
         """One `SideTable` per side k of `Tile.sides()`, facing side k ^ 2.
         Kept with this object, out of its equality, hash and repr, so every
-        solve of the set shares the memos."""
+        solve of the set shares them."""
         cols = list(zip(*(t.sides() for t in self.tiles))) or [()] * 4
         by_color = [[0] * len(self.colors) for _ in cols]
         for row, col in zip(by_color, cols):
@@ -68,33 +68,50 @@ class TileSet:
                 row[c] |= 1 << i
         return tuple(SideTable(cols[k], by_color[k], by_color[k ^ 2]) for k in range(4))
 
+    @cached_property
+    def supports(self) -> Supports:
+        """The solver's support memo, from a domain (a tile bitset) to the
+        tiles allowed across each side, in `Tile.sides()` order.  An entry
+        depends on neither the grid, its boundary nor the budget, so the
+        memo is kept with this object like `side_tables` and shared by
+        every solve of the set."""
+        return Supports(self.side_tables)
 
-class SideTable(dict):
+
+class SideTable:
     """One side of a tile set's tiles: each tile's color there (`colors`),
     the bitset of the tiles showing each color there (`mine`) and on the
     opposite side (`theirs`), and the solver's closed-walk masks by period
-    (`walks`).
-
-    The dict is the solver's support memo, from a domain (a tile bitset) to
-    the tiles allowed across this side.  An entry depends on neither the
-    grid, its boundary nor the budget, so the memo is shared by every solve
-    of the set.  A miss ORs the opposite side's color class for each
-    distinct color the domain shows here and drops that color's tiles from
-    the domain, so it takes one step per color rather than per tile."""
+    (`walks`)."""
 
     def __init__(self, colors: tuple[int, ...], mine: list[int], theirs: list[int]):
-        super().__init__()
         self.colors, self.mine, self.theirs = colors, mine, theirs
         self.walks: dict[int, int] = {}
 
-    def __missing__(self, domain: int) -> int:
-        allowed, d = 0, domain
-        while d:
-            col = self.colors[(d & -d).bit_length() - 1]
+    def allowed(self, domain: int) -> int:
+        """The tiles allowed across this side of the tiles in `domain`: the
+        opposite side's color class for each distinct color the domain
+        shows here.  Each color's tiles are dropped from the domain once
+        seen, so it takes one step per color rather than per tile."""
+        allowed = 0
+        while domain:
+            col = self.colors[(domain & -domain).bit_length() - 1]
             allowed |= self.theirs[col]
-            d &= ~self.mine[col]
-        self[domain] = allowed
+            domain &= ~self.mine[col]
         return allowed
+
+
+class Supports(dict):
+    """`TileSet.supports`: a miss fills the domain's entry for all four
+    sides at once, so a revision looks its domain up once."""
+
+    def __init__(self, tables: tuple[SideTable, ...]):
+        super().__init__()
+        self.tables = tables
+
+    def __missing__(self, domain: int) -> tuple[int, ...]:
+        sup = self[domain] = tuple(table.allowed(domain) for table in self.tables)
+        return sup
 
 
 def make_tileset(

@@ -14,14 +14,15 @@ Each try copies the domains, assigns the least untried tile and
 propagates.  The loop ends when the stack is empty, when `limit` tilings
 are found or when the budget is spent.
 
-Domains are tile bitsets.  The support a domain gives its neighbor across
-one side is read from that side's `SideTable`, a memo kept with the tile
-set and shared by every solve of it.  Each side keeps a flat array of the
-cell across it from every cell, -1 at a rectangle's edge, so set-up
-allocates no per-cell object.  After an assignment, narrowed cells go
-through a FIFO queue.  The initial propagation revises every cell in
-row-major order.  Before it revises a cell, the cell takes the support of
-its east neighbor, which the sweep has not revised yet but the row below
+Domains are tile bitsets.  The support a domain gives its neighbors is read
+from the tile set's support memo (`TileSet.supports`), kept with the set
+and shared by every solve of it: one lookup gives the tiles allowed across
+all four sides, so a revision looks its domain up once.  Each side keeps a
+flat array of the cell across it from every cell, -1 at a rectangle's edge,
+so set-up allocates no per-cell object.  After an assignment, narrowed
+cells go through a FIFO queue.  The initial propagation revises every cell
+in row-major order.  Before it revises a cell, the cell takes the support
+of its east neighbor, which the sweep has not revised yet but the row below
 has narrowed; so a revision seldom narrows a cell already revised.  A cell
 that is narrowed again anyway goes to the front of the queue rather than
 behind the rest of the grid, where it would start another wave through
@@ -76,7 +77,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
-from .core import Grid, TileSet
+from .core import Grid, Supports, TileSet
 from .errors import InvalidInput
 
 SAT = "SAT"
@@ -123,10 +124,10 @@ def _closed_walk_tiles(tileset: TileSet, k: int, period: int) -> int:
     """Bitset of the tiles on a closed walk of `period` steps across side k
     of `Tile.sides()`, memoized in that side's `SideTable.walks`.  Tiles
     showing one color on side k reach the same set in one step, so one walk
-    per color steps that set through side k's memo; once the set repeats,
-    the walk jumps ahead by the cycle, so it takes at most one step per
-    distinct set whatever the period."""
-    side = tileset.side_tables[k]
+    per color steps that set through entry k of the support memo; once the
+    set repeats, the walk jumps ahead by the cycle, so it takes at most one
+    step per distinct set whatever the period."""
+    side, memo = tileset.side_tables[k], tileset.supports
     if period not in side.walks:
         mask = 0
         for col, tiles in enumerate(side.mine):
@@ -136,7 +137,7 @@ def _closed_walk_tiles(tileset: TileSet, k: int, period: int) -> int:
             walk, seen = [side.theirs[col]], {}
             while len(walk) < period and walk[-1] not in seen:
                 seen[walk[-1]] = len(walk) - 1
-                walk.append(side[walk[-1]])
+                walk.append(memo[walk[-1]][k])
             i = len(walk) - 1
             if i < period - 1:  # walk[i] repeats walk[j]
                 j = seen[walk[i]]
@@ -189,7 +190,7 @@ def _setup(tileset: TileSet, w: int, h: int, wrap: bool,
 
     # east, west, north, south: (the cell across that side from every cell,
     # c + step, or at the edge the wrapped cell c + step - jump or -1; the
-    # tile set's `SideTable` for that side).
+    # side's index k in `Tile.sides()` and in each entry of the support memo).
     sides = []
     for k, step, jump, edge in ((1, 1, w, slice(w - 1, None, w)),
                                 (3, -1, -w, slice(0, None, w)),
@@ -197,15 +198,19 @@ def _setup(tileset: TileSet, w: int, h: int, wrap: bool,
                                 (2, -w, -total, slice(0, w))):
         neighbors = list(range(step, total + step))
         neighbors[edge] = [c - jump if wrap else -1 for c in neighbors[edge]]
-        sides.append((neighbors, tables[k]))
+        sides.append((neighbors, k))
         if time.monotonic() > deadline:
             return None
     return dom, sides
 
 
 def _propagate(dom: list[int], dirty: tuple[int] | range, sides: list[tuple],
-               pending: bytearray | None = None) -> bool:
+               memo: Supports, pending: bytearray | None = None) -> bool:
     """AC to fixpoint over `_setup`'s sides from `dirty` cells.  False on wipeout.
+
+    A revision reads the revised cell's support across all four sides from
+    one lookup in `memo`, the tile set's support memo, and narrows each
+    neighbor by the entry for its side.
 
     Search steps revise in FIFO order from their one cell.  A sweep of every
     cell (the initial propagation, the torus's lex-leader step) passes
@@ -213,16 +218,17 @@ def _propagate(dom: list[int], dirty: tuple[int] | range, sides: list[tuple],
     when narrowed, since the sweep revises it anyway, and a cell narrowed
     again after its revision goes to the front of the queue.  Before the
     sweep revises a cell, the cell takes the support of its east neighbor
-    if that neighbor is still pending: the row-major sweep has not revised
-    it, but the row below and the boundary have narrowed it.  A forced
-    Turing-machine space-time diagram then takes one revision per cell."""
+    if that neighbor is still pending, one more lookup: the row-major sweep
+    has not revised it, but the row below and the boundary have narrowed
+    it.  A forced Turing-machine space-time diagram then takes one revision
+    per cell."""
     queue = deque(dirty)
     if pending is None:
         # the lone start cell is popped before anything is pushed
         in_queue, push = bytearray(len(dom)), queue.append
     else:
         in_queue, push = pending, queue.appendleft
-    (east, _), (_, west) = sides[:2]
+    east = sides[0][0]
     while queue:
         c = queue.popleft()
         in_queue[c] = 0
@@ -230,16 +236,17 @@ def _propagate(dom: list[int], dirty: tuple[int] | range, sides: list[tuple],
         if pending is not None:
             e = east[c]
             if e >= 0 and pending[e]:
-                dc &= west[dom[e]]
+                dc &= memo[dom[e]][3]  # across e's west side
                 if not dc:
                     return False
                 dom[c] = dc
-        for neighbors, table in sides:
+        sup = memo[dc]
+        for neighbors, k in sides:
             nc = neighbors[c]
             if nc < 0:
                 continue
             old = dom[nc]
-            nd = old & table[dc]
+            nd = old & sup[k]
             if nd != old:
                 if nd == 0:
                     return False
@@ -251,13 +258,13 @@ def _propagate(dom: list[int], dirty: tuple[int] | range, sides: list[tuple],
 
 
 def _sweep_cells(dom: list[int], slices: list[range], sides: list[tuple],
-                 deadline: float) -> bool | None:
+                 memo: Supports, deadline: float) -> bool | None:
     """`_propagate` from every cell, a row-major slice at a time, with a
     clock read after each slice (a slice ends with an empty queue, so the
     slicing moves no revision): False on wipeout, None past `deadline`."""
     pending = bytearray(b"\1") * len(dom)
     for cells in slices:
-        ok = _propagate(dom, cells, sides, pending)
+        ok = _propagate(dom, cells, sides, memo, pending)
         if time.monotonic() > deadline:
             return None
         if not ok:
@@ -277,6 +284,7 @@ def _run(tileset: TileSet, w: int, h: int, boundary: BoundaryConstraint | None,
     if setup is None:
         return [], 0, False, 0
     dom, sides = setup
+    memo = tileset.supports
     if 0 in dom:  # only a start domain can be empty: narrowing stops short of one
         return [], 0, True, 0
     total = w * h
@@ -288,8 +296,8 @@ def _run(tileset: TileSet, w: int, h: int, boundary: BoundaryConstraint | None,
     # a boundary-free start u that supports itself is already the fixpoint:
     # sweep no cell, but still read the clock (ok is None past the deadline)
     u = dom[0]
-    settled = boundary is None and all(u & table[u] == u for _, table in sides)
-    ok = _sweep_cells(dom, [range(0)] if settled else slices, sides, deadline)
+    settled = boundary is None and all(u & s == u for s in memo[u])
+    ok = _sweep_cells(dom, [range(0)] if settled else slices, sides, memo, deadline)
     lex_leader = wrap and limit == 1
     while ok is not None:
         if ok:
@@ -318,11 +326,11 @@ def _run(tileset: TileSet, w: int, h: int, boundary: BoundaryConstraint | None,
             # the root holds one domain everywhere: drop cell 0's lower tiles
             dom = [parent[0] & -lsb] * total
             dom[0] = lsb
-            ok = _sweep_cells(dom, slices, sides, deadline)
+            ok = _sweep_cells(dom, slices, sides, memo, deadline)
         else:
             dom = parent.copy()
             dom[cell] = lsb
-            ok = _propagate(dom, (cell,), sides)
+            ok = _propagate(dom, (cell,), sides, memo)
         cell += 1
     return tilings, found, False, nodes
 

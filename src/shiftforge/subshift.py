@@ -79,7 +79,7 @@ def all_words_min_len(alphabet: tuple[str, ...], min_len: int) -> Iterator[str]:
 def make_stream(name: str, alphabet: tuple[str, ...], params: list[str]) -> WordStream:
     if name != "all_words_min_len":
         raise InvalidSpec(f"unknown stream generator {name!r}")
-    if len(params) != 1 or not params[0].isdigit():
+    if len(params) != 1 or not params[0].isdecimal():
         raise InvalidSpec("all_words_min_len takes one integer parameter")
     min_len = int(params[0])
     return WordStream(

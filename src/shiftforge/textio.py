@@ -216,7 +216,7 @@ def parse_tm(text: str) -> TmSpec:
     for ln, directive, args in _directives(_lines(text), forms):
         if directive == "tm":
             spec = _kv(args[0], "states", ln)
-            if spec.isdigit():
+            if spec.isdecimal():
                 states = tuple(f"q{i}" for i in range(int(spec)))
             else:
                 states = tuple(spec.split(","))

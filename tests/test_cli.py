@@ -389,6 +389,12 @@ TM_HEAD = "tm states=q0,q1 start=q0 blank=0\n"
     ({"t": ONE_TILE, "g": "0 0\n"},
      ["render", "t", "g", "--cell-pixels", "99999999999999999999", "--out", "x.ppm"],
      "PPM body must be at most sys.maxsize bytes"),
+    # '²' is a digit to `str.isdigit` but not to `int`: a state name, not a count
+    ({"m": "tm states=² start=q0 blank=0\n"}, ["compile", "m", "--kind", "tm"],
+     "start state not in state set"),
+    ({"s": "subshift alphabet=0,1\nstream all_words_min_len ²\n"},
+     ["compile", "s", "--kind", "subshift1d"],
+     "line 2: all_words_min_len takes one integer parameter"),
 ])
 def test_each_input_error_has_its_own_line(tmp_path, monkeypatch, capsys, files, argv,
                                            message):

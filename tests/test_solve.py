@@ -16,7 +16,7 @@ from oracles import (naive_allowed, naive_arc_consistency, naive_closed_walk_til
 from shiftforge import solve
 from shiftforge.aperiodic import aperiodicity_evidence, robinson_tileset
 from shiftforge.compilers import decode_row, tm_initial_boundary, tm_to_tileset
-from shiftforge.core import make_tileset, validate_tiling
+from shiftforge.core import SideTable, make_tileset, validate_tiling
 from shiftforge.errors import InvalidInput
 from shiftforge.solve import (SAT, UNKNOWN, UNSAT, BoundaryConstraint,
                               SearchBudget, SearchResult, count_rectangle,
@@ -607,12 +607,29 @@ def test_each_side_table_allows_what_the_oracle_allows(tiles, unused, data):
     c, tiles = tiles
     ts = make_tileset("h", tiles, num_colors=c + unused)
     domains = data.draw(st.lists(st.integers(0, (1 << len(tiles)) - 1), max_size=6)) + [0]
-    for k, table in enumerate(ts.side_tables):
-        for d in domains:
-            got = table[d]
-            assert {u for u in range(len(tiles)) if got >> u & 1} == naive_allowed(ts, k, d)
-            assert table.get(d) == got
-        assert table.keys() == set(domains)
+    memo = ts.supports
+    for d in domains:
+        got = memo[d]
+        assert len(got) == 4
+        for k, allowed in enumerate(got):
+            assert {u for u in range(len(tiles)) if allowed >> u & 1} == naive_allowed(ts, k, d)
+        assert memo.get(d) == got
+    assert memo.keys() == set(domains)
+
+
+def test_a_domain_misses_once_and_fills_every_side(monkeypatch):
+    # the first lookup asks each side's table once, in `Tile.sides()` order;
+    # a second lookup asks none
+    ts = make_tileset("t", [(0, 1, 0, 1), (1, 0, 1, 0), (1, 1, 1, 1)])
+    asked = []
+    allowed = SideTable.allowed
+    monkeypatch.setattr(SideTable, "allowed",
+                        lambda table, d: asked.append((table, d)) or allowed(table, d))
+    first = ts.supports[0b011]
+    assert asked == [(table, 0b011) for table in ts.side_tables]
+    assert ts.supports[0b011] is first
+    assert len(asked) == 4
+    assert dict(ts.supports) == {0b011: first}
 
 
 @st.composite
@@ -669,19 +686,18 @@ def test_solves_sharing_a_tile_set_match_solves_of_a_fresh_copy(sequence):
             elif complete:
                 assert status == UNSAT
         # what the fresh copy memoized, the shared set memoized alike
-        for mine, theirs in zip(shared.side_tables, fresh.side_tables):
-            assert theirs.items() <= mine.items()
+        assert fresh.supports.items() <= shared.supports.items()
 
 
 def test_a_tile_sets_tables_die_with_it():
     ts = make_tileset("t", [(0, 1, 0, 1), (1, 0, 1, 0), (1, 1, 1, 1)])
     solve_torus(ts, 2, 2)
     count_rectangle(ts, 3, 3)
-    assert all(ts.side_tables)
-    alive = weakref.ref(ts)
+    assert ts.supports and all(table.walks for table in ts.side_tables[:2])
+    alive = [weakref.ref(ts), weakref.ref(ts.supports)]
     del ts
     gc.collect()
-    assert alive() is None
+    assert [ref() for ref in alive] == [None, None]
 
 
 def test_domino_honours_shared_node_budget():
