@@ -13,7 +13,7 @@ from .macrotile import (BUDGET_EXCEEDED, MacroTileSet, TileSetMap,
                         check_isomorphism, find_simulation, macro_tiles)
 from .solve import (SAT, UNKNOWN, UNSAT, BoundaryConstraint, SearchBudget,
                     SearchResult, count_rectangle, enumerate_tilings,
-                    solve_rectangle, solve_torus, sweep)
+                    solve_rectangle, solve_torus)
 from .subshift import (BUDGET_EXHAUSTED_CLEAN, CLEAN, VIOLATION,
                        ExplicitWords, Subshift1dSpec, WordStream,
                        check_sequence, check_window, lift_1d)

@@ -32,11 +32,12 @@ the machine-checkable shadow of aperiodicity at desk scale.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 from .core import TileSet, make_tileset
 from .errors import InvalidInput
-from .solve import SAT, UNKNOWN, UNSAT, SearchBudget, sweep
+from .solve import SAT, UNKNOWN, UNSAT, SearchBudget, solve_rectangle, solve_torus
 
 ROBINSON_TILE_COUNT = 104
 
@@ -123,19 +124,20 @@ class EvidenceReport:
     """Desk-scale aperiodicity evidence: squares keep tiling while no
     torus does.  A genuine aperiodicity proof is out of scope."""
 
-    largest_sat_square: int
     square_verdicts: tuple[tuple[int, str], ...]
     torus_verdicts: tuple[tuple[int, int, str], ...]
-    periodic_found: tuple[int, int] | None
-    budget_exhausted: bool
-    nodes: int = 0  # search nodes spent by all squares and tori together
+    nodes: int  # search nodes spent by all squares and tori together
     # the largest n whose square and tori were all tried and left the domino problem open
-    completed_n: int = 0
+    completed_n: int
+    # set by the instance that ends the walk, if one does
+    unsat_square: int | None = None  # an UNSAT square rules out any plane tiling
+    periodic_found: tuple[int, int] | None = None
+    budget_exhausted: bool = False
 
     @property
-    def unsat_square(self) -> int | None:
-        """Side of the square found UNSAT, which rules out any plane tiling."""
-        return next((n for n, st in self.square_verdicts if st == UNSAT), None)
+    def largest_sat_square(self) -> int:
+        """The walk tries squares 1, 2, ... up to the first that is not SAT."""
+        return sum(st == SAT for _, st in self.square_verdicts)
 
     @property
     def consistent_with_aperiodicity(self) -> bool:
@@ -145,23 +147,49 @@ class EvidenceReport:
 
 def aperiodicity_evidence(tileset: TileSet, max_square: int, max_period: int,
                           budget: SearchBudget = SearchBudget()) -> EvidenceReport:
-    """Run the square/torus evidence suite against any tile set: every
-    record of `sweep`, with the tori listed in lexicographic order.  All
-    searches share one node total and one deadline, and the report ends
-    where the sweep does: at `unsat_square`, `periodic_found` or UNKNOWN."""
+    """Walk the squares and tori of any tile set: for n = 1, 2, ... the n x n
+    square if n <= max_square, then the tori with max(p, q) == n if
+    n <= max_period, in lexicographic order.  The report lists all the tori
+    in lexicographic order.
+
+    The walk ends at the first instance that answers the domino problem: an
+    UNSAT square rules out any plane tiling (by compactness a set tiles the
+    plane iff it tiles every square), and a SAT torus repeats into a
+    periodic one.  A set that tiles the plane only aperiodically answers
+    neither way.  All searches share one node total and one deadline; once
+    either is spent, the walk ends at the next instance as UNKNOWN, with 0
+    nodes, even where its start domains would refute it at 0 nodes.  So an
+    exact budget can stop one level short: Robinson `solve --mode domino 6`
+    spends 14 nodes, and prints `UNDETERMINED completed_n=5` at
+    `--budget-nodes 14` but `completed_n=6` at 15."""
     if max_square < 1 or max_period < 1:
         raise InvalidInput("bounds must be positive")
-    records = list(sweep(tileset, max_square, max_period, budget))
-    squares = tuple((w, st) for kind, w, _, st, _ in records if kind == "square")
-    tori = tuple(sorted((w, h, st) for kind, w, h, st, _ in records if kind == "torus"))
-    largest = sum(st == SAT for _, st in squares)
-    periodic = next(((p, q) for p, q, st in tori if st == SAT), None)
-    kind, w, h, last, _ = records[-1]
-    # the sweep goes on only past a SAT square or an UNSAT torus
-    ended = last != (SAT if kind == "square" else UNSAT)
-    return EvidenceReport(largest, squares, tori, periodic, last == UNKNOWN,
-                          sum(r[4] for r in records),
-                          max(w, h) - 1 if ended else max(max_square, max_period))
+    squares, tori, spent = [], [], 0
+    deadline = time.monotonic() + budget.max_millis / 1000.0
+    top = max(max_square, max_period)
+    for n in range(1, top + 1):
+        level = [(n, n, True)] if n <= max_square else []
+        if n <= max_period:
+            level += [(p, q, False) for p in range(1, n + 1) for q in range(1, n + 1)
+                      if max(p, q) == n]
+        for w, h, square in level:
+            ms = int((deadline - time.monotonic()) * 1000)
+            status = UNKNOWN
+            if spent < budget.max_nodes and ms >= 1:
+                solver = solve_rectangle if square else solve_torus
+                r = solver(tileset, w, h, budget=SearchBudget(budget.max_nodes - spent, ms))
+                spent, status = spent + r.nodes, r.status
+            if square:
+                squares.append((n, status))
+            else:
+                tori.append((w, h, status))
+            # only a SAT square or an UNSAT torus leaves the domino problem open, so
+            # the walk ends at UNSAT only on a square and at SAT only on a torus
+            if status != (SAT if square else UNSAT):
+                return EvidenceReport(tuple(squares), tuple(sorted(tori)), spent, n - 1,
+                                      n if status == UNSAT else None,
+                                      (w, h) if status == SAT else None, status == UNKNOWN)
+    return EvidenceReport(tuple(squares), tuple(sorted(tori)), spent, top)
 
 
 def format_evidence(report: EvidenceReport) -> str:

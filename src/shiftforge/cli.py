@@ -63,6 +63,8 @@ def cmd_solve(args) -> int:
     ts, _ = parse_tileset(Path(args.tileset).read_text())
     budget = _budget(args)
     mode = args.mode[0]
+    if mode not in ("rect", "torus", "domino"):
+        raise InvalidInput(f"unknown solve mode {mode!r}")
     dims = [_int_arg(x, f"{mode} dimension") for x in args.mode[1:]]
     if mode in ("rect", "torus"):
         if len(dims) != 2:
@@ -71,7 +73,7 @@ def cmd_solve(args) -> int:
         solver = solve_rectangle if mode == "rect" else solve_torus
         r = solver(ts, dims[0], dims[1], budget=budget)
         body = serialize_tiling(r.tiling) if r.status == SAT else r.status + "\n"
-    elif mode == "domino":
+    else:
         if len(dims) != 1:
             raise InvalidInput("domino mode takes max_n")
         if dims[0] < 1:
@@ -83,8 +85,6 @@ def cmd_solve(args) -> int:
             body = f"NO_TILING {rep.unsat_square}\n"
         else:
             body = f"UNDETERMINED completed_n={rep.completed_n}\n"
-    else:
-        raise InvalidInput(f"unknown solve mode {mode!r}")
     _emit(body, args.out)
     return EXIT_OK
 
@@ -126,7 +126,7 @@ def cmd_verify(args) -> int:
     # the columns are constant, so every row equals row 0
     v = check_sequence(spec, "".join(window.cells[0]), budget=args.budget)
     if v.kind == VIOLATION:
-        print(f"VIOLATION {v.word} at row 0 position {v.position}")
+        print(f"VIOLATION {v.match} at row 0 position {v.x}")
     else:
         print(v.kind)
     return EXIT_OK

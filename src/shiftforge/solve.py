@@ -38,8 +38,8 @@ itself across every side, it is already the fixpoint, so the initial
 propagation revises no cell and moves no domain, count or witness.
 
 A torus has p*q translations, and a search for its first tiling would
-refute each of them separately.  So when that search (`solve_torus`, and
-the `sweep` behind `evidence` and `domino`) branches on cell 0 with tile t, it
+refute each of them separately.  So when that search (`solve_torus`, also
+as called by `aperiodicity_evidence`) branches on cell 0 with tile t, it
 drops every tile below t from every other cell: the lex-leader rule of
 Crawford, Ginsberg, Luks and Roy (KR 1996).  Some translate of any torus
 tiling has its least tile at cell 0, so the rule prunes no least witness
@@ -394,35 +394,3 @@ def enumerate_tilings(tileset: TileSet, w: int, h: int,
         raise InvalidInput("limit must be positive")
     tilings, _, complete, _ = _run(tileset, w, h, boundary, budget, wrap, limit)
     return tilings, complete
-
-
-def sweep(tileset: TileSet, max_square: int, max_period: int,
-          budget: SearchBudget = SearchBudget()):
-    """(kind, w, h, status, nodes) of each "square" and "torus" instance:
-    for n = 1, 2, ... the n x n square if n <= max_square, then the tori with
-    max(p, q) == n if n <= max_period, in lexicographic order.  All searches
-    share one node total and one deadline; once either is spent the next
-    instance is UNKNOWN with 0 nodes.  The sweep ends at an UNKNOWN record
-    and at the first that answers the domino problem: an UNSAT square rules
-    out any plane tiling (by compactness a set tiles the plane iff it tiles
-    every square), and a SAT torus repeats into a periodic one.  A set that
-    tiles the plane only aperiodically answers neither way."""
-    spent = 0
-    deadline = time.monotonic() + budget.max_millis / 1000.0
-    for n in range(1, max(max_square, max_period) + 1):
-        level = [("square", n, n)] if n <= max_square else []
-        if n <= max_period:
-            level += [("torus", p, q) for p in range(1, n + 1) for q in range(1, n + 1)
-                      if max(p, q) == n]
-        for kind, w, h in level:
-            ms = int((deadline - time.monotonic()) * 1000)
-            if spent >= budget.max_nodes or ms < 1:
-                yield kind, w, h, UNKNOWN, 0
-                return
-            solver = solve_rectangle if kind == "square" else solve_torus
-            r = solver(tileset, w, h, budget=SearchBudget(budget.max_nodes - spent, ms))
-            spent += r.nodes
-            yield kind, w, h, r.status, r.nodes
-            if r.status != (SAT if kind == "square" else UNSAT):
-                return
-

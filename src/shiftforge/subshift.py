@@ -92,16 +92,13 @@ def make_stream(name: str, alphabet: tuple[str, ...], params: list[str]) -> Word
 
 
 @dataclass(frozen=True)
-class SequenceVerdict:
+class Verdict:
+    """A string's or a window's check; a violation names its match (the
+    forbidden word, or the forbidden pattern's index) and where it starts,
+    a word's at y = 0."""
+
     kind: str  # CLEAN / VIOLATION / BUDGET_EXHAUSTED_CLEAN
-    word: str | None = None
-    position: int | None = None
-
-
-@dataclass(frozen=True)
-class WindowVerdict:
-    kind: str  # CLEAN / VIOLATION
-    pattern_index: int | None = None
+    match: str | int | None = None
     x: int | None = None
     y: int | None = None
 
@@ -115,7 +112,7 @@ def _check_letters(alphabet: tuple[str, ...], s: Iterable[str]) -> None:
 
 def check_sequence(
     spec: Subshift1dSpec, s: str, budget: int = DEFAULT_STREAM_BUDGET
-) -> SequenceVerdict:
+) -> Verdict:
     """Test a finite string against the spec's forbidden words.
 
     At most ``budget`` words are checked.  A source that has no more
@@ -139,11 +136,12 @@ def check_sequence(
     words.sort(key=len)
     hit = Patterns([(w,) for w in words]).first((s,))
     if hit is not None:
-        return SequenceVerdict(VIOLATION, words[hit[2]], hit[1])
+        y, x, i = hit
+        return Verdict(VIOLATION, words[i], x, y)
     # one word past the budget tells a cut-off source from a finished one
     if next(source, None) is not None:
-        return SequenceVerdict(BUDGET_EXHAUSTED_CLEAN)
-    return SequenceVerdict(CLEAN)
+        return Verdict(BUDGET_EXHAUSTED_CLEAN)
+    return Verdict(CLEAN)
 
 
 def lift_1d(spec: Subshift1dSpec) -> SftSpec:
@@ -162,13 +160,13 @@ def lift_1d(spec: Subshift1dSpec) -> SftSpec:
     return SftSpec(spec.alphabet, tuple(patterns))
 
 
-def check_window(spec: SftSpec, w: Grid) -> WindowVerdict:
+def check_window(spec: SftSpec, w: Grid) -> Verdict:
     """Scan a window for forbidden-pattern occurrences; on a hit, report
-    the least (y, x, pattern_index) triple."""
+    the least (y, x, pattern index) triple."""
     for row in w.cells:
         _check_letters(spec.alphabet, row)
     hit = Patterns([p.cells for p in spec.forbidden]).first(w.cells)
     if hit is None:
-        return WindowVerdict(CLEAN)
-    y, x, pi = hit
-    return WindowVerdict(VIOLATION, pi, x, y)
+        return Verdict(CLEAN)
+    y, x, i = hit
+    return Verdict(VIOLATION, i, x, y)

@@ -10,7 +10,7 @@ from shiftforge.aperiodic import (ROBINSON_TILE_COUNT, _signal_tiles,
 from shiftforge.core import make_tileset, validate_tiling
 from shiftforge.errors import InvalidInput
 from shiftforge.solve import (SAT, UNKNOWN, UNSAT, SearchBudget, solve_rectangle,
-                              solve_torus, sweep)
+                              solve_torus)
 
 
 def test_tile_count_and_normal_form():
@@ -146,14 +146,14 @@ def test_evidence_shares_one_node_budget():
     rep = aperiodicity_evidence(free, max_square=4, max_period=2,
                                 budget=SearchBudget(max_nodes=2))
     # square 1 and torus 1x1 take a node each, and the SAT torus ends the
-    # sweep before square 2 would need a third
+    # walk before square 2 would need a third
     assert not rep.budget_exhausted and rep.nodes == 2 and rep.completed_n == 0
     assert rep.square_verdicts == ((1, SAT),)
     assert rep.torus_verdicts == ((1, 1, SAT),)
     assert format_evidence(rep).endswith(
         "torus 1x1: SAT\nverdict: not aperiodic (periodic tiling with periods 1x1)\n")
     # columns of period 3 tile every square but no torus of height 1 or 2, so
-    # this sweep runs on past its tori, which their start domains refute at 0
+    # this walk runs on past its tori, which their start domains refute at 0
     # nodes (no tile is on a closed walk of 1 or 2 steps north); square n
     # branches once per column, so squares 1 and 2 take 3 nodes and leave
     # one of the 3 that square 3 needs
@@ -190,24 +190,21 @@ def test_a_node_budget_only_turns_verdicts_unknown(run, max_nodes):
     budget = SearchBudget(max_nodes=max_nodes)
     rep = aperiodicity_evidence(ts, max_square, max_period, budget)
     full = aperiodicity_evidence(ts, max_square, max_period)
-    # in sweep order, a budget only cuts the records short at an UNKNOWN one
-    got = list(sweep(ts, max_square, max_period, budget))
-    want = list(sweep(ts, max_square, max_period))
-    k = len(got)
-    assert got[:k - 1] == want[:k - 1]
-    if got[-1][3] == UNKNOWN:
-        assert got[-1][:3] == want[k - 1][:3]
-    else:
-        assert got == want
-    assert rep.nodes == sum(r[4] for r in got) <= max_nodes
-    assert len(rep.square_verdicts) + len(rep.torus_verdicts) == k
-    verdicts = [v for _, v in rep.square_verdicts] + [v for _, _, v in rep.torus_verdicts]
-    assert rep.budget_exhausted == (UNKNOWN in verdicts)
-    if rep.budget_exhausted:
-        # every square the sweep reached before the budget ran out tiles
-        assert ([st for _, st in rep.square_verdicts if st != UNKNOWN]
-                == [SAT] * rep.largest_sat_square)
-    else:
+
+    def instances(report):
+        return ({(n, n, "square"): st for n, st in report.square_verdicts}
+                | {(p, q, "torus"): st for p, q, st in report.torus_verdicts})
+
+    got, want = instances(rep), instances(full)
+    # a budget cuts the walk short at one UNKNOWN instance, on the level
+    # after the last one it completed; every other instance is unchanged
+    unknown = [(w, h) for (w, h, _), st in got.items() if st == UNKNOWN]
+    assert rep.budget_exhausted == bool(unknown) and len(unknown) <= 1
+    assert all(max(w, h) == rep.completed_n + 1 for w, h in unknown)
+    assert got.keys() <= want.keys()
+    assert all(want[k] == st for k, st in got.items() if st != UNKNOWN)
+    assert rep.nodes <= max_nodes
+    if not rep.budget_exhausted:
         assert rep == full
     # an UNSAT square is certain whatever the tori say or the budget left
     if rep.square_verdicts[-1][1] == UNSAT:

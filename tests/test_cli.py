@@ -395,6 +395,8 @@ TM_HEAD = "tm states=q0,q1 start=q0 blank=0\n"
     ({"s": "subshift alphabet=0,1\nstream all_words_min_len ²\n"},
      ["compile", "s", "--kind", "subshift1d"],
      "line 2: all_words_min_len takes one integer parameter"),
+    # the mode is checked before its dimensions are parsed
+    ({"t": ONE_TILE}, ["solve", "t", "--mode", "bogus", "x"], "unknown solve mode 'bogus'"),
 ])
 def test_each_input_error_has_its_own_line(tmp_path, monkeypatch, capsys, files, argv,
                                            message):

@@ -355,7 +355,7 @@ def test_domino_all_zero_tile_periodic_1_1():
 
 def test_domino_mismatch_tile_no_tiling_at_2():
     # (n,e,s,w) = (0,1,0,2): 1x1 rect SAT, 1x1 torus UNSAT (e != w),
-    # 2x2 rect UNSAT -> sweep reports NO_TILING at n=2
+    # 2x2 rect UNSAT -> the walk reports NO_TILING at n=2
     ts = make_tileset("t", [(0, 1, 0, 2)])
     assert solve_rectangle(ts, 1, 1).status == SAT
     assert solve_torus(ts, 1, 1).status == UNSAT

@@ -27,7 +27,7 @@ def first_match(words, s):
     for source in (WordStream("words", lambda: iter(words)),
                    ExplicitWords(tuple(dict.fromkeys(words)))):
         v = check_sequence(Subshift1dSpec(("a", "b"), source), s)
-        got.append(None if v.kind == CLEAN else (v.word, v.position))
+        got.append(None if v.kind == CLEAN else (v.match, v.x))
     assert got[0] == got[1]
     return got[0]
 
@@ -67,7 +67,8 @@ def test_check_sequence_explicit_clean_and_violation():
     spec = Subshift1dSpec(("a", "b"), ExplicitWords(("bb",)))
     assert check_sequence(spec, "ababab").kind == CLEAN
     v = check_sequence(spec, "abba")
-    assert (v.kind, v.word, v.position) == (VIOLATION, "bb", 1)
+    # a word hit is on row 0
+    assert (v.kind, v.match, v.x, v.y) == (VIOLATION, "bb", 1, 0)
 
 
 def test_check_sequence_rejects_foreign_letters():
@@ -215,7 +216,7 @@ def test_check_window_reports_least_y_x_pattern():
     v = check_window(spec, Grid.from_rows(["0110", "0110"]))
     word_idx = [i for i, p in enumerate(spec.forbidden)
                 if (p.width, p.height) == (2, 1)][0]
-    assert (v.kind, v.y, v.x, v.pattern_index) == (VIOLATION, 0, 1, word_idx)
+    assert (v.kind, v.y, v.x, v.match) == (VIOLATION, 0, 1, word_idx)
 
 
 def test_check_window_uses_oracle_pattern_scan():
@@ -257,5 +258,5 @@ def test_check_window_matches_naive_least_occurrence(case):
     spec, window = case
     v = check_window(spec, window)
     want = naive_first_occurrence(window.cells, spec.forbidden)
-    got = None if v.kind == CLEAN else (v.y, v.x, v.pattern_index)
+    got = None if v.kind == CLEAN else (v.y, v.x, v.match)
     assert got == want
