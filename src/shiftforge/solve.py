@@ -19,7 +19,11 @@ from the tile set's support memo (`TileSet.supports`), kept with the set
 and shared by every solve of it: one lookup gives the tiles allowed across
 all four sides, so a revision looks its domain up once.  Each side keeps a
 flat array of the cell across it from every cell, -1 at a rectangle's edge,
-so set-up allocates no per-cell object.  After an assignment, narrowed
+so set-up allocates no per-cell object.  A revision narrows the four
+neighbors in four written-out blocks, east, west, north, south: a loop over
+the sides cost about 12% of the time of the solver's benchmark workloads.
+That order sets the order in which narrowed cells are queued, and so the
+revision counts the tests pin.  After an assignment, narrowed
 cells go through a FIFO queue.  The initial propagation revises every cell
 in row-major order.  Before it revises a cell, the cell takes the support
 of its east neighbor, which the sweep has not revised yet but the row below
@@ -149,10 +153,12 @@ def _closed_walk_tiles(tileset: TileSet, k: int, period: int) -> int:
 
 def _setup(tileset: TileSet, w: int, h: int, wrap: bool,
            boundary: BoundaryConstraint | None,
-           deadline: float) -> tuple[list[int], list[tuple]] | None:
+           deadline: float) -> tuple[list[int], list[list[int]]] | None:
     """Initial domains and sides of a rectangle, or of a torus if `wrap`;
     None once the clock passes `deadline`, which is read once the inputs
-    are validated and again after each neighbor array is built."""
+    are validated and again after each neighbor array is built.  An empty
+    start with no boundary to validate allocates no grid: it returns one
+    empty domain and no sides, which `_run` answers UNSAT."""
     if w < 1 or h < 1:
         raise InvalidInput("grid dimensions must be positive")
     if wrap and boundary is not None:
@@ -163,6 +169,8 @@ def _setup(tileset: TileSet, w: int, h: int, wrap: bool,
     start = (1 << n) - 1
     if wrap:
         start = _closed_walk_tiles(tileset, 1, w) & _closed_walk_tiles(tileset, 0, h)
+    if not start and boundary is None:
+        return [0], []
     total = w * h
     dom = [start] * total
     if boundary is not None:
@@ -188,29 +196,32 @@ def _setup(tileset: TileSet, w: int, h: int, wrap: bool,
     if time.monotonic() > deadline:
         return None
 
-    # east, west, north, south: (the cell across that side from every cell,
-    # c + step, or at the edge the wrapped cell c + step - jump or -1; the
-    # side's index k in `Tile.sides()` and in each entry of the support memo).
+    # east, west, north, south: the cell across that side from every cell,
+    # c + step, or at the edge the wrapped cell c + step - jump or -1
     sides = []
-    for k, step, jump, edge in ((1, 1, w, slice(w - 1, None, w)),
-                                (3, -1, -w, slice(0, None, w)),
-                                (0, w, total, slice(total - w, None)),
-                                (2, -w, -total, slice(0, w))):
+    for step, jump, edge in ((1, w, slice(w - 1, None, w)),
+                             (-1, -w, slice(0, None, w)),
+                             (w, total, slice(total - w, None)),
+                             (-w, -total, slice(0, w))):
         neighbors = list(range(step, total + step))
         neighbors[edge] = [c - jump if wrap else -1 for c in neighbors[edge]]
-        sides.append((neighbors, k))
+        sides.append(neighbors)
         if time.monotonic() > deadline:
             return None
     return dom, sides
 
 
-def _propagate(dom: list[int], dirty: tuple[int] | range, sides: list[tuple],
+def _propagate(dom: list[int], dirty: tuple[int] | range, sides: list[list[int]],
                memo: Supports, pending: bytearray | None = None) -> bool:
     """AC to fixpoint over `_setup`'s sides from `dirty` cells.  False on wipeout.
 
     A revision reads the revised cell's support across all four sides from
     one lookup in `memo`, the tile set's support memo, and narrows each
-    neighbor by the entry for its side.
+    neighbor by the entry for its side.  The four sides are written out as
+    four blocks: a loop over them cost about 12% of both solver workloads'
+    time.  Their order, east, west, north, south, sets the order in which
+    narrowed neighbors are queued, and with it the revision counts the
+    tests pin.
 
     Search steps revise in FIFO order from their one cell.  A sweep of every
     cell (the initial propagation, the torus's lex-leader step) passes
@@ -228,7 +239,7 @@ def _propagate(dom: list[int], dirty: tuple[int] | range, sides: list[tuple],
         in_queue, push = bytearray(len(dom)), queue.append
     else:
         in_queue, push = pending, queue.appendleft
-    east = sides[0][0]
+    east, west, north, south = sides
     while queue:
         c = queue.popleft()
         in_queue[c] = 0
@@ -240,15 +251,47 @@ def _propagate(dom: list[int], dirty: tuple[int] | range, sides: list[tuple],
                 if not dc:
                     return False
                 dom[c] = dc
-        sup = memo[dc]
-        for neighbors, k in sides:
-            nc = neighbors[c]
-            if nc < 0:
-                continue
+        # the tiles allowed north, east, south and west of c (`Tile.sides()`)
+        to_n, to_e, to_s, to_w = memo[dc]
+        nc = east[c]
+        if nc >= 0:
             old = dom[nc]
-            nd = old & sup[k]
+            nd = old & to_e
             if nd != old:
-                if nd == 0:
+                if not nd:
+                    return False
+                dom[nc] = nd
+                if not in_queue[nc]:
+                    in_queue[nc] = 1
+                    push(nc)
+        nc = west[c]
+        if nc >= 0:
+            old = dom[nc]
+            nd = old & to_w
+            if nd != old:
+                if not nd:
+                    return False
+                dom[nc] = nd
+                if not in_queue[nc]:
+                    in_queue[nc] = 1
+                    push(nc)
+        nc = north[c]
+        if nc >= 0:
+            old = dom[nc]
+            nd = old & to_n
+            if nd != old:
+                if not nd:
+                    return False
+                dom[nc] = nd
+                if not in_queue[nc]:
+                    in_queue[nc] = 1
+                    push(nc)
+        nc = south[c]
+        if nc >= 0:
+            old = dom[nc]
+            nd = old & to_s
+            if nd != old:
+                if not nd:
                     return False
                 dom[nc] = nd
                 if not in_queue[nc]:
@@ -257,7 +300,7 @@ def _propagate(dom: list[int], dirty: tuple[int] | range, sides: list[tuple],
     return True
 
 
-def _sweep_cells(dom: list[int], slices: list[range], sides: list[tuple],
+def _sweep_cells(dom: list[int], slices: list[range], sides: list[list[int]],
                  memo: Supports, deadline: float) -> bool | None:
     """`_propagate` from every cell, a row-major slice at a time, with a
     clock read after each slice (a slice ends with an empty queue, so the

@@ -150,6 +150,16 @@ def test_an_empty_start_domain_is_unsat_before_any_propagation(monkeypatch):
     assert solve_rectangle(ts, 3, 2, BoundaryConstraint(north=(0, 3, 0))) == SearchResult(UNSAT)
     assert solve_torus(ts, 1, 4) == SearchResult(UNSAT)
     assert count_rectangle(empty, 2, 2) == SearchResult("COUNT", count=0)
+    # nor is a grid allocated for it: the domains and neighbor arrays of a
+    # 1 x 200,000 torus would take tens of megabytes
+    tracemalloc.start()
+    try:
+        r = solve_torus(ts, 1, 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r == SearchResult(UNSAT)
+    assert peak < 1_000_000
 
 
 def test_node_budget_gives_unknown():
@@ -525,6 +535,40 @@ def test_the_initial_propagation_reaches_the_arc_consistency_fixpoint(instance):
         assert (swept[0] if swept else None) == fixpoint
 
 
+@settings(max_examples=300, deadline=None)
+@given(solve_instances())
+# a 2 x 2 rectangle where 2 of 7 steps wipe out, and a 2 x 2 torus where
+# all 3 do
+@example((make_tileset("t", [(0, 0, 0, 1), (0, 0, 1, 0), (1, 1, 1, 1)]), 2, 2, False, None))
+@example((make_tileset("t", [(0, 0, 0, 1), (0, 1, 1, 0), (1, 1, 0, 1)]), 2, 2, True, None))
+def test_every_search_step_reaches_the_arc_consistency_fixpoint(instance):
+    # a step assigns one cell of a fixpoint and propagates from that cell
+    # alone; it must end at the fixpoint of its input, or in a wipeout
+    # exactly when that fixpoint holds an empty domain
+    ts, w, h, torus, boundary = instance
+    steps = []
+    propagate = solve._propagate
+
+    def as_sets(dom):
+        return [{t for t in range(len(ts.tiles)) if d >> t & 1} for d in dom]
+
+    def record_step(dom, dirty, sides, memo, pending=None):
+        before = as_sets(dom)
+        ok = propagate(dom, dirty, sides, memo, pending)
+        if pending is None:  # a sweep passes `pending`
+            steps.append((before, as_sets(dom) if ok else None))
+        return ok
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solve, "_propagate", record_step)
+        budget = SearchBudget(max_nodes=60)
+        if torus:
+            solve_torus(ts, w, h, budget)  # steps after a lex-leader sweep
+        enumerate_tilings(ts, w, h, boundary, budget, wrap=torus)
+    for before, after in steps:
+        assert (before if naive_arc_consistency(ts, w, h, torus, before) else None) == after
+
+
 def count_revisions(monkeypatch) -> list[int]:
     """A one-item list counting the cells `_propagate` revises from now on:
     each revision pops one cell from its queue."""
@@ -567,6 +611,22 @@ def test_a_cell_narrowed_after_its_revision_is_revised_again(monkeypatch):
     north = solve_rectangle(INCREMENTER_4.tileset, 4, 3, INCREMENTER_4_NORTH)
     assert north.nodes == 0 and revisions[0] > 12
     assert north.tiling == south.tiling
+
+
+@pytest.mark.parametrize("side", ["east", "west", "north", "south"])
+def test_a_wipeout_ends_the_propagation_at_the_revision_that_finds_it(monkeypatch, side):
+    # two cells across `side` holding tiles that do not match: revising the
+    # first empties the second, and the propagation stops there instead of
+    # revising the emptied cell, which would find the same wipeout one
+    # revision later
+    ts = make_tileset("t", [(0, 0, 0, 0), (1, 1, 1, 1)])
+    w, h = (2, 1) if side in ("east", "west") else (1, 2)
+    dom, sides = solve._setup(ts, w, h, False, None, float("inf"))
+    first = 0 if side in ("east", "north") else 1
+    dom[first], dom[1 - first] = 0b01, 0b10
+    revisions = count_revisions(monkeypatch)
+    assert not solve._propagate(dom, (first,), sides, ts.supports)
+    assert revisions[0] == 1
 
 
 @settings(max_examples=200, deadline=None)
