@@ -18,13 +18,17 @@ Domains are tile bitsets.  The support a domain gives its neighbors is read
 from the tile set's support memo (`TileSet.supports`), kept with the set
 and shared by every solve of it: one lookup gives the tiles allowed across
 all four sides, so a revision looks its domain up once.  Each side keeps a
-flat array of the cell across it from every cell, -1 at a rectangle's edge,
-so set-up allocates no per-cell object.  A revision narrows the four
-neighbors in four written-out blocks, east, west, north, south: a loop over
-the sides cost about 12% of the time of the solver's benchmark workloads.
-That order sets the order in which narrowed cells are queued, and so the
-revision counts the tests pin.  After an assignment, narrowed
-cells go through a FIFO queue.  The initial propagation revises every cell
+flat array of the cell across it from every cell, -1 at a rectangle's edge.
+The four arrays and the slices of a sweep are cut from one list of cell
+indices, so each index is one int object however many arrays hold it, and
+set-up, boundary colors included, runs no Python loop per cell.  The
+queue's flags are lists, not bytearrays: CPython 3.11 specializes a list
+store, at about a sixth of the cost of a bytearray store.  A revision
+narrows the four neighbors in four written-out blocks, east, west, north,
+south: a loop over the sides cost about 12% of the time of the solver's
+benchmark workloads.  That order sets the order in which narrowed cells
+are queued, and so the revision counts the tests pin.  After an
+assignment, narrowed cells go through a FIFO queue.  The initial propagation revises every cell
 in row-major order.  Before it revises a cell, the cell takes the support
 of its east neighbor, which the sweep has not revised yet but the row below
 has narrowed; so a revision seldom narrows a cell already revised.  A cell
@@ -39,7 +43,12 @@ queue order changes a wipeout verdict or the domains the search continues
 from, and node counts and witnesses do not depend on them.  A search with
 no boundary starts every cell from one domain; when that domain supports
 itself across every side, it is already the fixpoint, so the initial
-propagation revises no cell and moves no domain, count or witness.
+propagation revises no cell and moves no domain, count or witness.  A
+torus always starts so: its fixpoint is unique and shares the torus's
+translation symmetry, so from one domain d everywhere it is one domain
+everywhere, the greatest subset of d that supports itself across every
+side, found by narrowing d alone.  An empty one is UNSAT before any grid is
+built.
 
 A torus has p*q translations, and a search for its first tiling would
 refute each of them separately.  So when that search (`solve_torus`, also
@@ -47,9 +56,13 @@ as called by `aperiodicity_evidence`) branches on cell 0 with tile t, it
 drops every tile below t from every other cell: the lex-leader rule of
 Crawford, Ginsberg, Luks and Roy (KR 1996).  Some translate of any torus
 tiling has its least tile at cell 0, so the rule prunes no least witness
-and changes only node counts.  A torus has no boundary, so the root, the
-only node that branches on cell 0, holds one domain in every cell, and
-the step is built at once and swept like the initial propagation.
+and changes only node counts.  The root, the only node that branches on
+cell 0, holds one domain in every cell, so the step's other cells start
+from one domain too, the root's tiles from t up, and narrowing that alone
+to the part that supports itself bounds the step's fixpoint.  If t falls
+outside it, the step is a wipeout that touches no cell; otherwise every
+other cell starts from it and the step is swept like the initial
+propagation.
 Rectangles have no such symmetry, and enumerating more than one tiling of
 a torus must list every translate, so neither uses the rule.
 
@@ -80,6 +93,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
+from operator import and_
 
 from .core import Grid, Supports, TileSet
 from .errors import InvalidInput
@@ -151,14 +165,29 @@ def _closed_walk_tiles(tileset: TileSet, k: int, period: int) -> int:
     return side.walks[period]
 
 
+def _self_supporting(d: int, memo: Supports) -> int:
+    """The greatest subset of tile bitset `d` that supports itself across
+    every side: on a torus whose every cell holds `d`, every cell's
+    arc-consistency fixpoint, since that fixpoint is unique and so shares
+    the grid's translation symmetry."""
+    while True:
+        n, e, s, w = memo[d]
+        u = d & n & e & s & w
+        if u == d:
+            return d
+        d = u
+
+
 def _setup(tileset: TileSet, w: int, h: int, wrap: bool,
-           boundary: BoundaryConstraint | None,
-           deadline: float) -> tuple[list[int], list[list[int]]] | None:
-    """Initial domains and sides of a rectangle, or of a torus if `wrap`;
-    None once the clock passes `deadline`, which is read once the inputs
-    are validated and again after each neighbor array is built.  An empty
-    start with no boundary to validate allocates no grid: it returns one
-    empty domain and no sides, which `_run` answers UNSAT."""
+           boundary: BoundaryConstraint | None, deadline: float
+           ) -> tuple[list[int], list[list[int]], list[list[int]]] | None:
+    """Initial domains, sides and sweep slices of a rectangle, or of a
+    torus if `wrap`; None once the clock passes `deadline`, which is read
+    once the inputs are validated and again after each neighbor array is
+    built.  A torus starts every cell from the self-supporting part of its
+    closed-walk tiles, its arc-consistency fixpoint.  An empty start with
+    no boundary to validate allocates no grid: it returns one empty domain,
+    which `_run` answers UNSAT."""
     if w < 1 or h < 1:
         raise InvalidInput("grid dimensions must be positive")
     if wrap and boundary is not None:
@@ -169,24 +198,26 @@ def _setup(tileset: TileSet, w: int, h: int, wrap: bool,
     start = (1 << n) - 1
     if wrap:
         start = _closed_walk_tiles(tileset, 1, w) & _closed_walk_tiles(tileset, 0, h)
+        start = _self_supporting(start, tileset.supports)
     if not start and boundary is None:
-        return [0], []
+        return [0], [], []
     total = w * h
     dom = [start] * total
     if boundary is not None:
-        for k, (name, seq, cells) in enumerate((
-                ("north", boundary.north, range((h - 1) * w, h * w)),
-                ("east", boundary.east, range(w - 1, total, w)),
-                ("south", boundary.south, range(w)),
-                ("west", boundary.west, range(0, total, w)))):
+        for k, (name, seq, edge) in enumerate((
+                ("north", boundary.north, slice((h - 1) * w, None)),
+                ("east", boundary.east, slice(w - 1, None, w)),
+                ("south", boundary.south, slice(0, w)),
+                ("west", boundary.west, slice(0, None, w)))):
             if seq is None:
                 continue
-            if len(seq) != len(cells):
+            old = dom[edge]
+            if len(seq) != len(old):
                 raise InvalidInput(f"{name} boundary sequence has wrong length")
-            for c, color in zip(cells, seq):
-                if not 0 <= color < ncolors:
-                    raise InvalidInput(f"boundary color {color} outside universe")
-                dom[c] &= tables[k].mine[color]
+            if min(seq) < 0 or max(seq) >= ncolors:
+                bad = next(c for c in seq if not 0 <= c < ncolors)
+                raise InvalidInput(f"boundary color {bad} outside universe")
+            dom[edge] = map(and_, old, map(tables[k].mine.__getitem__, seq))
         for x, y, ti in boundary.forced_cells:
             if not (0 <= x < w and 0 <= y < h):
                 raise InvalidInput(f"forced cell ({x}, {y}) outside rectangle")
@@ -196,23 +227,28 @@ def _setup(tileset: TileSet, w: int, h: int, wrap: bool,
     if time.monotonic() > deadline:
         return None
 
+    # every array below is a slice of `cells`, so each cell index is one
+    # int object however many arrays hold it; cells[w + c] is c
+    cells = list(range(-w, total + w))
     # east, west, north, south: the cell across that side from every cell,
-    # c + step, or at the edge the wrapped cell c + step - jump or -1
+    # c + step, or at the edge the wrapped cell or -1
     sides = []
-    for step, jump, edge in ((1, w, slice(w - 1, None, w)),
-                             (-1, -w, slice(0, None, w)),
-                             (w, total, slice(total - w, None)),
-                             (-w, -total, slice(0, w))):
-        neighbors = list(range(step, total + step))
-        neighbors[edge] = [c - jump if wrap else -1 for c in neighbors[edge]]
+    for step, edge, wrapped in ((1, slice(w - 1, None, w), cells[w:w + total:w]),
+                                (-1, slice(0, None, w), cells[2 * w - 1:w + total:w]),
+                                (w, slice(total - w, None), cells[w:2 * w]),
+                                (-w, slice(0, w), cells[total:total + w])):
+        neighbors = cells[w + step:w + step + total]
+        neighbors[edge] = wrapped if wrap else [-1] * len(wrapped)
         sides.append(neighbors)
         if time.monotonic() > deadline:
             return None
-    return dom, sides
+    slices = [cells[w + c:w + min(c + _SWEEP_SLICE, total)]
+              for c in range(0, total, _SWEEP_SLICE)]
+    return dom, sides, slices
 
 
-def _propagate(dom: list[int], dirty: tuple[int] | range, sides: list[list[int]],
-               memo: Supports, pending: bytearray | None = None) -> bool:
+def _propagate(dom: list[int], dirty: tuple[int] | list[int], sides: list[list[int]],
+               memo: Supports, pending: list[int] | None = None) -> bool:
     """AC to fixpoint over `_setup`'s sides from `dirty` cells.  False on wipeout.
 
     A revision reads the revised cell's support across all four sides from
@@ -236,7 +272,7 @@ def _propagate(dom: list[int], dirty: tuple[int] | range, sides: list[list[int]]
     queue = deque(dirty)
     if pending is None:
         # the lone start cell is popped before anything is pushed
-        in_queue, push = bytearray(len(dom)), queue.append
+        in_queue, push = [0] * len(dom), queue.append
     else:
         in_queue, push = pending, queue.appendleft
     east, west, north, south = sides
@@ -300,12 +336,12 @@ def _propagate(dom: list[int], dirty: tuple[int] | range, sides: list[list[int]]
     return True
 
 
-def _sweep_cells(dom: list[int], slices: list[range], sides: list[list[int]],
+def _sweep_cells(dom: list[int], slices: list[list[int]], sides: list[list[int]],
                  memo: Supports, deadline: float) -> bool | None:
     """`_propagate` from every cell, a row-major slice at a time, with a
     clock read after each slice (a slice ends with an empty queue, so the
     slicing moves no revision): False on wipeout, None past `deadline`."""
-    pending = bytearray(b"\1") * len(dom)
+    pending = [1] * len(dom)
     for cells in slices:
         ok = _propagate(dom, cells, sides, memo, pending)
         if time.monotonic() > deadline:
@@ -326,7 +362,7 @@ def _run(tileset: TileSet, w: int, h: int, boundary: BoundaryConstraint | None,
     setup = _setup(tileset, w, h, wrap, boundary, deadline)
     if setup is None:
         return [], 0, False, 0
-    dom, sides = setup
+    dom, sides, slices = setup
     memo = tileset.supports
     if 0 in dom:  # only a start domain can be empty: narrowing stops short of one
         return [], 0, True, 0
@@ -334,13 +370,12 @@ def _run(tileset: TileSet, w: int, h: int, boundary: BoundaryConstraint | None,
     tilings: list[Grid] = []
     found = nodes = cell = 0
     stack: list[tuple[list[int], int, int]] = []  # (domains, cell, untried tiles)
-    # built once: a torus search may sweep every cell at each tile of cell 0
-    slices = [range(c, min(c + _SWEEP_SLICE, total)) for c in range(0, total, _SWEEP_SLICE)]
-    # a boundary-free start u that supports itself is already the fixpoint:
-    # sweep no cell, but still read the clock (ok is None past the deadline)
+    # a boundary-free start u that supports itself (a torus's always does)
+    # is already the fixpoint: sweep no cell, but still read the clock (ok
+    # is None past the deadline)
     u = dom[0]
     settled = boundary is None and all(u & s == u for s in memo[u])
-    ok = _sweep_cells(dom, [range(0)] if settled else slices, sides, memo, deadline)
+    ok = _sweep_cells(dom, [[]] if settled else slices, sides, memo, deadline)
     lex_leader = wrap and limit == 1
     while ok is not None:
         if ok:
@@ -367,9 +402,14 @@ def _run(tileset: TileSet, w: int, h: int, boundary: BoundaryConstraint | None,
         nodes += 1
         if cell == 0 and lex_leader and parent[0] & (lsb - 1):
             # the root holds one domain everywhere: drop cell 0's lower tiles
-            dom = [parent[0] & -lsb] * total
-            dom[0] = lsb
-            ok = _sweep_cells(dom, slices, sides, memo, deadline)
+            # everywhere and narrow the rest to its self-supporting part
+            u = _self_supporting(parent[0] & -lsb, memo)
+            if u & lsb:
+                dom = [u] * total
+                dom[0] = lsb
+                ok = _sweep_cells(dom, slices, sides, memo, deadline)
+            else:
+                ok = False  # u bounds the step's fixpoint, so cell 0 empties
         else:
             dom = parent.copy()
             dom[cell] = lsb
@@ -399,10 +439,13 @@ def solve_torus(tileset: TileSet, p: int, q: int,
     certifies a fully periodic tiling of the entire plane.
 
     Every cell starts from the tiles on a closed walk of p steps east and of
-    q steps north, since each row and column of a tiling is one.  Each torus
-    is refuted once, not once per translation: with tile t at cell 0 the
-    search allows no tile below t elsewhere, a step built at once from the
-    root's one domain and swept like the initial propagation.  Some
+    q steps north, since each row and column of a tiling is one, narrowed
+    to the part of them that supports itself, the root's fixpoint.  Each
+    torus is refuted once, not once per translation: with tile t at cell 0
+    the search allows no tile below t elsewhere, a step built at once from
+    the root's one domain, refuted at once if t is not in the part of the
+    tiles from t up that supports itself, and otherwise swept like the
+    initial propagation.  Some
     translate of any tiling has its least tile at cell 0.  So statuses and
     the least witness are those of the plain search and only node counts
     fall.  `enumerate_tilings` with `wrap` starts from the same domains but

@@ -150,16 +150,22 @@ def test_an_empty_start_domain_is_unsat_before_any_propagation(monkeypatch):
     assert solve_rectangle(ts, 3, 2, BoundaryConstraint(north=(0, 3, 0))) == SearchResult(UNSAT)
     assert solve_torus(ts, 1, 4) == SearchResult(UNSAT)
     assert count_rectangle(empty, 2, 2) == SearchResult("COUNT", count=0)
+    # tile 0 is on closed walks both ways, but its east neighbor on a walk,
+    # tile 1, is on none north: no tile supports itself on every side
+    lone = make_tileset("t", [(0, 1, 0, 2), (3, 2, 4, 1)])
+    assert solve._closed_walk_tiles(lone, 1, 2) & solve._closed_walk_tiles(lone, 0, 100_000)
+    assert solve_torus(lone, 2, 3) == SearchResult(UNSAT)
     # nor is a grid allocated for it: the domains and neighbor arrays of a
-    # 1 x 200,000 torus would take tens of megabytes
-    tracemalloc.start()
-    try:
-        r = solve_torus(ts, 1, 200_000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert r == SearchResult(UNSAT)
-    assert peak < 1_000_000
+    # torus of 200,000 cells would take tens of megabytes
+    for tiles, p, q in ((ts, 1, 200_000), (lone, 2, 100_000)):
+        tracemalloc.start()
+        try:
+            r = solve_torus(tiles, p, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r == SearchResult(UNSAT)
+        assert peak < 1_000_000
 
 
 def test_node_budget_gives_unknown():
@@ -216,15 +222,23 @@ def expired_setup_peak(monkeypatch, reads_in_time: int) -> int:
 
 
 def test_an_expired_clock_budget_builds_no_neighbor_arrays(monkeypatch):
-    # past the deadline from set-up's first read on, set-up stops before
-    # the four neighbor arrays (~60 MB) are built
+    # past the deadline from set-up's first read on, set-up stops with the
+    # domains (~3 MB) before it builds the cell index list (~13 MB)
     assert expired_setup_peak(monkeypatch, 1) < 10_000_000
 
 
 def test_a_clock_budget_expiring_during_setup_builds_no_more_arrays(monkeypatch):
-    # past the deadline once the first neighbor array (~14 MB) is built,
-    # set-up builds none of the other three (~60 MB for all four)
-    assert expired_setup_peak(monkeypatch, 2) < 25_000_000
+    # past the deadline once the index list and the first neighbor array
+    # (~20 MB with the domains) are built, set-up builds none of the other
+    # three, which would add ~3 MB each
+    assert expired_setup_peak(monkeypatch, 2) < 21_600_000
+
+
+def test_a_full_setup_shares_one_int_per_cell_index(monkeypatch):
+    # past the deadline only at the root's clock read, after set-up's six:
+    # the four neighbor arrays and the sweep slices are slices of one index
+    # list, ~32 MB in all, where one list of ints each would take ~61 MB
+    assert expired_setup_peak(monkeypatch, 6) < 45_000_000
 
 
 def stop_the_clock_after_propagating(monkeypatch, calls=1):
@@ -278,12 +292,13 @@ def test_clock_budget_covers_the_lex_leader_step(monkeypatch):
     # tiles 0 and 1 alternate both ways and tile 2 matches itself, so every
     # tile is on closed walks of 2 and 3 steps (0 -> 1 -> 2 -> 0) and starts
     # in every cell; but the 0/1 checkerboard needs even periods, so tiles 0
-    # and 1 fail at cell 0 and the fourth propagation is the lex-leader step
-    # of the third and last node, which would answer SAT
+    # and 1 fail at cell 0.  Tile 1's try is refuted without propagating:
+    # without tile 0 no tile fits west of it.  So the third propagation is
+    # the lex-leader step of the third and last node, which would answer SAT
     odd = make_tileset("t", [(0, 0, 1, 1), (1, 1, 0, 0), (1, 1, 1, 1)])
     r = solve_torus(odd, 2, 3)
     assert (r.status, r.nodes) == (SAT, 3)
-    stop_the_clock_after_propagating(monkeypatch, 4)
+    stop_the_clock_after_propagating(monkeypatch, 3)
     r = solve_torus(odd, 2, 3, budget=SearchBudget(max_millis=1))
     assert (r.status, r.nodes) == (UNKNOWN, 3)
 
@@ -341,12 +356,14 @@ def test_a_start_that_does_not_support_itself_sweeps_every_cell(monkeypatch):
 
 
 def test_the_lex_leader_step_sweeps_every_cell(monkeypatch):
-    # the torus start supports itself, so only the initial sweep is empty;
-    # tile 0 fails at cell 0 and tile 1 drops it from every other cell
+    # a torus starts from its fixpoint, so only the initial sweep is empty;
+    # tile 0 fails at cell 0 in a search step, tile 1 fails without any
+    # propagation, since no tile but tile 0 fits west of it, and tile 2
+    # drops both from every other cell and sweeps every cell
     starts = record_propagated_cells(monkeypatch)
     odd = make_tileset("t", [(0, 0, 1, 1), (1, 1, 0, 0), (1, 1, 1, 1)])
     r = solve_torus(odd, 2, 3)
-    assert starts[:3] == [[], [0], list(range(6))]
+    assert starts == [[], [0], list(range(6))]
     assert solved(r) == naive_solve(odd, 2, 3, torus=True)
 
 
@@ -432,6 +449,11 @@ def solve_instances(draw, ntiles=(1, 6), max_side=4, torus=st.booleans()):
     return make_tileset("h", tiles, num_colors=c), w, h, False, boundary
 
 
+def tile_sets(ts, dom: list[int]) -> list[set[int]]:
+    """Each domain of `dom` as the set of its tile indices."""
+    return [{t for t in range(len(ts.tiles)) if d >> t & 1} for d in dom]
+
+
 # an incrementer's space-time diagram with its bottom row forced: the
 # initial propagation revises each of its 12 cells once
 INCREMENTER_4 = tm_to_tileset(INCREMENTER, 4)
@@ -439,10 +461,12 @@ INCREMENTER_4_SOUTH = BoundaryConstraint(
     south=tm_initial_boundary(INCREMENTER, INCREMENTER_4, "1", 4, 3).south)
 # the same diagram with only its top row forced, to the colors its halted
 # row shows north: the top row is narrowed before the rows below it are
-# revised, and narrows them again after their revision
+# revised, and narrows them again after their revision.  The naive oracle
+# finds that row, so that a solver fault fails tests, not the import of
+# this module and of test_cli
 INCREMENTER_4_NORTH = BoundaryConstraint(north=tuple(
-    INCREMENTER_4.tileset.tiles[t].north for t in solve_rectangle(
-        INCREMENTER_4.tileset, 4, 3, INCREMENTER_4_SOUTH).tiling.cells[-1]))
+    INCREMENTER_4.tileset.tiles[t].north for t in naive_solve(
+        INCREMENTER_4.tileset, 4, 3, boundary=INCREMENTER_4_SOUTH)[1][-1]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -508,19 +532,23 @@ def test_torus_search_matches_naive_reference_solver(instance):
 @example((INCREMENTER_4.tileset, 4, 3, False, INCREMENTER_4_SOUTH))
 @example((INCREMENTER_4.tileset, 4, 3, False, INCREMENTER_4_NORTH))
 def test_the_initial_propagation_reaches_the_arc_consistency_fixpoint(instance):
-    # at every slice length, so that cells pull from east neighbors that a
-    # later slice revises
     ts, w, h, torus, boundary = instance
     doms = naive_start_domains(ts, w, h, torus, boundary)
     fixpoint = doms if naive_arc_consistency(ts, w, h, torus, doms) else None
+    if torus:
+        # set-up's one self-supporting domain is already the fixpoint, or
+        # its one empty domain the wipeout
+        dom, _, _ = solve._setup(ts, w, h, True, None, float("inf"))
+        assert (tile_sets(ts, dom) if all(dom) else None) == fixpoint
+    # at every slice length, so that cells pull from east neighbors that a
+    # later slice revises
     sweep_cells = solve._sweep_cells
     for cells in (1, 2, 3, 4096):
         swept = []
 
         def record_sweep(dom, *args):
             ok = sweep_cells(dom, *args)
-            swept.append([{t for t in range(len(ts.tiles)) if d >> t & 1} for d in dom]
-                         if ok else None)
+            swept.append(tile_sets(ts, dom) if ok else None)
             return ok
 
         with pytest.MonkeyPatch.context() as mp:
@@ -549,14 +577,11 @@ def test_every_search_step_reaches_the_arc_consistency_fixpoint(instance):
     steps = []
     propagate = solve._propagate
 
-    def as_sets(dom):
-        return [{t for t in range(len(ts.tiles)) if d >> t & 1} for d in dom]
-
     def record_step(dom, dirty, sides, memo, pending=None):
-        before = as_sets(dom)
+        before = tile_sets(ts, dom)
         ok = propagate(dom, dirty, sides, memo, pending)
         if pending is None:  # a sweep passes `pending`
-            steps.append((before, as_sets(dom) if ok else None))
+            steps.append((before, tile_sets(ts, dom) if ok else None))
         return ok
 
     with pytest.MonkeyPatch.context() as mp:
@@ -567,6 +592,54 @@ def test_every_search_step_reaches_the_arc_consistency_fixpoint(instance):
         enumerate_tilings(ts, w, h, boundary, budget, wrap=torus)
     for before, after in steps:
         assert (before if naive_arc_consistency(ts, w, h, torus, before) else None) == after
+
+
+@settings(max_examples=300, deadline=None)
+@given(solve_instances(ntiles=(2, 5), torus=st.just(True)))
+# tile 1 is refuted at cell 0 without a propagation: with tile 0 dropped, no
+# tile fits west of it
+@example((make_tileset("t", [(0, 0, 1, 1), (1, 1, 0, 0), (1, 1, 1, 1)]), 2, 3, True, None))
+# tile 2's try narrows tiles 2 to 4 to tiles 2 and 4, and so propagates
+@example((make_tileset("t", [(0, 0, 1, 1), (0, 1, 1, 0), (0, 1, 1, 1), (1, 0, 1, 1),
+                             (1, 1, 0, 1)]), 2, 3, True, None))
+def test_a_lex_leader_try_refuted_by_its_self_supporting_domain_wipes_out(instance):
+    # a torus narrows a uniform domain d to its self-supporting part u: at
+    # the root, and at each lex-leader try of tile t at cell 0, from the
+    # tiles from t up.  u must be the fixpoint of d everywhere.  A try
+    # propagates exactly when t is in u; otherwise tile t at cell 0 and d
+    # elsewhere must wipe out
+    ts, w, h, _, _ = instance
+    events = []  # (d, u) per narrowing, None per `_propagate` call
+    self_supporting, propagate = solve._self_supporting, solve._propagate
+
+    def record_narrowing(d, memo):
+        u = self_supporting(d, memo)
+        events.append((d, u))
+        return u
+
+    def record_propagation(*args):
+        events.append(None)
+        return propagate(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solve, "_self_supporting", record_narrowing)
+        mp.setattr(solve, "_propagate", record_propagation)
+        solve_torus(ts, w, h, SearchBudget(max_nodes=60))
+    for i, event in enumerate(events):
+        if event is None:
+            continue
+        d, u = event
+        doms = tile_sets(ts, [d] * (w * h))
+        naive_arc_consistency(ts, w, h, True, doms)
+        assert doms == tile_sets(ts, [u] * (w * h))
+        if i == 0:
+            continue  # the root's start, not a try
+        t = (d & -d).bit_length() - 1
+        propagated = i + 1 < len(events) and events[i + 1] is None
+        assert propagated == bool(u >> t & 1)
+        if not propagated:
+            trial = [{t}] + tile_sets(ts, [d] * (w * h - 1))
+            assert not naive_arc_consistency(ts, w, h, True, trial)
 
 
 def count_revisions(monkeypatch) -> list[int]:
@@ -621,7 +694,7 @@ def test_a_wipeout_ends_the_propagation_at_the_revision_that_finds_it(monkeypatc
     # revision later
     ts = make_tileset("t", [(0, 0, 0, 0), (1, 1, 1, 1)])
     w, h = (2, 1) if side in ("east", "west") else (1, 2)
-    dom, sides = solve._setup(ts, w, h, False, None, float("inf"))
+    dom, sides, _ = solve._setup(ts, w, h, False, None, float("inf"))
     first = 0 if side in ("east", "north") else 1
     dom[first], dom[1 - first] = 0b01, 0b10
     revisions = count_revisions(monkeypatch)
