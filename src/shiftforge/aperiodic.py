@@ -98,9 +98,7 @@ def robinson_tileset() -> RobinsonSet:
     color_ids: dict[tuple, int] = {}
 
     def cid(key: tuple) -> int:
-        if key not in color_ids:
-            color_ids[key] = len(color_ids)
-        return color_ids[key]
+        return color_ids.setdefault(key, len(color_ids))
 
     entries = []  # ((n,e,s,w), role)
     for kind, w, e, s, n, desc in _signal_tiles():

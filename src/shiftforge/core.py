@@ -57,60 +57,45 @@ class TileSet:
                     )
 
     @cached_property
-    def side_tables(self) -> tuple[SideTable, ...]:
-        """One `SideTable` per side k of `Tile.sides()`, facing side k ^ 2.
-        Kept with this object, out of its equality, hash and repr, so every
-        solve of the set shares them."""
-        cols = list(zip(*(t.sides() for t in self.tiles))) or [()] * 4
-        by_color = [[0] * len(self.colors) for _ in cols]
-        for row, col in zip(by_color, cols):
-            for i, c in enumerate(col):
-                row[c] |= 1 << i
-        return tuple(SideTable(cols[k], by_color[k], by_color[k ^ 2]) for k in range(4))
-
-    @cached_property
     def supports(self) -> Supports:
-        """The solver's support memo, from a domain (a tile bitset) to the
-        tiles allowed across each side, in `Tile.sides()` order.  An entry
-        depends on neither the grid, its boundary nor the budget, so the
-        memo is kept with this object like `side_tables` and shared by
-        every solve of the set."""
-        return Supports(self.side_tables)
-
-
-class SideTable:
-    """One side of a tile set's tiles: each tile's color there (`colors`),
-    the bitset of the tiles showing each color there (`mine`) and on the
-    opposite side (`theirs`), and the solver's closed-walk masks by period
-    (`walks`)."""
-
-    def __init__(self, colors: tuple[int, ...], mine: list[int], theirs: list[int]):
-        self.colors, self.mine, self.theirs = colors, mine, theirs
-        self.walks: dict[int, int] = {}
-
-    def allowed(self, domain: int) -> int:
-        """The tiles allowed across this side of the tiles in `domain`: the
-        opposite side's color class for each distinct color the domain
-        shows here.  Each color's tiles are dropped from the domain once
-        seen, so it takes one step per color rather than per tile."""
-        allowed = 0
-        while domain:
-            col = self.colors[(domain & -domain).bit_length() - 1]
-            allowed |= self.theirs[col]
-            domain &= ~self.mine[col]
-        return allowed
+        """The set's one adjacency table and the solver's support memo (see
+        `Supports`).  An entry depends on neither the grid, its boundary nor
+        the budget, so the table is kept with this object, out of its
+        equality, hash and repr, and shared by every solve of the set."""
+        return Supports(self.tiles, len(self.colors))
 
 
 class Supports(dict):
-    """`TileSet.supports`: a miss fills the domain's entry for all four
-    sides at once, so a revision looks its domain up once."""
+    """A memo from a domain (a tile bitset) to the tiles allowed across
+    each side of it, in `Tile.sides()` order.  Side k faces side k ^ 2 of
+    the tile across it, and per side k the table keeps each tile's color
+    there (`colors[k]`), the tiles showing each color there (`mine[k]`) and
+    the solver's closed-walk masks by period (`walks[k]`).  A miss fills the
+    domain's entry for all four sides at once, so a revision looks its
+    domain up once."""
 
-    def __init__(self, tables: tuple[SideTable, ...]):
+    def __init__(self, tiles: tuple[Tile, ...], ncolors: int):
         super().__init__()
-        self.tables = tables
+        self.colors = list(zip(*(t.sides() for t in tiles))) or [()] * 4
+        self.mine = [[0] * ncolors for _ in range(4)]
+        for row, col in zip(self.mine, self.colors):
+            for i, c in enumerate(col):
+                row[c] |= 1 << i
+        self.walks: list[dict[int, int]] = [{} for _ in range(4)]
 
     def __missing__(self, domain: int) -> tuple[int, ...]:
-        sup = self[domain] = tuple(table.allowed(domain) for table in self.tables)
+        # per side, one step per distinct color the domain shows there: the
+        # color's tiles across are allowed, and its own leave the domain
+        entry = []
+        for k, colors in enumerate(self.colors):
+            mine, theirs = self.mine[k], self.mine[k ^ 2]
+            allowed, d = 0, domain
+            while d:
+                col = colors[(d & -d).bit_length() - 1]
+                allowed |= theirs[col]
+                d &= ~mine[col]
+            entry.append(allowed)
+        sup = self[domain] = tuple(entry)
         return sup
 
 

@@ -118,13 +118,12 @@ def _least_map(source: TileSet, target: TileSet, bijective: bool) -> TileSetMap 
 
     Forward checking, depth first over the source tiles in index order:
     image v for tile i masks the images left to tile i itself (a tile can
-    meet itself) and to every later tile with the rows of `SideTable.theirs`
-    at v's colors, the row where the source colors match and
-    (bijective) its complement where they differ, v dropped.  Masks drop
-    only images that break a constraint with an assigned tile and images
-    ascend, so the first complete map is the least."""
+    meet itself) and to every later tile with the target's supports of v,
+    the tiles allowed across each side of v, where the source colors match
+    and (bijective) their complements where they differ, v dropped.  Masks
+    drop only images that break a constraint with an assigned tile and
+    images ascend, so the first complete map is the least."""
     sides = [t.sides() for t in source.tiles]
-    tables = target.side_tables
     # stack[i][j - i]: tile j's images allowed beside tiles < i (untried, if j == i)
     stack = [[(1 << len(target.tiles)) - 1] * len(sides)]
     assign: list[int] = []
@@ -140,7 +139,7 @@ def _least_map(source: TileSet, target: TileSet, bijective: bool) -> TileSetMap 
         doms[0] ^= low
         v = low.bit_length() - 1
         assign[i:] = [v]
-        fits = [side.theirs[side.colors[v]] for side in tables]
+        fits = target.supports[low]
         misses, keep = ([~f for f in fits], ~low) if bijective else ([-1] * 4, -1)
         mine = sides[i]
         new = []

@@ -15,40 +15,43 @@ propagates.  The loop ends when the stack is empty, when `limit` tilings
 are found or when the budget is spent.
 
 Domains are tile bitsets.  The support a domain gives its neighbors is read
-from the tile set's support memo (`TileSet.supports`), kept with the set
+from the tile set's support table (`TileSet.supports`), kept with the set
 and shared by every solve of it: one lookup gives the tiles allowed across
 all four sides, so a revision looks its domain up once.  Each side keeps a
 flat array of the cell across it from every cell, -1 at a rectangle's edge.
 The four arrays and the slices of a sweep are cut from one list of cell
 indices, so each index is one int object however many arrays hold it, and
-set-up, boundary colors included, runs no Python loop per cell.  The
-queue's flags are lists, not bytearrays: CPython 3.11 specializes a list
-store, at about a sixth of the cost of a bytearray store.  A revision
-narrows the four neighbors in four written-out blocks, east, west, north,
-south: a loop over the sides cost about 12% of the time of the solver's
-benchmark workloads.  That order sets the order in which narrowed cells
-are queued, and so the revision counts the tests pin.  After an
-assignment, narrowed cells go through a FIFO queue.  The initial propagation revises every cell
-in row-major order.  Before it revises a cell, the cell takes the support
-of its east neighbor, which the sweep has not revised yet but the row below
-has narrowed; so a revision seldom narrows a cell already revised.  A cell
-that is narrowed again anyway goes to the front of the queue rather than
-behind the rest of the grid, where it would start another wave through
-every row.  On a forced Turing-machine space-time diagram the front-of-queue
-rule cut the revisions per cell from about 5 to 1.7, and the east pull to
-exactly 1.  Arc consistency has a unique greatest fixpoint; every revision
-order reaches it, as does any sound narrowing such as the pull, stopping
-early only when it holds an empty domain.  So neither the pull nor the
-queue order changes a wipeout verdict or the domains the search continues
-from, and node counts and witnesses do not depend on them.  A search with
-no boundary starts every cell from one domain; when that domain supports
-itself across every side, it is already the fixpoint, so the initial
-propagation revises no cell and moves no domain, count or witness.  A
-torus always starts so: its fixpoint is unique and shares the torus's
-translation symmetry, so from one domain d everywhere it is one domain
-everywhere, the greatest subset of d that supports itself across every
-side, found by narrowing d alone.  An empty one is UNSAT before any grid is
-built.
+set-up, boundary colors included, runs no Python loop per cell.
+
+A revision narrows the four neighbors in four written-out blocks, east,
+west, north, south, since a loop over the sides is measurably slower; that
+order sets the order in which narrowed cells are queued, and so the
+revision counts the tests pin.  The queue's flags are lists, not
+bytearrays, because CPython 3.11 specializes a list store and not a
+bytearray store.  After an assignment, narrowed cells go through a FIFO
+queue from the one assigned cell.  A sweep (the initial propagation, the
+lex-leader step below) revises every cell in row-major order, a slice at a
+time, and marks the cells not yet revised as pending: a pending cell is
+not queued when narrowed, since the sweep revises it anyway.  Before it
+revises a cell, the cell takes the support of its east neighbor if that
+neighbor is pending, which the row below and the boundary have narrowed;
+so a revision seldom narrows a cell already revised.  A cell that is
+narrowed again anyway goes to the front of the queue rather than behind
+the rest of the grid, where it would start another wave through every row.
+A forced Turing-machine space-time diagram then takes one revision per cell.
+Arc consistency has a unique greatest fixpoint; every revision order
+reaches it, as does any sound narrowing such as the pull, stopping early
+only when it holds an empty domain.  So neither the pull, the slicing nor
+the queue order changes a wipeout verdict or the domains the search
+continues from, and node counts and witnesses do not depend on them.  A
+search with no boundary starts every cell from one domain; when that
+domain supports itself across every side, it is already the fixpoint, so
+the initial propagation revises no cell and moves no domain, count or
+witness.  A torus always starts so: its fixpoint is unique and shares the
+torus's translation symmetry, so from one domain d everywhere it is one
+domain everywhere, the greatest subset of d that supports itself across
+every side, found by narrowing d alone.  An empty one is UNSAT before any
+grid is built.
 
 A torus has p*q translations, and a search for its first tiling would
 refute each of them separately.  So when that search (`solve_torus`, also
@@ -77,7 +80,7 @@ would try tile after tile at cell 0 of an odd-period torus over Robinson's
 2 x 2 parity lattice; the rule starts every cell of one empty.  The walks
 stop at their first repeated set, so any period costs a bounded number of
 steps, and one mask per side and period is kept with the tile set
-(`SideTable.walks`).  At p = 1 the rule keeps the tiles that match
+(`Supports.walks`).  At p = 1 the rule keeps the tiles that match
 themselves, so a period-1 axis needs no special case.
 
 Budgets are counted in search nodes (one node per attempted assignment)
@@ -140,19 +143,20 @@ class SearchResult:
 
 def _closed_walk_tiles(tileset: TileSet, k: int, period: int) -> int:
     """Bitset of the tiles on a closed walk of `period` steps across side k
-    of `Tile.sides()`, memoized in that side's `SideTable.walks`.  Tiles
-    showing one color on side k reach the same set in one step, so one walk
-    per color steps that set through entry k of the support memo; once the
-    set repeats, the walk jumps ahead by the cycle, so it takes at most one
-    step per distinct set whatever the period."""
-    side, memo = tileset.side_tables[k], tileset.supports
-    if period not in side.walks:
+    of `Tile.sides()`, memoized in `Supports.walks[k]`.  Tiles showing one
+    color on side k reach the same set in one step, so one walk per color
+    steps that set through entry k of the support table; once the set
+    repeats, the walk jumps ahead by the cycle, so it takes at most one step
+    per distinct set whatever the period."""
+    memo = tileset.supports
+    walks = memo.walks[k]
+    if period not in walks:
         mask = 0
-        for col, tiles in enumerate(side.mine):
+        for col, tiles in enumerate(memo.mine[k]):
             if not tiles:
                 continue
             # walk[i]: the tiles i + 1 steps from a tile of color col
-            walk, seen = [side.theirs[col]], {}
+            walk, seen = [memo.mine[k ^ 2][col]], {}
             while len(walk) < period and walk[-1] not in seen:
                 seen[walk[-1]] = len(walk) - 1
                 walk.append(memo[walk[-1]][k])
@@ -161,8 +165,8 @@ def _closed_walk_tiles(tileset: TileSet, k: int, period: int) -> int:
                 j = seen[walk[i]]
                 i = j + (period - 1 - j) % (i - j)
             mask |= walk[i] & tiles
-        side.walks[period] = mask
-    return side.walks[period]
+        walks[period] = mask
+    return walks[period]
 
 
 def _self_supporting(d: int, memo: Supports) -> int:
@@ -182,19 +186,15 @@ def _setup(tileset: TileSet, w: int, h: int, wrap: bool,
            boundary: BoundaryConstraint | None, deadline: float
            ) -> tuple[list[int], list[list[int]], list[list[int]]] | None:
     """Initial domains, sides and sweep slices of a rectangle, or of a
-    torus if `wrap`; None once the clock passes `deadline`, which is read
-    once the inputs are validated and again after each neighbor array is
-    built.  A torus starts every cell from the self-supporting part of its
-    closed-walk tiles, its arc-consistency fixpoint.  An empty start with
-    no boundary to validate allocates no grid: it returns one empty domain,
-    which `_run` answers UNSAT."""
+    torus if `wrap`; None once the clock passes `deadline`.  An empty start
+    with no boundary to validate returns one empty domain and no grid."""
     if w < 1 or h < 1:
         raise InvalidInput("grid dimensions must be positive")
     if wrap and boundary is not None:
         raise InvalidInput("a torus has no boundary")
     n = len(tileset.tiles)
     ncolors = len(tileset.colors)
-    tables = tileset.side_tables
+    mine = tileset.supports.mine
     start = (1 << n) - 1
     if wrap:
         start = _closed_walk_tiles(tileset, 1, w) & _closed_walk_tiles(tileset, 0, h)
@@ -217,7 +217,7 @@ def _setup(tileset: TileSet, w: int, h: int, wrap: bool,
             if min(seq) < 0 or max(seq) >= ncolors:
                 bad = next(c for c in seq if not 0 <= c < ncolors)
                 raise InvalidInput(f"boundary color {bad} outside universe")
-            dom[edge] = map(and_, old, map(tables[k].mine.__getitem__, seq))
+            dom[edge] = map(and_, old, map(mine[k].__getitem__, seq))
         for x, y, ti in boundary.forced_cells:
             if not (0 <= x < w and 0 <= y < h):
                 raise InvalidInput(f"forced cell ({x}, {y}) outside rectangle")
@@ -249,26 +249,10 @@ def _setup(tileset: TileSet, w: int, h: int, wrap: bool,
 
 def _propagate(dom: list[int], dirty: tuple[int] | list[int], sides: list[list[int]],
                memo: Supports, pending: list[int] | None = None) -> bool:
-    """AC to fixpoint over `_setup`'s sides from `dirty` cells.  False on wipeout.
-
-    A revision reads the revised cell's support across all four sides from
-    one lookup in `memo`, the tile set's support memo, and narrows each
-    neighbor by the entry for its side.  The four sides are written out as
-    four blocks: a loop over them cost about 12% of both solver workloads'
-    time.  Their order, east, west, north, south, sets the order in which
-    narrowed neighbors are queued, and with it the revision counts the
-    tests pin.
-
-    Search steps revise in FIFO order from their one cell.  A sweep of every
-    cell (the initial propagation, the torus's lex-leader step) passes
-    `pending`, marking every cell not yet revised: such a cell is not queued
-    when narrowed, since the sweep revises it anyway, and a cell narrowed
-    again after its revision goes to the front of the queue.  Before the
-    sweep revises a cell, the cell takes the support of its east neighbor
-    if that neighbor is still pending, one more lookup: the row-major sweep
-    has not revised it, but the row below and the boundary have narrowed
-    it.  A forced Turing-machine space-time diagram then takes one revision
-    per cell."""
+    """AC to fixpoint over `_setup`'s sides from `dirty` cells, narrowing
+    each neighbor by the revised cell's entry in `memo`; False on wipeout.
+    A sweep passes `pending`, its cells not yet revised; a search step
+    passes none and revises in FIFO order from its one cell."""
     queue = deque(dirty)
     if pending is None:
         # the lone start cell is popped before anything is pushed
@@ -436,21 +420,9 @@ def solve_rectangle(tileset: TileSet, w: int, h: int,
 def solve_torus(tileset: TileSet, p: int, q: int,
                 budget: SearchBudget = SearchBudget()) -> SearchResult:
     """Least p x q torus tiling or exhaustive UNSAT.  A SAT answer
-    certifies a fully periodic tiling of the entire plane.
-
-    Every cell starts from the tiles on a closed walk of p steps east and of
-    q steps north, since each row and column of a tiling is one, narrowed
-    to the part of them that supports itself, the root's fixpoint.  Each
-    torus is refuted once, not once per translation: with tile t at cell 0
-    the search allows no tile below t elsewhere, a step built at once from
-    the root's one domain, refuted at once if t is not in the part of the
-    tiles from t up that supports itself, and otherwise swept like the
-    initial propagation.  Some
-    translate of any tiling has its least tile at cell 0.  So statuses and
-    the least witness are those of the plain search and only node counts
-    fall.  `enumerate_tilings` with `wrap` starts from the same domains but
-    must list every translate, so it uses the translation rule only when
-    `limit` is 1."""
+    certifies a fully periodic tiling of the entire plane.  Its start
+    domains and the lex-leader rule change only node counts, never a status
+    or the least witness."""
     return _first(tileset, p, q, None, budget, wrap=True)
 
 

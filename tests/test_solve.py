@@ -16,8 +16,9 @@ from oracles import (naive_allowed, naive_arc_consistency, naive_closed_walk_til
 from shiftforge import solve
 from shiftforge.aperiodic import aperiodicity_evidence, robinson_tileset
 from shiftforge.compilers import decode_row, tm_initial_boundary, tm_to_tileset
-from shiftforge.core import SideTable, make_tileset, validate_tiling
+from shiftforge.core import Supports, make_tileset, validate_tiling
 from shiftforge.errors import InvalidInput
+from shiftforge.macrotile import check_isomorphism, find_simulation
 from shiftforge.solve import (SAT, UNKNOWN, UNSAT, BoundaryConstraint,
                               SearchBudget, SearchResult, count_rectangle,
                               enumerate_tilings, solve_rectangle, solve_torus)
@@ -729,7 +730,7 @@ def test_closed_walks_of_any_period_stop_at_a_repeat():
         tracemalloc.stop()
     assert masks == [0b110, 0]
     assert peak < 100_000
-    assert ts.side_tables[1].walks == {10**18: 0b110, 10**18 + 1: 0}
+    assert ts.supports.walks[1] == {10**18: 0b110, 10**18 + 1: 0}
 
 
 @settings(max_examples=200, deadline=None)
@@ -751,31 +752,37 @@ def test_each_side_table_allows_what_the_oracle_allows(tiles, unused, data):
 
 
 def test_a_domain_misses_once_and_fills_every_side(monkeypatch):
-    # the first lookup asks each side's table once, in `Tile.sides()` order;
-    # a second lookup asks none
+    # the first lookup of a domain misses once and stores all four sides,
+    # in `Tile.sides()` order; a second lookup misses none
     ts = make_tileset("t", [(0, 1, 0, 1), (1, 0, 1, 0), (1, 1, 1, 1)])
     asked = []
-    allowed = SideTable.allowed
-    monkeypatch.setattr(SideTable, "allowed",
-                        lambda table, d: asked.append((table, d)) or allowed(table, d))
+    missing = Supports.__missing__
+    monkeypatch.setattr(Supports, "__missing__",
+                        lambda memo, d: asked.append((memo, d)) or missing(memo, d))
     first = ts.supports[0b011]
-    assert asked == [(table, 0b011) for table in ts.side_tables]
+    assert asked == [(ts.supports, 0b011)]
+    assert [{u for u in range(3) if allowed >> u & 1} for allowed in first] == \
+        [naive_allowed(ts, k, 0b011) for k in range(4)]
     assert ts.supports[0b011] is first
-    assert len(asked) == 4
+    assert len(asked) == 1
     assert dict(ts.supports) == {0b011: first}
+    ts.supports[0b100]
+    assert asked == [(ts.supports, 0b011), (ts.supports, 0b100)]
 
 
 @st.composite
 def call_sequences(draw):
-    """(c, tiles, calls): 1 to 6 solver calls on grids up to 4 x 4, each
-    (kind, w, h, boundary, limit); tori and torus enumerations have no
-    boundary."""
+    """(c, tiles, calls): 1 to 6 solver or map-search calls, on grids up to
+    4 x 4 for the solvers, each (kind, w, h, boundary, limit); tori, torus
+    enumerations and map searches have no boundary."""
     c, tiles = draw(tile_lists())
     calls = []
     for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.sampled_from(["rect", "torus", "count", "enum", "enum-torus"]))
+        kind = draw(st.sampled_from(["rect", "torus", "count", "enum", "enum-torus",
+                                     "sim", "iso"]))
         w, h = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-        boundary = None if "torus" in kind else draw(boundaries(c, len(tiles), w, h))
+        boundary = (draw(boundaries(c, len(tiles), w, h))
+                    if kind in ("rect", "count", "enum") else None)
         calls.append((kind, w, h, boundary, draw(st.sampled_from([None, 1, 3]))))
     return c, tiles, calls
 
@@ -790,6 +797,10 @@ def call(ts, kind, w, h, boundary, limit):
         return solve_torus(ts, w, h)
     if kind == "count":
         return count_rectangle(ts, w, h, boundary, ENOUGH)
+    if kind == "sim":
+        return find_simulation(ts, ts)
+    if kind == "iso":
+        return check_isomorphism(ts, ts)
     return enumerate_tilings(ts, w, h, boundary, ENOUGH, wrap=kind == "enum-torus",
                              limit=limit)
 
@@ -805,6 +816,10 @@ def test_solves_sharing_a_tile_set_match_solves_of_a_fresh_copy(sequence):
         fresh = make_tileset("h", tiles, num_colors=c)
         got = call(shared, kind, w, h, boundary, limit)
         assert got == call(fresh, kind, w, h, boundary, limit)
+        # what the fresh copy memoized, the shared set memoized alike
+        assert fresh.supports.items() <= shared.supports.items()
+        if kind in ("sim", "iso"):
+            continue  # naive_solve has no map search to compare with
         status, cells, nodes = naive_solve(shared, w, h, torus="torus" in kind,
                                            boundary=boundary)
         if kind in ("rect", "torus"):
@@ -818,15 +833,13 @@ def test_solves_sharing_a_tile_set_match_solves_of_a_fresh_copy(sequence):
                 assert tilings[0].cells == cells
             elif complete:
                 assert status == UNSAT
-        # what the fresh copy memoized, the shared set memoized alike
-        assert fresh.supports.items() <= shared.supports.items()
 
 
 def test_a_tile_sets_tables_die_with_it():
     ts = make_tileset("t", [(0, 1, 0, 1), (1, 0, 1, 0), (1, 1, 1, 1)])
     solve_torus(ts, 2, 2)
     count_rectangle(ts, 3, 3)
-    assert ts.supports and all(table.walks for table in ts.side_tables[:2])
+    assert ts.supports and all(ts.supports.walks[:2])
     alive = [weakref.ref(ts), weakref.ref(ts.supports)]
     del ts
     gc.collect()
