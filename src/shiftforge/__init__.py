@@ -9,8 +9,8 @@ from .compilers import (TileCompilation, TmSpec, decode_row, sft_to_wang,
 from .core import Grid, SftSpec, Tile, TileSet, make_tileset, validate_tiling
 from .errors import (InvalidInput, InvalidSpec, MalformedInput, ParseError,
                      ShiftforgeError, UnsupportedSpec)
-from .macrotile import (BUDGET_EXCEEDED, MacroTileSet, TileSetMap,
-                        check_isomorphism, find_simulation, macro_tiles)
+from .macrotile import (BUDGET_EXCEEDED, MacroTileSet, check_isomorphism,
+                        find_simulation, macro_tiles)
 from .solve import (SAT, UNKNOWN, UNSAT, BoundaryConstraint, SearchBudget,
                     SearchResult, count_rectangle, enumerate_tilings,
                     solve_rectangle, solve_torus)

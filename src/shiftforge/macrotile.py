@@ -8,8 +8,9 @@ such blocks into an ordinary tile set, so the grouping can be iterated.
 Two notions of "one tile set behaving like another" are provided:
 ``find_simulation`` (an adjacency-preserving map, a homomorphism) and
 ``check_isomorphism`` (a bijection that preserves and reflects adjacency
-on both axes).  Both return the lexicographically least such map, found
-by forward checking on the target's per-color tile bitsets.
+on both axes).  Both return the lexicographically least such map σ as a
+tuple, σ[i] the target tile of source tile i, found by forward checking
+on the target's per-color tile bitsets.
 """
 
 from __future__ import annotations
@@ -34,20 +35,13 @@ class MacroTileSet:
     because composite ids are injective on border sequences.
     """
 
-    base: TileSet
-    n: int
     blocks: tuple[Grid, ...]
     tileset: TileSet
 
-    def border_sequences(self, index: int) -> dict[str, tuple[int, ...]]:
-        """The four base-color sequences on block ``index``'s outer edges
-        (rows west-to-east, columns south-to-north)."""
-        sides = ("north", "east", "south", "west")
-        return dict(zip(sides, _borders(self.base, self.blocks[index])))
-
 
 def _borders(base: TileSet, block: Grid) -> tuple[tuple[int, ...], ...]:
-    """The (north, east, south, west) border sequences of a block."""
+    """The (north, east, south, west) base-color sequences on a block's
+    outer edges, rows west-to-east and columns south-to-north."""
     tiles = base.tiles
     n = block.width
     return (tuple(tiles[block.cells[n - 1][x]].north for x in range(n)),
@@ -70,9 +64,10 @@ def macro_tiles(
         raise InvalidInput("block size must be positive")
     if max_tiles is not None and max_tiles < 0:
         raise InvalidInput("max_tiles must not be negative")
+    # a block past max_tiles stops the search short: complete is False
     limit = None if max_tiles is None else max_tiles + 1
     blocks, complete = enumerate_tilings(tileset, n, n, budget=budget, limit=limit)
-    if not complete or (max_tiles is not None and len(blocks) > max_tiles):
+    if not complete:
         return BUDGET_EXCEEDED
     # the first block seen per border 4-tuple is the least: blocks come sorted
     least: dict[tuple, Grid] = {}
@@ -85,31 +80,23 @@ def macro_tiles(
     ids = {key: i for i, key in enumerate(names)}
     ts = make_tileset(f"{tileset.name}^{n}",
                       [tuple(ids[key] for key in keys) for keys in keyed], names=names)
-    return MacroTileSet(tileset, n, tuple(least.values()), ts)
+    return MacroTileSet(tuple(least.values()), ts)
 
 
 # --- simulation / isomorphism -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TileSetMap:
-    """A map of tile indices from one set into another."""
-
-    source: TileSet
-    target: TileSet
-    assignment: tuple[int, ...]
-
-
-def preserves_adjacency(m: TileSetMap) -> bool:
-    """Independent check of the TileSetMap invariant: source tiles that
-    meet east-west or north-south have images that meet the same way."""
-    s, t, a = m.source.tiles, m.target.tiles, m.assignment
-    return all((s[i].east != s[j].west or t[a[i]].east == t[a[j]].west)
-               and (s[i].north != s[j].south or t[a[i]].north == t[a[j]].south)
+def preserves_adjacency(source: TileSet, target: TileSet, sigma: tuple[int, ...]) -> bool:
+    """Independent check of a map `sigma` of source tile indices to target
+    ones: source tiles that meet east-west or north-south have images that
+    meet the same way."""
+    s, t = source.tiles, target.tiles
+    return all((s[i].east != s[j].west or t[sigma[i]].east == t[sigma[j]].west)
+               and (s[i].north != s[j].south or t[sigma[i]].north == t[sigma[j]].south)
                for i in range(len(s)) for j in range(len(s)))
 
 
-def _least_map(source: TileSet, target: TileSet, bijective: bool) -> TileSetMap | None:
+def _least_map(source: TileSet, target: TileSet, bijective: bool) -> tuple[int, ...] | None:
     """Lexicographically least map of source tiles to target tiles under
     which every source adjacency is a target adjacency, or None (the
     search is exhaustive).  A `bijective` map must also be injective and
@@ -130,7 +117,7 @@ def _least_map(source: TileSet, target: TileSet, bijective: bool) -> TileSetMap 
     while stack:
         i = len(stack) - 1
         if i == len(sides):
-            return TileSetMap(source, target, tuple(assign))
+            return tuple(assign)
         doms = stack[-1]
         if not doms[0]:
             stack.pop()
@@ -155,7 +142,7 @@ def _least_map(source: TileSet, target: TileSet, bijective: bool) -> TileSetMap 
     return None
 
 
-def find_simulation(source: TileSet, target: TileSet) -> TileSetMap | None:
+def find_simulation(source: TileSet, target: TileSet) -> tuple[int, ...] | None:
     """Lexicographically least adjacency-preserving map of source tiles
     into target tiles, or None (the search is exhaustive)."""
     if not source.tiles or not target.tiles:
@@ -163,7 +150,7 @@ def find_simulation(source: TileSet, target: TileSet) -> TileSetMap | None:
     return _least_map(source, target, bijective=False)
 
 
-def check_isomorphism(a: TileSet, b: TileSet) -> TileSetMap | None:
+def check_isomorphism(a: TileSet, b: TileSet) -> tuple[int, ...] | None:
     """Lexicographically least bijection of tiles that preserves and
     reflects adjacency on both axes, or None.  Different sizes give None
     immediately."""

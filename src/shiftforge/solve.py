@@ -28,17 +28,16 @@ west, north, south, since a loop over the sides is measurably slower; that
 order sets the order in which narrowed cells are queued, and so the
 revision counts the tests pin.  The queue's flags are lists, not
 bytearrays, because CPython 3.11 specializes a list store and not a
-bytearray store.  After an assignment, narrowed cells go through a FIFO
-queue from the one assigned cell.  A sweep (the initial propagation, the
-lex-leader step below) revises every cell in row-major order, a slice at a
-time, and marks the cells not yet revised as pending: a pending cell is
-not queued when narrowed, since the sweep revises it anyway.  Before it
-revises a cell, the cell takes the support of its east neighbor if that
-neighbor is pending, which the row below and the boundary have narrowed;
-so a revision seldom narrows a cell already revised.  A cell that is
-narrowed again anyway goes to the front of the queue rather than behind
-the rest of the grid, where it would start another wave through every row.
-A forced Turing-machine space-time diagram then takes one revision per cell.
+bytearray store.  Every propagation revises cells in FIFO order; after
+an assignment the queue starts from the one assigned cell.  A sweep (the
+initial propagation, the lex-leader step below) queues every cell in
+row-major order, a slice at a time, and marks the cells not yet revised
+as pending: a pending cell is not queued again when narrowed, since the
+sweep revises it anyway.  Before it revises a cell, the cell takes the
+support of its east neighbor if that neighbor is pending, which the row
+below and the boundary have narrowed; so a revision seldom narrows a cell
+already revised.  A forced Turing-machine space-time diagram then takes
+one revision per cell.
 Arc consistency has a unique greatest fixpoint; every revision order
 reaches it, as does any sound narrowing such as the pull, stopping early
 only when it holds an empty domain.  So neither the pull, the slicing nor
@@ -93,6 +92,7 @@ propagation, the lex-leader step); past the deadline the answer is UNKNOWN.
 
 from __future__ import annotations
 
+import sys
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -115,6 +115,8 @@ class SearchBudget:
     def __post_init__(self):
         if self.max_nodes < 1 or self.max_millis < 1:
             raise InvalidInput("budget values must be positive")
+        if self.max_millis > sys.maxsize:
+            raise InvalidInput("max_millis must be at most sys.maxsize")
 
 
 @dataclass(frozen=True)
@@ -202,6 +204,8 @@ def _setup(tileset: TileSet, w: int, h: int, wrap: bool,
     if not start and boundary is None:
         return [0], [], []
     total = w * h
+    if total > sys.maxsize:
+        raise InvalidInput("a grid must have at most sys.maxsize cells")
     dom = [start] * total
     if boundary is not None:
         for k, (name, seq, edge) in enumerate((
@@ -252,13 +256,11 @@ def _propagate(dom: list[int], dirty: tuple[int] | list[int], sides: list[list[i
     """AC to fixpoint over `_setup`'s sides from `dirty` cells, narrowing
     each neighbor by the revised cell's entry in `memo`; False on wipeout.
     A sweep passes `pending`, its cells not yet revised; a search step
-    passes none and revises in FIFO order from its one cell."""
+    passes none.  Either revises in FIFO order."""
     queue = deque(dirty)
-    if pending is None:
-        # the lone start cell is popped before anything is pushed
-        in_queue, push = [0] * len(dom), queue.append
-    else:
-        in_queue, push = pending, queue.appendleft
+    push = queue.append
+    # a search step's lone start cell is popped before anything is pushed
+    in_queue = [0] * len(dom) if pending is None else pending
     east, west, north, south = sides
     while queue:
         c = queue.popleft()

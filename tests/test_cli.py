@@ -397,6 +397,14 @@ TM_HEAD = "tm states=q0,q1 start=q0 blank=0\n"
      "line 2: all_words_min_len takes one integer parameter"),
     # the mode is checked before its dimensions are parsed
     ({"t": ONE_TILE}, ["solve", "t", "--mode", "bogus", "x"], "unknown solve mode 'bogus'"),
+    # sizes past sys.maxsize are refused before anything is allocated
+    ({"t": ONE_TILE}, ["solve", "t", "--mode", "rect", str(10**20), "1"],
+     "a grid must have at most sys.maxsize cells"),
+    ({"t": ONE_TILE}, ["solve", "t", "--mode", "torus", "1", str(10**20)],
+     "a grid must have at most sys.maxsize cells"),
+    ({"t": ONE_TILE}, ["macro", "t", str(10**10)], "a grid must have at most sys.maxsize cells"),
+    ({"t": ONE_TILE}, ["solve", "t", "--mode", "rect", "2", "2", "--budget-ms", str(10**400)],
+     "max_millis must be at most sys.maxsize"),
 ])
 def test_each_input_error_has_its_own_line(tmp_path, monkeypatch, capsys, files, argv,
                                            message):

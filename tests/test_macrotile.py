@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -6,7 +8,7 @@ from oracles import naive_blocks, naive_least_map
 from shiftforge.aperiodic import robinson_tileset
 from shiftforge.core import Grid, Tile, make_tileset, validate_tiling
 from shiftforge.errors import InvalidInput
-from shiftforge.macrotile import (BUDGET_EXCEEDED, TileSetMap,
+from shiftforge.macrotile import (BUDGET_EXCEEDED, MacroTileSet, _borders,
                                   check_isomorphism, find_simulation,
                                   macro_tiles, preserves_adjacency)
 from shiftforge.solve import SearchBudget, count_rectangle
@@ -19,7 +21,7 @@ def test_single_free_tile_macro():
     t = m.tileset.tiles[0]
     # one distinct border sequence per axis
     assert t.north == t.south and t.east == t.west
-    assert m.border_sequences(0)["north"] == (0, 0)
+    assert _borders(ts, m.blocks[0])[0] == (0, 0)
 
 
 def test_two_free_tiles_macro_count():
@@ -47,7 +49,7 @@ def test_macro_adjacency_matches_base_edges():
     assert len(m.blocks) == count_rectangle(ts, 2, 2).count
     a, b = 0, 1
     ta, tb = m.tileset.tiles[a], m.tileset.tiles[b]
-    same = m.border_sequences(a)["east"] == m.border_sequences(b)["west"]
+    same = _borders(ts, m.blocks[a])[1] == _borders(ts, m.blocks[b])[3]
     assert (ta.east == tb.west) == same
 
 
@@ -57,6 +59,35 @@ def test_macro_budget_and_cap():
     assert macro_tiles(ts, 3, budget=SearchBudget(max_nodes=1)) == BUDGET_EXCEEDED
     with pytest.raises(InvalidInput):
         macro_tiles(ts, 0)
+    # 10^20 cells: rejected before any block is searched
+    with pytest.raises(InvalidInput, match="at most sys.maxsize cells"):
+        macro_tiles(ts, 10**10)
+
+
+def assert_max_tiles_allows_exactly(ts, n, count):
+    # the cap counts blocks before the merge per border: at the block count
+    # the search completes, one below it the search stops short
+    m = macro_tiles(ts, n, max_tiles=count)
+    assert isinstance(m, MacroTileSet) and m == macro_tiles(ts, n)
+    assert len(m.blocks) <= count
+    if count:
+        assert macro_tiles(ts, n, max_tiles=count - 1) == BUDGET_EXCEEDED
+
+
+def test_robinson_max_tiles_boundary_is_its_512_blocks():
+    ts = robinson_tileset().tileset
+    assert count_rectangle(ts, 2, 2).count == 512
+    assert_max_tiles_allows_exactly(ts, 2, 512)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_max_tiles_boundary_is_the_block_count(seed):
+    rng = random.Random(seed)
+    c = rng.randint(2, 3)
+    tiles = {tuple(rng.randrange(c) for _ in range(4)) for _ in range(rng.randint(2, 6))}
+    ts = make_tileset("r", sorted(tiles), num_colors=c)
+    n = rng.randint(2, 3)
+    assert_max_tiles_allows_exactly(ts, n, count_rectangle(ts, n, n).count)
 
 
 def test_macro_tiles_keep_the_least_block_per_border():
@@ -79,10 +110,9 @@ def test_identity_simulation_found():
     ts = make_tileset("t", [(0, 1, 0, 1), (1, 0, 1, 0)])
     m = find_simulation(ts, ts)
     assert m is not None
-    assert preserves_adjacency(m)
+    assert preserves_adjacency(ts, ts, m)
     # identity is the least adjacency-preserving self-map here
-    assert m.assignment == (0, 0) or preserves_adjacency(
-        TileSetMap(ts, ts, (0, 1)))
+    assert m == (0, 0) or preserves_adjacency(ts, ts, (0, 1))
 
 
 def test_simulation_none_when_target_too_rigid():
@@ -105,7 +135,7 @@ def test_isomorphism_under_color_permutation():
     b = make_tileset("b", [(1, 0, 1, 0), (0, 1, 0, 1)])
     m = check_isomorphism(a, b)
     assert m is not None
-    assert sorted(m.assignment) == [0, 1]
+    assert sorted(m) == [0, 1]
     back = check_isomorphism(b, a)
     assert back is not None
 
@@ -131,8 +161,8 @@ def test_isomorphism_is_injective_where_adjacency_cannot_tell_tiles_apart():
     # no tile meets any tile on either axis, so only injectivity stops
     # both tiles from mapping to tile 0
     ts = make_tileset("apart", [(0, 1, 2, 3), (0, 1, 2, 4)])
-    assert find_simulation(ts, ts).assignment == (0, 0)
-    assert check_isomorphism(ts, ts).assignment == (0, 1)
+    assert find_simulation(ts, ts) == (0, 0)
+    assert check_isomorphism(ts, ts) == (0, 1)
 
 
 @st.composite
@@ -169,29 +199,27 @@ BACKTRACK = (make_tileset("s", [(0, 1, 0, 2), (0, 2, 0, 1)]),
 @example(BACKTRACK)
 def test_least_maps_match_naive_enumeration(pair):
     source, target = pair
-    m = find_simulation(source, target)
-    assert (m and m.assignment) == naive_least_map(source, target, bijective=False)
-    m = check_isomorphism(source, target)
-    assert (m and m.assignment) == naive_least_map(source, target, bijective=True)
+    assert find_simulation(source, target) == naive_least_map(source, target, bijective=False)
+    assert check_isomorphism(source, target) == naive_least_map(source, target, bijective=True)
 
 
 def test_least_map_of_a_set_larger_than_the_recursion_limit():
     # one search level per source tile: 1,100 levels
     source = make_tileset("s", [(i, 0, i, 0) for i in range(1100)])
     target = make_tileset("t", [(0, 0, 0, 0)])
-    assert find_simulation(source, target).assignment == (0,) * 1100
-    assert check_isomorphism(source, source).assignment == tuple(range(1100))
+    assert find_simulation(source, target) == (0,) * 1100
+    assert check_isomorphism(source, source) == tuple(range(1100))
 
 
 def test_isomorphism_of_empty_sets_is_the_empty_map():
     empty = make_tileset("e", [])
-    assert check_isomorphism(empty, empty).assignment == ()
+    assert check_isomorphism(empty, empty) == ()
 
 
 def test_robinson_simulates_itself():
     ts = robinson_tileset().tileset
     m = find_simulation(ts, ts)
-    assert m is not None and preserves_adjacency(m)
+    assert m is not None and preserves_adjacency(ts, ts, m)
 
 
 def test_robinson_is_isomorphic_to_its_quarter_turn():
@@ -200,12 +228,12 @@ def test_robinson_is_isomorphic_to_its_quarter_turn():
     turned = make_tileset("turned", [(t.east, t.south, t.west, t.north) for t in ts.tiles],
                           num_colors=len(ts.colors))
     m = check_isomorphism(ts, turned)
-    assert m is not None and sorted(m.assignment) == list(range(len(ts.tiles)))
+    assert m is not None and sorted(m) == list(range(len(ts.tiles)))
     inverse = [0] * len(ts.tiles)
-    for i, v in enumerate(m.assignment):
+    for i, v in enumerate(m):
         inverse[v] = i
-    assert preserves_adjacency(m)
-    assert preserves_adjacency(TileSetMap(turned, ts, tuple(inverse)))
+    assert preserves_adjacency(ts, turned, m)
+    assert preserves_adjacency(turned, ts, tuple(inverse))
 
 
 def test_robinson_substitutes_into_its_macro_tiles():
@@ -214,10 +242,10 @@ def test_robinson_substitutes_into_its_macro_tiles():
     ts = robinson_tileset().tileset
     macro = macro_tiles(ts, 2)
     sigma = find_simulation(ts, macro.tileset)
-    assert sigma is not None and preserves_adjacency(sigma)
+    assert sigma is not None and preserves_adjacency(ts, macro.tileset, sigma)
     rows = [(0,)]
     for k in range(1, 6):
-        blocks = [[macro.blocks[sigma.assignment[t]].cells for t in row] for row in rows]
+        blocks = [[macro.blocks[sigma[t]].cells for t in row] for row in rows]
         rows = [sum((b[y] for b in row), ()) for row in blocks for y in range(2)]
         assert len(rows) == len(rows[0]) == 2 ** k
         assert validate_tiling(ts, Grid.from_rows(rows))

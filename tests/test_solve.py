@@ -1,5 +1,6 @@
 import gc
 import random
+import sys
 import time
 import tracemalloc
 import weakref
@@ -202,6 +203,30 @@ def test_clock_budget_covers_setup():
     assert (r.status, r.nodes) == (UNKNOWN, 0)
     with pytest.raises(InvalidInput):
         solve_rectangle(one, 600, 600, BoundaryConstraint(north=(0,)), SearchBudget(1, 1))
+
+
+def test_a_grid_past_sys_maxsize_cells_is_invalid_input(monkeypatch):
+    # rejected before its domains are built; an empty start still answers
+    # UNSAT, since it builds no grid
+    monkeypatch.setattr(solve, "_propagate", lambda *args: pytest.fail("propagated"))
+    one = make_tileset("t", [(0, 0, 0, 0)])
+    big = sys.maxsize + 1
+    for attempt in (lambda: solve_rectangle(one, big, 1), lambda: solve_torus(one, 1, big),
+                    lambda: count_rectangle(one, 10**10, 10**10),
+                    lambda: enumerate_tilings(one, 10**20, 1, wrap=True)):
+        with pytest.raises(InvalidInput, match="at most sys.maxsize cells"):
+            attempt()
+    lone = make_tileset("t", [(0, 1, 2, 3)], num_colors=4)
+    assert solve_torus(lone, 1, 10**20) == SearchResult(UNSAT)
+
+
+def test_a_clock_budget_past_sys_maxsize_millis_is_invalid_input():
+    with pytest.raises(InvalidInput, match="max_millis must be at most sys.maxsize"):
+        SearchBudget(5, 10**400)
+    with pytest.raises(InvalidInput, match="max_millis must be at most sys.maxsize"):
+        SearchBudget(max_millis=sys.maxsize + 1)
+    one = make_tileset("t", [(0, 0, 0, 0)])
+    assert solve_rectangle(one, 1, 1, budget=SearchBudget(5, sys.maxsize)).status == SAT
 
 
 def expired_setup_peak(monkeypatch, reads_in_time: int) -> int:
