@@ -4,8 +4,8 @@ aperiodic tile set with its evidence suite."""
 
 from .aperiodic import (ROBINSON_TILE_COUNT, EvidenceReport, RobinsonSet,
                         aperiodicity_evidence, robinson_tileset)
-from .compilers import (TileCompilation, TmSpec, decode_row, sft_to_wang,
-                        tm_initial_boundary, tm_to_tileset)
+from .compilers import (TileCompilation, TmSpec, sft_to_wang, tm_initial_boundary,
+                        tm_to_tileset)
 from .core import Grid, SftSpec, Tile, TileSet, make_tileset, validate_tiling
 from .errors import (InvalidInput, InvalidSpec, MalformedInput, ParseError,
                      ShiftforgeError, UnsupportedSpec)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import Grid, Patterns, SftSpec, TileSet, make_tileset
+from .core import Patterns, SftSpec, TileSet, make_tileset
 from .errors import InvalidInput, InvalidSpec
 from .solve import BoundaryConstraint
 
@@ -82,22 +82,33 @@ def legal_blocks(spec: SftSpec, kb: int) -> list[Block]:
     """All kb x kb letter blocks with no forbidden-pattern occurrence,
     in lexicographic order (rows bottom-up, alphabet order as given).
 
-    Blocks grow one row at a time, depth first.  Once a row is placed,
-    only the pattern placements whose top row is that row are new, so
-    only those are scanned and a partial block with a hit is pruned.
+    A legal block is a path of kb rows in the spec's row-transfer graph
+    (the higher-block presentation).  Whether a row may come next depends
+    only on the block's tail, its last H - 1 rows, where H is the height
+    of the tallest pattern: the placements whose top row is the new row
+    reach no lower.  So each distinct tail's successor rows are scanned
+    once and reused, and blocks grow depth first along them.  A row that
+    fails alone fails on any tail, so the candidates are the empty tail's
+    successors, the rows legal alone.
     """
-    rows = list(itertools.product(spec.alphabet, repeat=kb))
     patterns = Patterns([p.cells for p in spec.forbidden])
+    keep = max(patterns.max_height - 1, 0)
+    alone = [row for row in itertools.product(spec.alphabet, repeat=kb)
+             if patterns.first((row,)) is None]
+    successors = {(): alone}
     out: list[Block] = []
 
     def grow(block: Block) -> None:
         if len(block) == kb:
             out.append(block)
             return
+        tail = block[-keep:] if keep else ()
+        rows = successors.get(tail)
+        if rows is None:
+            rows = successors[tail] = [row for row in alone if patterns.first(
+                tail + (row,), top=len(tail)) is None]
         for row in rows:
-            grown = block + (row,)
-            if patterns.first(grown, top=len(block)) is None:
-                grow(grown)
+            grow(block + (row,))
 
     grow(())
     return out
@@ -257,7 +268,3 @@ def tm_initial_boundary(
         east=tuple([border] * height),
     )
 
-
-def decode_row(comp: TileCompilation, tiling: Grid, row: int) -> tuple[str, ...]:
-    """Decode one row of a tiling through the compilation's d-map."""
-    return tuple(comp.decode[i] for i in tiling.cells[row])

@@ -4,6 +4,14 @@ Each cell is drawn as four triangles meeting at the cell center, one per
 side, filled with that side color's palette entry.  The palette is a
 fixed hash of the color id, so identical inputs always produce identical
 bytes.
+
+Both renderers do work in proportion to what they write.  A PPM pixel
+row dy above a c-pixel cell's bottom is three runs of bytes: west, then
+south (2 dy < c) or north, then east, with lo = dy or c - dy pixels on
+either side.  Each used tile's c rows are built once and joined into the
+image.  An SVG cell is one string of its four polygons, from x and y
+coordinate strings formatted once per column and row and fills looked up
+once per used tile.  Both hash each distinct color once per image.
 """
 
 from __future__ import annotations
@@ -53,31 +61,16 @@ def _render_ppm(tileset: TileSet, tiling: Grid, c: int) -> bytes:
     used = {i for row in tiling.cells for i in row}
     rgb = {color: bytes(palette_rgb(color))
            for i in used for color in tileset.tiles[i].sides()}
-    # strips[i][dy]: tile i's pixel row dy above the cell's bottom
+    # strips[i]: tile i's pixel rows as runs, top-down
     strips = {}
     for i in used:
-        n, e, s, w = tileset.tiles[i].sides()
-        strip = []
-        for dy in range(c):
-            row = []
-            for dx in range(c):
-                # triangle test: compare distances to the four sides
-                below_rising = dy * 2 < (dx * 2 + 1)  # under the / diagonal
-                below_falling = dy * 2 < (2 * c - 1 - dx * 2)  # under the \
-                if below_rising and below_falling:
-                    color = s
-                elif not below_rising and not below_falling:
-                    color = n
-                elif below_rising:
-                    color = e
-                else:
-                    color = w
-                row.append(rgb[color])
-            strip.append(b"".join(row))
-        strips[i] = strip
+        n, e, s, w = (rgb[color] for color in tileset.tiles[i].sides())
+        strips[i] = [w * lo + mid * (c - 2 * lo) + e * lo
+                     for lo, mid in ((dy, s) if 2 * dy < c else (c - dy, n)
+                                     for dy in reversed(range(c)))]
     # image rows run top-down; tiling row 0 is at the bottom
-    body = b"".join(b"".join(strips[i][dy] for i in row)
-                    for row in reversed(tiling.cells) for dy in reversed(range(c)))
+    body = b"".join(b"".join(pixels) for row in reversed(tiling.cells)
+                    for pixels in zip(*map(strips.__getitem__, row)))
     header = f"P6\n{tiling.width * c} {tiling.height * c}\n255\n".encode()
     return header + body
 
@@ -85,25 +78,25 @@ def _render_ppm(tileset: TileSet, tiling: Grid, c: int) -> bytes:
 def _render_svg(tileset: TileSet, tiling: Grid, c: int) -> bytes:
     w_px, h_px = tiling.width * c, tiling.height * c
     used = {i for row in tiling.cells for i in row}
-    fills = {color: "rgb({},{},{})".format(*palette_rgb(color))
-             for i in used for color in tileset.tiles[i].sides()}
+    fill = {color: "rgb({},{},{})".format(*palette_rgb(color))
+            for i in used for color in tileset.tiles[i].sides()}
+    fills = {i: tuple(map(fill.__getitem__, tileset.tiles[i].sides())) for i in used}
+    # (left, center, right) x strings per column and (top, center, bottom)
+    # y strings per row; svg y points down, so tiling row 0 is at the bottom
+    xs = [(str(x * c), str(x * c + c / 2), str((x + 1) * c)) for x in range(tiling.width)]
+    ys = [(str(top), str(top + c / 2), str(top + c))
+          for top in ((tiling.height - 1 - y) * c for y in range(tiling.height))]
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w_px}" '
         f'height="{h_px}" viewBox="0 0 {w_px} {h_px}">'
     ]
-    for y in range(tiling.height):
-        top = (tiling.height - 1 - y) * c  # svg y axis points down
-        for x in range(tiling.width):
-            n, e, s, w = tileset.tiles[tiling.cells[y][x]].sides()
-            lx, cx, rx = x * c, x * c + c / 2, (x + 1) * c
-            ty, cy, by = top, top + c / 2, top + c
-            tris = (
-                (n, f"{lx},{ty} {rx},{ty} {cx},{cy}"),
-                (e, f"{rx},{ty} {rx},{by} {cx},{cy}"),
-                (s, f"{lx},{by} {rx},{by} {cx},{cy}"),
-                (w, f"{lx},{ty} {lx},{by} {cx},{cy}"),
-            )
-            for color, points in tris:
-                out.append(f'<polygon points="{points}" fill="{fills[color]}"/>')
+    for (ty, cy, by), row in zip(ys, tiling.cells):
+        for (lx, cx, rx), i in zip(xs, row):
+            n, e, s, w = fills[i]
+            out.append(
+                f'<polygon points="{lx},{ty} {rx},{ty} {cx},{cy}" fill="{n}"/>\n'
+                f'<polygon points="{rx},{ty} {rx},{by} {cx},{cy}" fill="{e}"/>\n'
+                f'<polygon points="{lx},{by} {rx},{by} {cx},{cy}" fill="{s}"/>\n'
+                f'<polygon points="{lx},{ty} {lx},{by} {cx},{cy}" fill="{w}"/>')
     out.append("</svg>")
     return ("\n".join(out) + "\n").encode()

@@ -381,3 +381,28 @@ def naive_ppm(ts: TileSet, tiling, c: int) -> bytes:
                     color = t.west
                 rows.extend(palette_rgb(color))
     return f"P6\n{w_px} {h_px}\n255\n".encode() + bytes(rows)
+
+
+def naive_svg(ts: TileSet, tiling, c: int) -> bytes:
+    """SVG of a tiling with c x c units per cell, one polygon per side per
+    cell: four triangles meeting at the cell's center, filled with
+    ``palette_rgb`` of that side's color."""
+    w_px, h_px = tiling.width * c, tiling.height * c
+    lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w_px}" '
+             f'height="{h_px}" viewBox="0 0 {w_px} {h_px}">']
+    for y in range(tiling.height):
+        top = (tiling.height - 1 - y) * c  # svg y axis points down
+        for x in range(tiling.width):
+            t = ts.tiles[tiling.cells[y][x]]
+            lx, cx, rx = x * c, x * c + c / 2, (x + 1) * c
+            ty, cy, by = top, top + c / 2, top + c
+            for color, points in (
+                (t.north, f"{lx},{ty} {rx},{ty} {cx},{cy}"),
+                (t.east, f"{rx},{ty} {rx},{by} {cx},{cy}"),
+                (t.south, f"{lx},{by} {rx},{by} {cx},{cy}"),
+                (t.west, f"{lx},{ty} {lx},{by} {cx},{cy}"),
+            ):
+                r, g, b = palette_rgb(color)
+                lines.append(f'<polygon points="{points}" fill="rgb({r},{g},{b})"/>')
+    lines.append("</svg>")
+    return ("\n".join(lines) + "\n").encode()

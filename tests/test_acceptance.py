@@ -14,8 +14,7 @@ from oracles import (all_windows, legal_torus_configs, naive_count_tilings,
                      tm_run)
 from shiftforge.aperiodic import aperiodicity_evidence, robinson_tileset
 from shiftforge.cli import main
-from shiftforge.compilers import (TmSpec, decode_row, sft_to_wang,
-                                  tm_initial_boundary, tm_to_tileset)
+from shiftforge.compilers import TmSpec, sft_to_wang, tm_initial_boundary, tm_to_tileset
 from shiftforge.core import Grid, SftSpec, make_tileset
 from shiftforge.solve import (SAT, UNSAT, count_rectangle, enumerate_tilings,
                               solve_rectangle, solve_torus)
@@ -140,9 +139,8 @@ def test_criterion_3_tm_space_time_diagrams():
         if r.status != SAT:
             ok = False
             continue
-        for row in range(height):
-            if decode_row(comp, r.tiling, row) != configs[row]:
-                ok = False
+        if [tuple(comp.decode[i] for i in row) for row in r.tiling.cells] != configs:
+            ok = False
         # uniqueness of the space-time diagram
         c = count_rectangle(comp.tileset, n, height, boundary=boundary)
         if c.count != 1:

@@ -7,10 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import legal_torus_configs, tm_run, torus_config_legal
-from shiftforge.compilers import (TileCompilation, TmSpec, decode_row,
-                                  legal_blocks, sft_to_wang,
+from shiftforge.compilers import (TileCompilation, TmSpec, legal_blocks, sft_to_wang,
                                   tm_initial_boundary, tm_to_tileset)
-from shiftforge.core import Grid, SftSpec
+from shiftforge.core import Grid, Patterns, SftSpec
 from shiftforge.errors import InvalidInput, InvalidSpec
 from shiftforge.solve import SAT, UNSAT, count_rectangle, enumerate_tilings, solve_rectangle
 from shiftforge.subshift import ExplicitWords, Subshift1dSpec, lift_1d
@@ -23,14 +22,10 @@ def brute_legal_blocks(spec, kb):
     out = []
     for flat in itertools.product(spec.alphabet, repeat=kb * kb):
         block = tuple(flat[y * kb:(y + 1) * kb] for y in range(kb))
-        bad = False
-        for p in spec.forbidden:
-            for y0 in range(kb - p.height + 1):
-                for x0 in range(kb - p.width + 1):
-                    if all(block[y0 + dy][x0 + dx] == p.cells[dy][dx]
-                           for dy in range(p.height) for dx in range(p.width)):
-                        bad = True
-        if not bad:
+        if not any(all(block[y0 + dy][x0 + dx] == p.cells[dy][dx]
+                       for dy in range(p.height) for dx in range(p.width))
+                   for p in spec.forbidden
+                   for y0 in range(kb - p.height + 1) for x0 in range(kb - p.width + 1)):
             out.append(block)
     return out
 
@@ -70,6 +65,47 @@ def test_legal_blocks_matches_brute_force():
             full = SftSpec(a, pats + (random_pattern(rng, a, kb, kb),))
             for s in (spec, full):
                 assert legal_blocks(s, kb) == brute_legal_blocks(s, kb)
+
+
+def test_legal_blocks_matches_brute_force_where_tails_repeat():
+    # block sizes up to H + 2 for patterns at most H = 2 high, so tails
+    # shorter than H - 1 and repeated tails both occur; with H = 1 every
+    # tail is empty
+    rng = random.Random(7)
+    for i in range(8):
+        flat = i % 2 == 0
+        a = ("a", "b", "c")[: 2 + i % 4 // 2] if flat else ("a", "b")
+        pats = tuple(random_pattern(rng, a, rng.randint(2, 3), 1 if flat else rng.randint(1, 2))
+                     for _ in range(rng.randint(1, 2)))
+        if not flat:
+            pats += (random_pattern(rng, a, rng.randint(1, 2), 2),)
+        spec = SftSpec(a, pats)
+        height = max(p.height for p in pats)
+        for kb in range(spec.window, min(height + 2, 3 if len(a) == 3 else 4) + 1):
+            assert legal_blocks(spec, kb) == brute_legal_blocks(spec, kb)
+
+
+@pytest.mark.parametrize("alphabet, words, k", [
+    (("0", "1"), ("11111", "101"), 5),
+    (("0", "1", "2"), ("0120",), 4),
+])
+def test_legal_blocks_scans_each_tail_once(monkeypatch, alphabet, words, k):
+    # |A|^k scans find the L rows legal alone; then each distinct tail, at
+    # most one per legal row on a lift, scans those L rows once
+    spec = lift_1d(Subshift1dSpec(alphabet, ExplicitWords(words)))
+    calls = [0]
+    first = Patterns.first
+
+    def counted(self, rows, top=0):
+        calls[0] += 1
+        return first(self, rows, top)
+
+    monkeypatch.setattr(Patterns, "first", counted)
+    blocks = legal_blocks(spec, k)
+    alone = [w for w in itertools.product(alphabet, repeat=k)
+             if not any(f in "".join(w) for f in words)]
+    assert blocks == [(w,) * k for w in alone]
+    assert calls[0] <= len(alphabet) ** k + len(alone) ** 2
 
 
 def test_binary_k5_lift_blocks_are_constant_columns_of_legal_words():
@@ -164,7 +200,7 @@ def run_and_check(tm, w, n, height, head=0, input_at=0):
 def test_immediate_halt_machine():
     comp, boundary, configs, r = run_and_check(HALT_NOW, "", 3, 1)
     assert r.status == SAT
-    assert decode_row(comp, r.tiling, 0) == configs[0] == ("h.0", "0", "0")
+    assert tuple(comp.decode[i] for i in r.tiling.cells[0]) == configs[0] == ("h.0", "0", "0")
     # a halted head admits no row above it
     _, _, _, r2 = run_and_check(HALT_NOW, "", 3, 2)
     assert r2.status == UNSAT
@@ -176,8 +212,7 @@ def test_incrementer_rows_decode_to_simulator_configs():
     comp, boundary, configs, r = run_and_check(INCREMENTER, "1", 4, 3)
     assert r.status == SAT
     assert len(configs) == 3
-    for row in range(3):
-        assert decode_row(comp, r.tiling, row) == configs[row]
+    assert [tuple(comp.decode[i] for i in row) for row in r.tiling.cells] == configs
     c = count_rectangle(comp.tileset, 4, 3, boundary=boundary)
     assert c.count == 1
     _, _, _, r4 = run_and_check(INCREMENTER, "1", 4, 4)
@@ -221,7 +256,7 @@ def test_long_counter_diagrams_decode_to_simulator_configs(bits, decrement, mirr
     assert height > 150
     comp, boundary, _, r = run_and_check(tm, tape, n, height, head=head)
     assert r.status == SAT
-    assert [decode_row(comp, r.tiling, y) for y in range(height)] == configs
+    assert [tuple(comp.decode[i] for i in row) for row in r.tiling.cells] == configs
     c = count_rectangle(comp.tileset, n, height, boundary=boundary)
     assert (c.status, c.count) == ("COUNT", 1)
     assert run_and_check(tm, tape, n, height + 1, head=head)[3].status == UNSAT
@@ -277,7 +312,7 @@ def test_random_machine_diagrams_match_the_simulator(start):
             return
     boundary, r = solve(h)
     assert r.status == SAT
-    assert [decode_row(comp, r.tiling, y) for y in range(h)] == configs[:h]
+    assert [tuple(comp.decode[i] for i in row) for row in r.tiling.cells] == configs[:h]
     if halted:
         c = count_rectangle(comp.tileset, n, h, boundary=boundary)
         assert (c.status, c.count) == ("COUNT", 1)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_ppm
+from oracles import naive_ppm, naive_svg
 from shiftforge.core import Grid, make_tileset
 from shiftforge.errors import InvalidInput
 from shiftforge.render import PPM, SVG, RenderSpec, palette_rgb, render
@@ -95,8 +95,8 @@ def test_render_is_deterministic():
 
 
 @st.composite
-def ppm_instances(draw):
-    """(tile set, one of its tilings, cell pixels): <= 6 tiles over <= 3
+def render_instances(draw):
+    """(tile set, one of its tilings, cell size): <= 6 tiles over <= 3
     colors, rectangles up to 5 x 5, 1 to 9 pixels per cell."""
     k = draw(st.integers(1, 3))
     color = st.integers(0, k - 1)
@@ -110,8 +110,18 @@ def ppm_instances(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(ppm_instances())
+@given(render_instances())
 @example((make_tileset("s", [(0, 1, 2, 1), (2, 1, 0, 1)]), Grid.from_rows([[0, 0], [1, 1]]), 5))
 def test_ppm_matches_the_per_pixel_renderer(instance):
     ts, tiling, c = instance
     assert render(ts, tiling, RenderSpec(c, PPM)) == naive_ppm(ts, tiling, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(render_instances())
+@example((make_tileset("s", [(0, 1, 2, 1), (2, 1, 0, 1)]), Grid.from_rows([[0, 0], [1, 1]]), 5))
+@example((TS, ONE, 1))
+def test_svg_matches_the_per_polygon_renderer(instance):
+    # odd cell sizes put cell centers on halves, such as 2.5
+    ts, tiling, c = instance
+    assert render(ts, tiling, RenderSpec(c, SVG)) == naive_svg(ts, tiling, c)

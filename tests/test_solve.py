@@ -16,7 +16,7 @@ from oracles import (naive_allowed, naive_arc_consistency, naive_closed_walk_til
                      naive_tilings, tm_run)
 from shiftforge import solve
 from shiftforge.aperiodic import aperiodicity_evidence, robinson_tileset
-from shiftforge.compilers import decode_row, tm_initial_boundary, tm_to_tileset
+from shiftforge.compilers import tm_initial_boundary, tm_to_tileset
 from shiftforge.core import Supports, make_tileset, validate_tiling
 from shiftforge.errors import InvalidInput
 from shiftforge.macrotile import check_isomorphism, find_simulation
@@ -699,7 +699,7 @@ def test_a_forced_counter_diagram_takes_one_revision_per_cell(monkeypatch, decre
     revisions = count_revisions(monkeypatch)
     comp, _, configs, r = run_and_check(tm, tape, n, height, head=head)
     assert (r.status, r.nodes, revisions[0]) == (SAT, 0, n * height)
-    assert [decode_row(comp, r.tiling, y) for y in range(height)] == configs
+    assert [tuple(comp.decode[i] for i in row) for row in r.tiling.cells] == configs
 
 
 def test_a_cell_narrowed_after_its_revision_is_revised_again(monkeypatch):
