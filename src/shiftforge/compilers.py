@@ -232,21 +232,20 @@ def tm_initial_boundary(
     tape_width: int,
     height: int,
     head: int = 0,
-    input_at: int = 0,
 ) -> BoundaryConstraint:
     """Force a rectangle's bottom row to the machine's initial
-    configuration (input w written from ``input_at``, head at ``head``)
-    and its side columns to the outer-boundary color."""
+    configuration (input w written from cell 0 and padded with blanks,
+    head at ``head``) and its side columns to the outer-boundary color.
+    Input placed elsewhere is passed with its leading blanks."""
     n = tape_width
     if not 0 <= head < n:
         raise InvalidInput("head position outside tape")
-    if input_at < 0 or input_at + len(w) > n:
+    if len(w) > n:
         raise InvalidInput("input does not fit on the tape")
-    tape = [tm.blank] * n
-    for i, a in enumerate(w):
+    for a in w:
         if a not in tm.tape_alphabet:
             raise InvalidInput(f"input symbol {a!r} outside tape alphabet")
-        tape[input_at + i] = a
+    tape = list(w) + [tm.blank] * (n - len(w))
 
     ids = {key: i for i, key in enumerate(comp.tileset.colors)}
     south = []

@@ -1,16 +1,15 @@
-"""Macro-tiles and structural comparison of tile sets.
+"""Macro-tiles and simulation of one tile set by another.
 
 An n x n valid block of a tile set behaves like a single tile whose four
 sides are the sequences of base colors along its outer edges.  Giving
 each distinct border sequence a composite color id turns the set of all
 such blocks into an ordinary tile set, so the grouping can be iterated.
 
-Two notions of "one tile set behaving like another" are provided:
-``find_simulation`` (an adjacency-preserving map, a homomorphism) and
-``check_isomorphism`` (a bijection that preserves and reflects adjacency
-on both axes).  Both return the lexicographically least such map σ as a
-tuple, σ[i] the target tile of source tile i, found by forward checking
-on the target's per-color tile bitsets.
+One tile set simulates another through a map of its tiles that preserves
+adjacency (a homomorphism): ``find_simulation`` returns the
+lexicographically least such map σ as a tuple, σ[i] the target tile of
+source tile i, found by forward checking on the target's per-color tile
+bitsets.
 """
 
 from __future__ import annotations
@@ -83,7 +82,7 @@ def macro_tiles(
     return MacroTileSet(tuple(least.values()), ts)
 
 
-# --- simulation / isomorphism -------------------------------------------------
+# --- simulation ---------------------------------------------------------------
 
 
 def preserves_adjacency(source: TileSet, target: TileSet, sigma: tuple[int, ...]) -> bool:
@@ -96,20 +95,18 @@ def preserves_adjacency(source: TileSet, target: TileSet, sigma: tuple[int, ...]
                for i in range(len(s)) for j in range(len(s)))
 
 
-def _least_map(source: TileSet, target: TileSet, bijective: bool) -> tuple[int, ...] | None:
+def find_simulation(source: TileSet, target: TileSet) -> tuple[int, ...] | None:
     """Lexicographically least map of source tiles to target tiles under
     which every source adjacency is a target adjacency, or None (the
-    search is exhaustive).  A `bijective` map must also be injective and
-    reflect adjacency: a pair is adjacent in the source iff its image is
-    adjacent in the target.
+    search is exhaustive).  An empty source has the empty map ``()``; a
+    nonempty source has no map into an empty target.
 
     Forward checking, depth first over the source tiles in index order:
     image v for tile i masks the images left to tile i itself (a tile can
     meet itself) and to every later tile with the target's supports of v,
-    the tiles allowed across each side of v, where the source colors match
-    and (bijective) their complements where they differ, v dropped.  Masks
-    drop only images that break a constraint with an assigned tile and
-    images ascend, so the first complete map is the least."""
+    the tiles allowed across each side of v where the source colors meet.
+    Masks drop only images that break a constraint with an assigned tile
+    and images ascend, so the first complete map is the least."""
     sides = [t.sides() for t in source.tiles]
     # stack[i][j - i]: tile j's images allowed beside tiles < i (untried, if j == i)
     stack = [[(1 << len(target.tiles)) - 1] * len(sides)]
@@ -127,33 +124,16 @@ def _least_map(source: TileSet, target: TileSet, bijective: bool) -> tuple[int, 
         v = low.bit_length() - 1
         assign[i:] = [v]
         fits = target.supports[low]
-        misses, keep = ([~f for f in fits], ~low) if bijective else ([-1] * 4, -1)
         mine = sides[i]
         new = []
         for j, (d, theirs) in enumerate(zip(doms, sides[i:])):
-            d = d & keep if j else low
+            d = d if j else low
             for k in range(4):
-                d &= fits[k] if mine[k] == theirs[k ^ 2] else misses[k]
+                if mine[k] == theirs[k ^ 2]:
+                    d &= fits[k]
             if not d:
                 break
             new.append(d)
         else:
             stack.append(new[1:])
     return None
-
-
-def find_simulation(source: TileSet, target: TileSet) -> tuple[int, ...] | None:
-    """Lexicographically least adjacency-preserving map of source tiles
-    into target tiles, or None (the search is exhaustive)."""
-    if not source.tiles or not target.tiles:
-        raise InvalidInput("both tile sets must be nonempty")
-    return _least_map(source, target, bijective=False)
-
-
-def check_isomorphism(a: TileSet, b: TileSet) -> tuple[int, ...] | None:
-    """Lexicographically least bijection of tiles that preserves and
-    reflects adjacency on both axes, or None.  Different sizes give None
-    immediately."""
-    if len(a.tiles) != len(b.tiles):
-        return None
-    return _least_map(a, b, bijective=True)

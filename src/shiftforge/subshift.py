@@ -2,9 +2,8 @@
 
 A 1D subshift is given by an alphabet and a source of forbidden words:
 either an explicit finite list or a pull-based stream whose enumeration
-can only ever be sampled up to a budget.  Strings and windows are both
-checked with `core.Patterns`: a word is a one-row pattern, and a window
-is checked against the 2D patterns a spec was lifted to.
+can only ever be sampled up to a budget.  A string is checked with
+`core.Patterns`, each word a one-row pattern.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from itertools import count, islice, product
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .core import Grid, Patterns, SftSpec, check_alphabet
 from .errors import InvalidInput, InvalidSpec, UnsupportedSpec
@@ -93,21 +92,12 @@ def make_stream(name: str, alphabet: tuple[str, ...], params: list[str]) -> Word
 
 @dataclass(frozen=True)
 class Verdict:
-    """A string's or a window's check; a violation names its match (the
-    forbidden word, or the forbidden pattern's index) and where it starts,
-    a word's at y = 0."""
+    """A string's check; a violation names its match, the forbidden word,
+    and the position x where it starts."""
 
     kind: str  # CLEAN / VIOLATION / BUDGET_EXHAUSTED_CLEAN
-    match: str | int | None = None
+    match: str | None = None
     x: int | None = None
-    y: int | None = None
-
-
-def _check_letters(alphabet: tuple[str, ...], s: Iterable[str]) -> None:
-    letters = set(alphabet)
-    for a in s:
-        if a not in letters:
-            raise InvalidInput(f"letter {a!r} outside alphabet")
 
 
 def check_sequence(
@@ -124,7 +114,10 @@ def check_sequence(
         raise InvalidInput("budget must be positive")
     if budget > sys.maxsize:
         raise InvalidInput("budget must be at most sys.maxsize")
-    _check_letters(spec.alphabet, s)
+    letters = set(spec.alphabet)
+    for a in s:
+        if a not in letters:
+            raise InvalidInput(f"letter {a!r} outside alphabet")
     source = spec.source.generate()
     words = []  # only words that fit in s can occur in it
     for w in islice(source, budget):
@@ -136,8 +129,8 @@ def check_sequence(
     words.sort(key=len)
     hit = Patterns([(w,) for w in words]).first((s,))
     if hit is not None:
-        y, x, i = hit
-        return Verdict(VIOLATION, words[i], x, y)
+        _, x, i = hit
+        return Verdict(VIOLATION, words[i], x)
     # one word past the budget tells a cut-off source from a finished one
     if next(source, None) is not None:
         return Verdict(BUDGET_EXHAUSTED_CLEAN)
@@ -158,15 +151,3 @@ def lift_1d(spec: Subshift1dSpec) -> SftSpec:
     for w in sorted(spec.source.words):
         patterns.append(Grid.from_rows([w]))
     return SftSpec(spec.alphabet, tuple(patterns))
-
-
-def check_window(spec: SftSpec, w: Grid) -> Verdict:
-    """Scan a window for forbidden-pattern occurrences; on a hit, report
-    the least (y, x, pattern index) triple."""
-    for row in w.cells:
-        _check_letters(spec.alphabet, row)
-    hit = Patterns([p.cells for p in spec.forbidden]).first(w.cells)
-    if hit is None:
-        return Verdict(CLEAN)
-    y, x, i = hit
-    return Verdict(VIOLATION, i, x, y)

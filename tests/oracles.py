@@ -40,14 +40,11 @@ def naive_words(alphabet, min_len: int, max_len: int) -> list[str]:
     return sorted((w for w in words if len(w) >= min_len), key=lambda w: (len(w), w))
 
 
-def tm_run(tm: TmSpec, w: str, n: int, head: int = 0, input_at: int = 0,
-           max_steps: int = 1000):
+def tm_run(tm: TmSpec, w: str, n: int, head: int = 0, max_steps: int = 1000):
     """Configurations of tm on an n-cell tape, as tuples of cell strings
     ("a" or "q.a" under the head).  Stops after a halting configuration.
     Returns None if the head leaves the tape or max_steps is exceeded."""
-    tape = [tm.blank] * n
-    for i, a in enumerate(w):
-        tape[input_at + i] = a
+    tape = list(w) + [tm.blank] * (n - len(w))
     q, h = tm.start, head
     out = []
     for _ in range(max_steps + 1):
@@ -214,11 +211,12 @@ def window_has_pattern(grid, pat) -> bool:
     return False
 
 
-def naive_first_occurrence(grid, patterns):
+def naive_first_occurrence(grid, patterns, top: int = 0):
     """Least (y, x, index) such that patterns[index] occurs in grid with
-    its bottom-left cell at (x, y), or None."""
+    its bottom-left cell at (x, y) and its top row at row `top` or above,
+    or None."""
     hits = [(y0, x0, i) for i, pat in enumerate(patterns)
-            for y0 in range(len(grid) - pat.height + 1)
+            for y0 in range(max(0, top - pat.height + 1), len(grid) - pat.height + 1)
             for x0 in range(len(grid[0]) - pat.width + 1)
             if all(grid[y0 + dy][x0 + dx] == pat.cells[dy][dx]
                    for dy in range(pat.height) for dx in range(pat.width))]
@@ -331,12 +329,11 @@ def naive_solve(ts: TileSet, w: int, h: int, torus: bool = False,
     return "SAT", tuple(tuple(found[y * w:(y + 1) * w]) for y in range(h)), nodes
 
 
-def naive_least_map(source: TileSet, target: TileSet, bijective: bool):
+def naive_least_map(source: TileSet, target: TileSet):
     """Least assignment, in lexicographic order, of target tile indices to
     source tiles under which every source adjacency (east-west or
-    north-south, ordered) is a target adjacency; a `bijective` map must be
-    a permutation under which a pair is adjacent iff its image is.
-    Tries every map; returns the assignment tuple or None."""
+    north-south, ordered) is a target adjacency.  Tries every map;
+    returns the assignment tuple or None."""
     s, t = source.tiles, target.tiles
 
     def adjacent(tiles, i, j):
@@ -345,12 +342,12 @@ def naive_least_map(source: TileSet, target: TileSet, bijective: bool):
     def fits(a):
         for i, j in itertools.product(range(len(s)), repeat=2):
             src, img = adjacent(s, i, j), adjacent(t, a[i], a[j])
-            if src != img if bijective else any(x and not y for x, y in zip(src, img)):
+            if any(x and not y for x, y in zip(src, img)):
                 return False
         return True
 
     for a in itertools.product(range(len(t)), repeat=len(s)):
-        if (not bijective or sorted(a) == list(range(len(t)))) and fits(a):
+        if fits(a):
             return a
     return None
 

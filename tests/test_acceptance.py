@@ -11,15 +11,14 @@ import itertools
 import random
 
 from oracles import (all_windows, legal_torus_configs, naive_count_tilings,
-                     tm_run)
+                     tm_run, window_has_pattern)
 from shiftforge.aperiodic import aperiodicity_evidence, robinson_tileset
 from shiftforge.cli import main
 from shiftforge.compilers import TmSpec, sft_to_wang, tm_initial_boundary, tm_to_tileset
 from shiftforge.core import Grid, SftSpec, make_tileset
 from shiftforge.solve import (SAT, UNSAT, count_rectangle, enumerate_tilings,
                               solve_rectangle, solve_torus)
-from shiftforge.subshift import (CLEAN, ExplicitWords, Subshift1dSpec,
-                                 check_window, lift_1d)
+from shiftforge.subshift import ExplicitWords, Subshift1dSpec, lift_1d
 
 
 def _report(num: int, name: str, ok: bool) -> None:
@@ -86,7 +85,8 @@ def test_criterion_2_lift_correctness():
             for w in (1, 2, 3):
                 for h in (1, 2, 3):
                     for grid in all_windows(alphabet, w, h):
-                        clean = check_window(lifted, Grid(w, h, grid)).kind == CLEAN
+                        clean = not any(window_has_pattern(grid, p)
+                                        for p in lifted.forbidden)
                         cols_const = all(
                             grid[y][x] == grid[y + 1][x]
                             for x in range(w) for y in range(h - 1)
@@ -123,18 +123,17 @@ BUSY3 = TmSpec(
 
 def test_criterion_3_tm_space_time_diagrams():
     cases = [
-        (HALT_NOW, "", 3, 0, 0),
-        (INCREMENTER, "1", 4, 0, 0),
-        (BUSY3, "", 12, 1, 0),
+        (HALT_NOW, "", 3, 0),
+        (INCREMENTER, "1", 4, 0),
+        (BUSY3, "", 12, 1),
     ]
     ok = True
-    for tm, w, n, head, input_at in cases:
-        configs = tm_run(tm, w, n, head=head, input_at=input_at)
+    for tm, w, n, head in cases:
+        configs = tm_run(tm, w, n, head=head)
         assert configs is not None
         height = len(configs)
         comp = tm_to_tileset(tm, n)
-        boundary = tm_initial_boundary(tm, comp, w, n, height,
-                                       head=head, input_at=input_at)
+        boundary = tm_initial_boundary(tm, comp, w, n, height, head=head)
         r = solve_rectangle(comp.tileset, n, height, boundary=boundary)
         if r.status != SAT:
             ok = False
@@ -146,8 +145,7 @@ def test_criterion_3_tm_space_time_diagrams():
         if c.count != 1:
             ok = False
         # the halted head admits no further row
-        above = tm_initial_boundary(tm, comp, w, n, height + 1,
-                                    head=head, input_at=input_at)
+        above = tm_initial_boundary(tm, comp, w, n, height + 1, head=head)
         if solve_rectangle(comp.tileset, n, height + 1,
                            boundary=above).status != UNSAT:
             ok = False

@@ -186,13 +186,12 @@ def test_tape_width_must_be_positive():
         tm_to_tileset(HALT_NOW, 0)
 
 
-def run_and_check(tm, w, n, height, head=0, input_at=0):
+def run_and_check(tm, w, n, height, head=0):
     """Solve the forced-bottom-row rectangle and compare each row with the
     reference simulator."""
     comp = tm_to_tileset(tm, n)
-    boundary = tm_initial_boundary(tm, comp, w, n, height, head=head,
-                                   input_at=input_at)
-    configs = tm_run(tm, w, n, head=head, input_at=input_at)
+    boundary = tm_initial_boundary(tm, comp, w, n, height, head=head)
+    configs = tm_run(tm, w, n, head=head)
     r = solve_rectangle(comp.tileset, n, height, boundary=boundary)
     return comp, boundary, configs, r
 
@@ -264,9 +263,9 @@ def test_long_counter_diagrams_decode_to_simulator_configs(bits, decrement, mirr
 
 @st.composite
 def tm_starts(draw):
-    """(tm, w, n, head, input_at): a machine with at most 3 states and 3
-    symbols, any of its states halting and any of its rules defined, on a
-    1- to 6-cell tape with a random input and head."""
+    """(tm, w, n, head): a machine with at most 3 states and 3 symbols,
+    any of its states halting and any of its rules defined, on a 1- to
+    6-cell tape with a random input at a random offset and a random head."""
     states = tuple(f"q{i}" for i in range(draw(st.integers(1, 3))))
     symbols = tuple("01#"[:draw(st.integers(1, 3))])
     halting = frozenset(draw(st.sets(st.sampled_from(states))))
@@ -275,14 +274,16 @@ def tm_starts(draw):
     transitions = draw(st.dictionaries(st.sampled_from(keys), rule) if keys else st.just({}))
     n = draw(st.integers(1, 6))
     w = draw(st.text(alphabet=symbols, max_size=n))
-    return (TmSpec(states, "q0", symbols, symbols[0], transitions, halting), w, n,
-            draw(st.integers(0, n - 1)), draw(st.integers(0, n - len(w))))
+    head = draw(st.integers(0, n - 1))
+    # the cells before the input's offset are blank
+    w = symbols[0] * draw(st.integers(0, n - len(w))) + w
+    return TmSpec(states, "q0", symbols, symbols[0], transitions, halting), w, n, head
 
 
 @settings(max_examples=200, deadline=None)
 @given(tm_starts())
 def test_random_machine_diagrams_match_the_simulator(start):
-    tm, w, n, head, input_at = start
+    tm, w, n, head = start
     comp = tm_to_tileset(tm, n)
     # rules are read in sorted order, so their insertion order changes nothing
     flipped = dataclasses.replace(tm, transitions=dict(reversed(tm.transitions.items())))
@@ -292,15 +293,15 @@ def test_random_machine_diagrams_match_the_simulator(start):
     # tiles exist for exactly the tape ends some column touches
     ends = {"LR"} if n == 1 else {"L", "R"} | ({"I"} if n > 2 else set())
     assert {p[p.rindex("[") + 1:-1] for p in comp.provenance} == ends
-    configs = tm_run(tm, w, n, head=head, input_at=input_at)
+    configs = tm_run(tm, w, n, head=head)
     assume(configs is not None)  # the head left the tape or the run kept going
 
     def solve(height):
-        boundary = tm_initial_boundary(tm, comp, w, n, height, head=head, input_at=input_at)
+        boundary = tm_initial_boundary(tm, comp, w, n, height, head=head)
         return boundary, solve_rectangle(comp.tileset, n, height, boundary=boundary)
 
     try:
-        tm_initial_boundary(tm, comp, w, n, 1, head=head, input_at=input_at)
+        tm_initial_boundary(tm, comp, w, n, 1, head=head)
     except InvalidInput:  # no tile reads the start configuration's head
         assume(False)
     h = len(configs)

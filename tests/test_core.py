@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from shiftforge.core import (Grid, SftSpec, Tile, check_alphabet, make_tileset,
-                             validate_tiling)
+from oracles import naive_first_occurrence
+from shiftforge.core import (Grid, Patterns, SftSpec, Tile, check_alphabet,
+                             make_tileset, validate_tiling)
 from shiftforge.errors import InvalidSpec, MalformedInput
 
 
@@ -83,3 +86,36 @@ def test_window_from_rows():
     w = Grid.from_rows(["ab", "ba"])
     assert w.cells[0] == ("a", "b")
     assert (w.width, w.height) == (2, 2)
+
+
+@st.composite
+def pattern_windows(draw):
+    """Patterns over 1-3 letters up to 3x3, some sharing a shape and some
+    repeated, and a window over the same letters."""
+    letter = st.sampled_from("abc"[:draw(st.integers(1, 3))])
+
+    def grid(w, h):
+        return st.lists(st.lists(letter, min_size=w, max_size=w),
+                        min_size=h, max_size=h).map(Grid.from_rows)
+
+    shapes = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                           min_size=1, max_size=3))
+    pats = draw(st.lists(st.sampled_from(shapes).flatmap(lambda s: grid(*s)),
+                         max_size=6))
+    pats += draw(st.lists(st.sampled_from(pats), max_size=2)) if pats else []
+    pats = draw(st.permutations(pats))
+    window = draw(grid(draw(st.integers(1, 5)), draw(st.integers(1, 5))))
+    return tuple(pats), window
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=pattern_windows())
+# two shapes hit at one placement, the earlier-listed shape with the larger index
+@example(case=(tuple(Grid.from_rows([r]) for r in ("bb", "a", "ab")), Grid.from_rows(["ab"])))
+def test_patterns_first_matches_naive_least_occurrence(case):
+    pats, window = case
+    scanner = Patterns([p.cells for p in pats])
+    # `top` keeps the placements whose top row is at row top or above
+    for top in range(window.height):
+        assert scanner.first(window.cells, top=top) == naive_first_occurrence(
+            window.cells, pats, top=top)

@@ -19,7 +19,7 @@ from shiftforge.aperiodic import aperiodicity_evidence, robinson_tileset
 from shiftforge.compilers import tm_initial_boundary, tm_to_tileset
 from shiftforge.core import Supports, make_tileset, validate_tiling
 from shiftforge.errors import InvalidInput
-from shiftforge.macrotile import check_isomorphism, find_simulation
+from shiftforge.macrotile import find_simulation
 from shiftforge.solve import (SAT, UNKNOWN, UNSAT, BoundaryConstraint,
                               SearchBudget, SearchResult, count_rectangle,
                               enumerate_tilings, solve_rectangle, solve_torus)
@@ -804,7 +804,7 @@ def call_sequences(draw):
     calls = []
     for _ in range(draw(st.integers(1, 6))):
         kind = draw(st.sampled_from(["rect", "torus", "count", "enum", "enum-torus",
-                                     "sim", "iso"]))
+                                     "sim"]))
         w, h = draw(st.integers(1, 4)), draw(st.integers(1, 4))
         boundary = (draw(boundaries(c, len(tiles), w, h))
                     if kind in ("rect", "count", "enum") else None)
@@ -824,8 +824,6 @@ def call(ts, kind, w, h, boundary, limit):
         return count_rectangle(ts, w, h, boundary, ENOUGH)
     if kind == "sim":
         return find_simulation(ts, ts)
-    if kind == "iso":
-        return check_isomorphism(ts, ts)
     return enumerate_tilings(ts, w, h, boundary, ENOUGH, wrap=kind == "enum-torus",
                              limit=limit)
 
@@ -843,7 +841,7 @@ def test_solves_sharing_a_tile_set_match_solves_of_a_fresh_copy(sequence):
         assert got == call(fresh, kind, w, h, boundary, limit)
         # what the fresh copy memoized, the shared set memoized alike
         assert fresh.supports.items() <= shared.supports.items()
-        if kind in ("sim", "iso"):
+        if kind == "sim":
             continue  # naive_solve has no map search to compare with
         status, cells, nodes = naive_solve(shared, w, h, torus="torus" in kind,
                                            boundary=boundary)

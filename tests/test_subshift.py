@@ -6,14 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (naive_first_match, naive_first_occurrence, naive_words,
-                     window_has_pattern)
-from shiftforge.core import Grid, SftSpec
+from oracles import naive_first_match, naive_words
 from shiftforge.errors import InvalidInput, InvalidSpec, UnsupportedSpec
 from shiftforge.subshift import (BUDGET_EXHAUSTED_CLEAN, CLEAN, VIOLATION,
                                  ExplicitWords, Subshift1dSpec, WordStream,
-                                 all_words_min_len, check_sequence,
-                                 check_window, lift_1d, make_stream)
+                                 all_words_min_len, check_sequence, lift_1d,
+                                 make_stream)
 
 words_strategy = st.lists(st.text(alphabet="ab", min_size=1, max_size=4),
                           min_size=0, max_size=6)
@@ -67,8 +65,7 @@ def test_check_sequence_explicit_clean_and_violation():
     spec = Subshift1dSpec(("a", "b"), ExplicitWords(("bb",)))
     assert check_sequence(spec, "ababab").kind == CLEAN
     v = check_sequence(spec, "abba")
-    # a word hit is on row 0
-    assert (v.kind, v.match, v.x, v.y) == (VIOLATION, "bb", 1, 0)
+    assert (v.kind, v.match, v.x) == (VIOLATION, "bb", 1)
 
 
 def test_check_sequence_rejects_foreign_letters():
@@ -179,84 +176,3 @@ def test_lift_pattern_inventory():
     assert len(lifted.forbidden) == 3
     shapes = {(p.width, p.height) for p in lifted.forbidden}
     assert shapes == {(1, 2), (2, 1)}
-
-
-def _direct_lift_predicate(alphabet, words, grid):
-    h, w = len(grid), len(grid[0])
-    for x in range(w):
-        for y in range(h - 1):
-            if grid[y][x] != grid[y + 1][x]:
-                return False
-    for row in grid:
-        s = "".join(row)
-        if any(s.find(word) != -1 for word in words):
-            return False
-    return True
-
-
-def test_lift_windows_match_direct_predicate_exhaustively():
-    # every binary F with words of length <= 2, every window up to 3x3
-    alphabet = ("0", "1")
-    unit_words = ["0", "1", "00", "01", "10", "11"]
-    for r in range(0, 3):
-        for words in itertools.combinations(unit_words, r):
-            spec = Subshift1dSpec(alphabet, ExplicitWords(words))
-            lifted = lift_1d(spec)
-            for w, h in [(1, 1), (2, 2), (3, 3), (3, 2)]:
-                for flat in itertools.product(alphabet, repeat=w * h):
-                    grid = tuple(flat[y * w:(y + 1) * w] for y in range(h))
-                    got = check_window(lifted, Grid(w, h, grid))
-                    want = _direct_lift_predicate(alphabet, words, grid)
-                    assert (got.kind == CLEAN) == want
-
-
-def test_check_window_reports_least_y_x_pattern():
-    spec = lift_1d(Subshift1dSpec(("0", "1"), ExplicitWords(("11",))))
-    # bottom row has the hit at x=1
-    v = check_window(spec, Grid.from_rows(["0110", "0110"]))
-    word_idx = [i for i, p in enumerate(spec.forbidden)
-                if (p.width, p.height) == (2, 1)][0]
-    assert (v.kind, v.y, v.x, v.match) == (VIOLATION, 0, 1, word_idx)
-
-
-def test_check_window_uses_oracle_pattern_scan():
-    spec = lift_1d(Subshift1dSpec(("0", "1"), ExplicitWords(("10", "00"))))
-    for flat in itertools.product("01", repeat=4):
-        grid = (flat[:2], flat[2:])
-        got = check_window(spec, Grid(2, 2, grid))
-        want = any(window_has_pattern(grid, p) for p in spec.forbidden)
-        assert (got.kind == VIOLATION) == want
-
-
-@st.composite
-def window_specs(draw):
-    """An SftSpec over 1-3 letters with patterns up to 3x3, some sharing a
-    shape and some repeated, and a window over the same letters."""
-    alphabet = tuple("abc"[:draw(st.integers(1, 3))])
-    letter = st.sampled_from(alphabet)
-
-    def grid(w, h):
-        return st.lists(st.lists(letter, min_size=w, max_size=w),
-                        min_size=h, max_size=h).map(Grid.from_rows)
-
-    shapes = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
-                           min_size=1, max_size=3))
-    pats = draw(st.lists(st.sampled_from(shapes).flatmap(lambda s: grid(*s)),
-                         max_size=6))
-    pats += draw(st.lists(st.sampled_from(pats), max_size=2)) if pats else []
-    pats = draw(st.permutations(pats))
-    window = draw(grid(draw(st.integers(1, 5)), draw(st.integers(1, 5))))
-    return SftSpec(alphabet, tuple(pats)), window
-
-
-@settings(max_examples=300, deadline=None)
-@given(case=window_specs())
-# two shapes hit at one placement, the earlier-listed shape with the larger index
-@example(case=(SftSpec(("a", "b"), tuple(Grid.from_rows([r]) for r in ("bb", "a", "ab"))),
-               Grid.from_rows(["ab"])))
-def test_check_window_matches_naive_least_occurrence(case):
-    spec, window = case
-    v = check_window(spec, window)
-    want = naive_first_occurrence(window.cells, spec.forbidden)
-    got = None if v.kind == CLEAN else (v.y, v.x, v.match)
-    assert got == want
