@@ -33,7 +33,7 @@ the machine-checkable shadow of aperiodicity at desk scale.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import TileSet, make_tileset
 from .errors import InvalidInput
@@ -47,8 +47,7 @@ _OPP = {"N": "S", "S": "N", "E": "W", "W": "E"}
 # direction in {E, W} and side in {N, S}, vertical ones the other way round
 
 
-@dataclass(frozen=True)
-class RobinsonSet:
+class RobinsonSet(NamedTuple):
     tileset: TileSet
     tile_roles: tuple[str, ...]
 
@@ -117,8 +116,7 @@ def robinson_tileset() -> RobinsonSet:
     return RobinsonSet(ts, tuple(e[1] for e in entries))
 
 
-@dataclass(frozen=True)
-class EvidenceReport:
+class EvidenceReport(NamedTuple):
     """Desk-scale aperiodicity evidence: squares keep tiling while no
     torus does.  A genuine aperiodicity proof is out of scope."""
 

@@ -181,10 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Subshift and Wang-tiling toolkit: compile, solve, render, verify.",
     )
     sub = top.add_subparsers(dest="command", required=True)
+    budget = SearchBudget()
 
     def common(p):
-        p.add_argument("--budget-nodes", type=int, default=SearchBudget.max_nodes)
-        p.add_argument("--budget-ms", type=int, default=SearchBudget.max_millis)
+        p.add_argument("--budget-nodes", type=int, default=budget.max_nodes)
+        p.add_argument("--budget-ms", type=int, default=budget.max_millis)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("compile", help="compile a spec into a tile set")

@@ -19,7 +19,7 @@ Two translations live here:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Patterns, SftSpec, TileSet, make_tileset
 from .errors import InvalidInput, InvalidSpec
@@ -28,10 +28,7 @@ from .solve import BoundaryConstraint
 Block = tuple[tuple[str, ...], ...]  # rows bottom-up, like Grid cells
 
 
-@dataclass(frozen=True)
-class TmSpec:
-    """A deterministic Turing machine with a partial transition table."""
-
+class _TmFields(NamedTuple):
     states: tuple[str, ...]
     start: str
     tape_alphabet: tuple[str, ...]
@@ -39,43 +36,54 @@ class TmSpec:
     transitions: dict[tuple[str, str], tuple[str, str, str]]  # (q,a) -> (q',a',L/R)
     halting: frozenset[str]
 
-    def __post_init__(self):
-        if len(set(self.states)) != len(self.states):
+
+class TmSpec(_TmFields):
+    """A deterministic Turing machine with a partial transition table."""
+
+    __slots__ = ()
+
+    def __new__(cls, states, start, tape_alphabet, blank, transitions, halting):
+        if len(set(states)) != len(states):
             raise InvalidSpec("duplicate states")
-        if self.start not in self.states:
+        if start not in states:
             raise InvalidSpec("start state not in state set")
-        if self.blank not in self.tape_alphabet:
+        if blank not in tape_alphabet:
             raise InvalidSpec("blank symbol not in tape alphabet")
         # the text format writes both as comma-separated lists
-        if any("," in x for x in self.states + self.tape_alphabet):
+        if any("," in x for x in states + tape_alphabet):
             raise InvalidSpec("states and tape symbols must not contain ','")
-        for q in self.halting:
-            if q not in self.states:
+        for q in halting:
+            if q not in states:
                 raise InvalidSpec(f"halting state {q!r} not in state set")
-        for (q, a), (q2, a2, mv) in self.transitions.items():
-            if q in self.halting:
+        for (q, a), (q2, a2, mv) in transitions.items():
+            if q in halting:
                 raise InvalidSpec(f"transition defined on halting state {q!r}")
-            if q not in self.states or q2 not in self.states:
+            if q not in states or q2 not in states:
                 raise InvalidSpec("transition references unknown state")
-            if a not in self.tape_alphabet or a2 not in self.tape_alphabet:
+            if a not in tape_alphabet or a2 not in tape_alphabet:
                 raise InvalidSpec("transition references unknown symbol")
             if mv not in ("L", "R"):
                 raise InvalidSpec(f"move must be L or R, got {mv!r}")
+        return super().__new__(cls, states, start, tape_alphabet, blank, transitions, halting)
 
 
-@dataclass(frozen=True)
-class TileCompilation:
-    """A tile set together with its per-tile decoding and origin notes."""
-
+class _CompilationFields(NamedTuple):
     tileset: TileSet
     decode: tuple[str, ...]  # tile index -> decoded letter / cell description
     provenance: tuple[str, ...]  # tile index -> human-readable origin
 
-    def __post_init__(self):
-        if len(self.decode) != len(self.tileset.tiles):
+
+class TileCompilation(_CompilationFields):
+    """A tile set together with its per-tile decoding and origin notes."""
+
+    __slots__ = ()
+
+    def __new__(cls, tileset, decode, provenance):
+        if len(decode) != len(tileset.tiles):
             raise InvalidSpec("decode must be total on the tile set")
-        if len(self.provenance) != len(self.tileset.tiles):
+        if len(provenance) != len(tileset.tiles):
             raise InvalidSpec("provenance must be total on the tile set")
+        return super().__new__(cls, tileset, decode, provenance)
 
 
 def legal_blocks(spec: SftSpec, kb: int) -> list[Block]:

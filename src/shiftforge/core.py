@@ -16,19 +16,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import InvalidSpec, MalformedInput
 
 
-@dataclass(frozen=True, order=True)
-class Tile:
+class Tile(NamedTuple):
+    """A Wang tile, which is its own (north, east, south, west) color tuple."""
+
     north: int
     east: int
     south: int
     west: int
 
     def sides(self) -> tuple[int, int, int, int]:
-        return (self.north, self.east, self.south, self.west)
+        return self
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,7 @@ class TileSet:
         if len(set(self.tiles)) != len(self.tiles):
             raise InvalidSpec(f"tileset {self.name!r}: duplicate tiles")
         for t in self.tiles:
-            for c in t.sides():
+            for c in t:
                 if not 0 <= c < n:
                     raise InvalidSpec(
                         f"tileset {self.name!r}: tile {t} references color {c} "
@@ -67,7 +69,7 @@ class TileSet:
 
 class Supports(dict):
     """A memo from a domain (a tile bitset) to the tiles allowed across
-    each side of it, in `Tile.sides()` order.  Side k faces side k ^ 2 of
+    each side of it, in `Tile` field order.  Side k faces side k ^ 2 of
     the tile across it, and per side k the table keeps each tile's color
     there (`colors[k]`), the tiles showing each color there (`mine[k]`) and
     the solver's closed-walk masks by period (`walks[k]`).  A miss fills the
@@ -76,7 +78,7 @@ class Supports(dict):
 
     def __init__(self, tiles: tuple[Tile, ...], ncolors: int):
         super().__init__()
-        self.colors = list(zip(*(t.sides() for t in tiles))) or [()] * 4
+        self.colors = list(zip(*tiles)) or [()] * 4
         self.mine = [[0] * ncolors for _ in range(4)]
         for row, col in zip(self.mine, self.colors):
             for i, c in enumerate(col):
@@ -112,23 +114,27 @@ def make_tileset(
         if num_colors is None:
             num_colors = 1 + max((max(t) for t in tiles), default=-1)
         names = (None,) * num_colors
-    return TileSet(name, tuple(names), tuple(Tile(*t) for t in tiles))
+    return TileSet(name, tuple(names), tuple(map(Tile._make, tiles)))
 
 
-@dataclass(frozen=True)
-class Grid:
-    """A finite rectangle of cells, rows bottom-up: a tiling or torus of
-    tile indices, or a forbidden pattern or window of letters."""
-
+class _GridFields(NamedTuple):
     width: int
     height: int
     cells: tuple[tuple, ...]
 
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
+
+class Grid(_GridFields):
+    """A finite rectangle of cells, rows bottom-up: a tiling or torus of
+    tile indices, or a forbidden pattern or window of letters."""
+
+    __slots__ = ()
+
+    def __new__(cls, width, height, cells):
+        if width < 1 or height < 1:
             raise InvalidSpec("grid dimensions must be positive")
-        if len(self.cells) != self.height or any(len(r) != self.width for r in self.cells):
+        if len(cells) != height or any(len(r) != width for r in cells):
             raise InvalidSpec("grid does not match its declared dimensions")
+        return super().__new__(cls, width, height, cells)
 
     @staticmethod
     def from_rows(rows) -> "Grid":
@@ -199,21 +205,25 @@ def check_alphabet(alphabet: tuple[str, ...]) -> None:
         raise InvalidSpec("alphabet letters must be distinct")
 
 
-@dataclass(frozen=True)
-class SftSpec:
-    """A 2D subshift of finite type: alphabet plus forbidden patterns."""
-
+class _SftFields(NamedTuple):
     alphabet: tuple[str, ...]
     forbidden: tuple[Grid, ...]
 
-    def __post_init__(self):
-        check_alphabet(self.alphabet)
-        letters = set(self.alphabet)
-        for p in self.forbidden:
+
+class SftSpec(_SftFields):
+    """A 2D subshift of finite type: alphabet plus forbidden patterns."""
+
+    __slots__ = ()
+
+    def __new__(cls, alphabet, forbidden):
+        check_alphabet(alphabet)
+        letters = set(alphabet)
+        for p in forbidden:
             for row in p.cells:
                 for a in row:
                     if a not in letters:
                         raise InvalidSpec(f"pattern letter {a!r} outside alphabet")
+        return super().__new__(cls, alphabet, forbidden)
 
     @property
     def window(self) -> int:

@@ -14,7 +14,7 @@ bitsets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Grid, TileSet, make_tileset
 from .errors import InvalidInput
@@ -23,8 +23,7 @@ from .solve import SearchBudget, enumerate_tilings
 BUDGET_EXCEEDED = "BUDGET_EXCEEDED"
 
 
-@dataclass(frozen=True)
-class MacroTileSet:
+class MacroTileSet(NamedTuple):
     """The valid n x n blocks of a base set, one per distinct border, as a
     tile set of their own.
 
@@ -107,7 +106,7 @@ def find_simulation(source: TileSet, target: TileSet) -> tuple[int, ...] | None:
     the tiles allowed across each side of v where the source colors meet.
     Masks drop only images that break a constraint with an assigned tile
     and images ascend, so the first complete map is the least."""
-    sides = [t.sides() for t in source.tiles]
+    sides = source.tiles
     # stack[i][j - i]: tile j's images allowed beside tiles < i (untried, if j == i)
     stack = [[(1 << len(target.tiles)) - 1] * len(sides)]
     assign: list[int] = []

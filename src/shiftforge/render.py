@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Grid, TileSet, validate_tiling
 from .errors import InvalidInput, MalformedInput
@@ -27,16 +27,20 @@ PPM = "ppm"
 SVG = "svg"
 
 
-@dataclass(frozen=True)
-class RenderSpec:
-    cell_pixels: int = 16
-    format: str = PPM
+class _RenderFields(NamedTuple):
+    cell_pixels: int
+    format: str
 
-    def __post_init__(self):
-        if self.cell_pixels < 1:
+
+class RenderSpec(_RenderFields):
+    __slots__ = ()
+
+    def __new__(cls, cell_pixels=16, format=PPM):
+        if cell_pixels < 1:
             raise InvalidInput("cell_pixels must be >= 1")
-        if self.format not in (PPM, SVG):
-            raise InvalidInput(f"unknown render format {self.format!r}")
+        if format not in (PPM, SVG):
+            raise InvalidInput(f"unknown render format {format!r}")
+        return super().__new__(cls, cell_pixels, format)
 
 
 def palette_rgb(color_id: int) -> tuple[int, int, int]:
@@ -60,11 +64,11 @@ def render(tileset: TileSet, tiling: Grid, spec: RenderSpec = RenderSpec()) -> b
 def _render_ppm(tileset: TileSet, tiling: Grid, c: int) -> bytes:
     used = {i for row in tiling.cells for i in row}
     rgb = {color: bytes(palette_rgb(color))
-           for i in used for color in tileset.tiles[i].sides()}
+           for i in used for color in tileset.tiles[i]}
     # strips[i]: tile i's pixel rows as runs, top-down
     strips = {}
     for i in used:
-        n, e, s, w = (rgb[color] for color in tileset.tiles[i].sides())
+        n, e, s, w = (rgb[color] for color in tileset.tiles[i])
         strips[i] = [w * lo + mid * (c - 2 * lo) + e * lo
                      for lo, mid in ((dy, s) if 2 * dy < c else (c - dy, n)
                                      for dy in reversed(range(c)))]
@@ -79,8 +83,8 @@ def _render_svg(tileset: TileSet, tiling: Grid, c: int) -> bytes:
     w_px, h_px = tiling.width * c, tiling.height * c
     used = {i for row in tiling.cells for i in row}
     fill = {color: "rgb({},{},{})".format(*palette_rgb(color))
-            for i in used for color in tileset.tiles[i].sides()}
-    fills = {i: tuple(map(fill.__getitem__, tileset.tiles[i].sides())) for i in used}
+            for i in used for color in tileset.tiles[i]}
+    fills = {i: tuple(map(fill.__getitem__, tileset.tiles[i])) for i in used}
     # (left, center, right) x strings per column and (top, center, bottom)
     # y strings per row; svg y points down, so tiling row 0 is at the bottom
     xs = [(str(x * c), str(x * c + c / 2), str((x + 1) * c)) for x in range(tiling.width)]

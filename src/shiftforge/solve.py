@@ -97,6 +97,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from operator import and_
+from typing import NamedTuple
 
 from .core import Grid, Supports, TileSet
 from .errors import InvalidInput
@@ -107,20 +108,23 @@ UNKNOWN = "UNKNOWN"
 _SWEEP_SLICE = 4096  # cells per slice of a full sweep; the clock is read after each
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    max_nodes: int = 10_000_000
-    max_millis: int = 600_000
+class _BudgetFields(NamedTuple):
+    max_nodes: int
+    max_millis: int
 
-    def __post_init__(self):
-        if self.max_nodes < 1 or self.max_millis < 1:
+
+class SearchBudget(_BudgetFields):
+    __slots__ = ()
+
+    def __new__(cls, max_nodes=10_000_000, max_millis=600_000):
+        if max_nodes < 1 or max_millis < 1:
             raise InvalidInput("budget values must be positive")
-        if self.max_millis > sys.maxsize:
+        if max_millis > sys.maxsize:
             raise InvalidInput("max_millis must be at most sys.maxsize")
+        return super().__new__(cls, max_nodes, max_millis)
 
 
-@dataclass(frozen=True)
-class BoundaryConstraint:
+class BoundaryConstraint(NamedTuple):
     """Optional forced colors on the rectangle's outer edges and forced
     tiles in individual cells.  Sequences run west-to-east (rows) and
     south-to-north (columns)."""
@@ -145,9 +149,9 @@ class SearchResult:
 
 def _closed_walk_tiles(tileset: TileSet, k: int, period: int) -> int:
     """Bitset of the tiles on a closed walk of `period` steps across side k
-    of `Tile.sides()`, memoized in `Supports.walks[k]`.  Tiles showing one
-    color on side k reach the same set in one step, so one walk per color
-    steps that set through entry k of the support table; once the set
+    (a `Tile` field index), memoized in `Supports.walks[k]`.  Tiles showing
+    one color on side k reach the same set in one step, so one walk per
+    color steps that set through entry k of the support table; once the set
     repeats, the walk jumps ahead by the cycle, so it takes at most one step
     per distinct set whatever the period."""
     memo = tileset.supports
@@ -273,7 +277,7 @@ def _propagate(dom: list[int], dirty: tuple[int] | list[int], sides: list[list[i
                 if not dc:
                     return False
                 dom[c] = dc
-        # the tiles allowed north, east, south and west of c (`Tile.sides()`)
+        # the tiles allowed north, east, south and west of c (a `Tile`'s order)
         to_n, to_e, to_s, to_w = memo[dc]
         nc = east[c]
         if nc >= 0:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from itertools import count, islice, product
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .core import Grid, Patterns, SftSpec, check_alphabet
 from .errors import InvalidInput, InvalidSpec, UnsupportedSpec
@@ -23,18 +23,22 @@ VIOLATION = "VIOLATION"
 BUDGET_EXHAUSTED_CLEAN = "BUDGET_EXHAUSTED_CLEAN"
 
 
-@dataclass(frozen=True)
-class ExplicitWords:
-    """A finite, duplicate-free forbidden-word list."""
-
+class _WordsFields(NamedTuple):
     words: tuple[str, ...]
 
-    def __post_init__(self):
-        if len(set(self.words)) != len(self.words):
+
+class ExplicitWords(_WordsFields):
+    """A finite, duplicate-free forbidden-word list."""
+
+    __slots__ = ()
+
+    def __new__(cls, words):
+        if len(set(words)) != len(words):
             raise InvalidSpec("forbidden words must be distinct")
-        for w in self.words:
+        for w in words:
             if not w:
                 raise InvalidSpec("forbidden words must be nonempty")
+        return super().__new__(cls, words)
 
     def generate(self) -> Iterator[str]:
         """The words in list order, drawn like a `WordStream`'s."""
@@ -52,18 +56,22 @@ class WordStream:
     generate: Callable[[], Iterator[str]] = field(compare=False)
 
 
-@dataclass(frozen=True)
-class Subshift1dSpec:
+class _Subshift1dFields(NamedTuple):
     alphabet: tuple[str, ...]
     source: ExplicitWords | WordStream
 
-    def __post_init__(self):
-        check_alphabet(self.alphabet)
-        if isinstance(self.source, ExplicitWords):
-            letters = set(self.alphabet)
-            for w in self.source.words:
+
+class Subshift1dSpec(_Subshift1dFields):
+    __slots__ = ()
+
+    def __new__(cls, alphabet, source):
+        check_alphabet(alphabet)
+        if isinstance(source, ExplicitWords):
+            letters = set(alphabet)
+            for w in source.words:
                 if any(a not in letters for a in w):
                     raise InvalidSpec(f"forbidden word {w!r} uses letters outside alphabet")
+        return super().__new__(cls, alphabet, source)
 
 
 def all_words_min_len(alphabet: tuple[str, ...], min_len: int) -> Iterator[str]:
@@ -90,8 +98,7 @@ def make_stream(name: str, alphabet: tuple[str, ...], params: list[str]) -> Word
 # --- verdicts ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """A string's check; a violation names its match, the forbidden word,
     and the position x where it starts."""
 

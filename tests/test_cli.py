@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftforge import cli
 from shiftforge.cli import main
 from shiftforge.compilers import sft_to_wang
+from shiftforge.solve import solve_rectangle
 from shiftforge.subshift import lift_1d
 from shiftforge.textio import parse_subshift, serialize_compilation
 from test_solve import stop_the_clock_after_propagating
@@ -66,6 +68,20 @@ def test_solve_rect_torus_domino(tiles_file, capsys):
 
     assert main(["solve", str(tiles_file), "--mode", "domino", "3"]) == 0
     assert capsys.readouterr().out.startswith("TILES_PERIODICALLY 1 1")
+
+
+def test_solve_without_budget_flags_passes_the_default_budget(tiles_file, monkeypatch,
+                                                              capsys):
+    budgets = []
+
+    def record(ts, w, h, budget):
+        budgets.append(budget)
+        return solve_rectangle(ts, w, h, budget=budget)
+
+    monkeypatch.setattr(cli, "solve_rectangle", record)
+    assert main(["solve", str(tiles_file), "--mode", "rect", "2", "2"]) == 0
+    assert capsys.readouterr().out.startswith("SAT")
+    assert [(b.max_nodes, b.max_millis) for b in budgets] == [(10_000_000, 600_000)]
 
 
 def test_verify_tiling_clean_and_violation(tmp_path, spec_file, tiles_file, capsys):

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -286,7 +285,7 @@ def test_random_machine_diagrams_match_the_simulator(start):
     tm, w, n, head = start
     comp = tm_to_tileset(tm, n)
     # rules are read in sorted order, so their insertion order changes nothing
-    flipped = dataclasses.replace(tm, transitions=dict(reversed(tm.transitions.items())))
+    flipped = tm._replace(transitions=dict(reversed(tm.transitions.items())))
     other = tm_to_tileset(flipped, n)
     assert serialize_compilation(other) == serialize_compilation(comp)
     assert other.tileset.colors == comp.tileset.colors
