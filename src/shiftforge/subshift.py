@@ -1,17 +1,16 @@
 """1D subshift specifications, forbidden-word checking and the vertical lift.
 
 A 1D subshift is given by an alphabet and a source of forbidden words:
-either an explicit finite list or a pull-based stream whose enumeration
-can only ever be sampled up to a budget.  A string is checked with
-`core.Patterns`, each word a one-row pattern.
+either an explicit finite list or the stream of every word of at least
+some length, which can only ever be sampled up to a budget.  A string is
+checked with `core.Patterns`, each word a one-row pattern.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
-from itertools import count, islice, product
-from typing import Callable, Iterator, NamedTuple
+from itertools import islice, product
+from typing import Iterator, NamedTuple
 
 from .core import Grid, Patterns, SftSpec, check_alphabet
 from .errors import InvalidInput, InvalidSpec, UnsupportedSpec
@@ -40,20 +39,29 @@ class ExplicitWords(_WordsFields):
                 raise InvalidSpec("forbidden words must be nonempty")
         return super().__new__(cls, words)
 
-    def generate(self) -> Iterator[str]:
-        """The words in list order, drawn like a `WordStream`'s."""
-        return iter(self.words)
+
+class _StreamFields(NamedTuple):
+    min_len: int
 
 
-@dataclass
-class WordStream:
-    """A pull source of forbidden words.  ``generate`` yields words in the
-    stream's own order; a fresh iterator is created per query, so budgeted
-    queries are repeatable.  Single consumer at a time.  Streams compare
-    by name, which together with the spec's alphabet fixes the words."""
+class WordStream(_StreamFields):
+    """The unbounded stream of every word of at least `min_len` letters
+    over the spec's alphabet, shortest first and each length in sorted
+    letter order.  It can only ever be sampled up to a budget."""
 
-    name: str
-    generate: Callable[[], Iterator[str]] = field(compare=False)
+    __slots__ = ()
+
+    def __new__(cls, min_len):
+        if min_len < 1:
+            raise InvalidSpec("forbidden words must be nonempty")
+        return super().__new__(cls, min_len)
+
+    def words_upto(self, alphabet: tuple[str, ...], n: int) -> Iterator[str]:
+        """The stream's words of at most `n` letters, in stream order."""
+        letters = sorted(alphabet)
+        for k in range(self.min_len, n + 1):
+            for w in product(letters, repeat=k):
+                yield "".join(w)
 
 
 class _Subshift1dFields(NamedTuple):
@@ -72,27 +80,6 @@ class Subshift1dSpec(_Subshift1dFields):
                 if any(a not in letters for a in w):
                     raise InvalidSpec(f"forbidden word {w!r} uses letters outside alphabet")
         return super().__new__(cls, alphabet, source)
-
-
-def all_words_min_len(alphabet: tuple[str, ...], min_len: int) -> Iterator[str]:
-    """All words of length >= min_len in length-lexicographic order."""
-    check_alphabet(alphabet)  # with no letters, the loop over lengths would never yield
-    letters = sorted(alphabet)
-    for n in count(min_len):
-        for w in product(letters, repeat=n):
-            yield "".join(w)
-
-
-def make_stream(name: str, alphabet: tuple[str, ...], params: list[str]) -> WordStream:
-    if name != "all_words_min_len":
-        raise InvalidSpec(f"unknown stream generator {name!r}")
-    if len(params) != 1 or not params[0].isdecimal():
-        raise InvalidSpec("all_words_min_len takes one integer parameter")
-    min_len = int(params[0])
-    return WordStream(
-        f"all_words_min_len {min_len}",
-        lambda: all_words_min_len(alphabet, min_len),
-    )
 
 
 # --- verdicts ----------------------------------------------------------------
@@ -125,23 +112,21 @@ def check_sequence(
     for a in s:
         if a not in letters:
             raise InvalidInput(f"letter {a!r} outside alphabet")
-    source = spec.source.generate()
-    words = []  # only words that fit in s can occur in it
-    for w in islice(source, budget):
-        if not w:
-            raise InvalidSpec("forbidden words must be nonempty")
-        if len(w) <= len(s):
-            words.append(w)
+    source = spec.source
+    # only words that fit in s can occur in it
+    if isinstance(source, ExplicitWords):
+        words = [w for w in source.words[:budget] if len(w) <= len(s)]
+        more = len(source.words) > budget
+    else:
+        words = list(islice(source.words_upto(spec.alphabet, len(s)), budget))
+        more = True
     # shortest first, so the least index at a start is the shortest word there
     words.sort(key=len)
     hit = Patterns([(w,) for w in words]).first((s,))
     if hit is not None:
         _, x, i = hit
         return Verdict(VIOLATION, words[i], x)
-    # one word past the budget tells a cut-off source from a finished one
-    if next(source, None) is not None:
-        return Verdict(BUDGET_EXHAUSTED_CLEAN)
-    return Verdict(CLEAN)
+    return Verdict(BUDGET_EXHAUSTED_CLEAN if more else CLEAN)
 
 
 def lift_1d(spec: Subshift1dSpec) -> SftSpec:

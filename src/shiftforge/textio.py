@@ -11,7 +11,7 @@ from __future__ import annotations
 from .compilers import TileCompilation, TmSpec
 from .core import Grid, SftSpec, TileSet, make_tileset
 from .errors import ParseError, ShiftforgeError
-from .subshift import ExplicitWords, Subshift1dSpec, make_stream
+from .subshift import ExplicitWords, Subshift1dSpec, WordStream
 
 
 def _lines(text: str):
@@ -28,7 +28,7 @@ def _directives(lines, forms: dict[str, str]):
 
     `forms` maps each directive to its usage string, header first.  The
     header must come first and only once.  Each line has one token per
-    token of its usage, where a last ``<name...>`` stands for any number.
+    token of its usage.
     """
     header = next(iter(forms))
     seen_header = False
@@ -43,7 +43,7 @@ def _directives(lines, forms: dict[str, str]):
             raise ParseError(f"{directive} before {header} header", ln)
         seen_header = True
         arity = usage.count(" ")  # usage tokens are separated by single spaces
-        if len(args) < arity - 1 if usage.endswith("...>") else len(args) != arity:
+        if len(args) != arity:
             raise ParseError(f"expected: {usage}", ln)
         yield ln, directive, args
     if not seen_header:
@@ -163,17 +163,20 @@ def serialize_subshift(spec: Subshift1dSpec) -> str:
     if isinstance(spec.source, ExplicitWords):
         out.extend(f"forbid {w}" for w in spec.source.words)
     else:
-        out.append(f"stream {spec.source.name}")
+        out.append(f"stream all_words_min_len {spec.source.min_len}")
     return "\n".join(out) + "\n"
 
 
 def parse_subshift(text: str) -> Subshift1dSpec:
+    """A `subshift alphabet=<comma-list>` header, then either `forbid <word>`
+    lines or one `stream all_words_min_len <min-len>` line, the stream of
+    every word of at least <min-len> letters."""
     words: list[str] = []
     stream = None
     for ln, directive, args in _directives(_lines(text), {
         "subshift": "subshift alphabet=<comma-list>",
         "forbid": "forbid <word>",
-        "stream": "stream <generator> <params...>",
+        "stream": "stream <generator> <min-len>",
     }):
         if directive == "subshift":
             alphabet = tuple(_kv(args[0], "alphabet", ln).split(","))
@@ -181,9 +184,13 @@ def parse_subshift(text: str) -> Subshift1dSpec:
             raise ParseError("only one word source allowed", ln)
         elif directive == "forbid":
             words.append(args[0])
+        elif args[0] != "all_words_min_len":
+            raise ParseError(f"unknown stream generator {args[0]!r}", ln)
+        elif not args[1].isdecimal():
+            raise ParseError("all_words_min_len takes one integer parameter", ln)
         else:
             try:
-                stream = make_stream(args[0], alphabet, args[1:])
+                stream = WordStream(int(args[1]))
             except ShiftforgeError as exc:
                 raise ParseError(str(exc), ln) from None
     return Subshift1dSpec(alphabet, stream or ExplicitWords(tuple(words)))

@@ -103,9 +103,18 @@ def test_verify_reports_a_budget_limited_clean_window(tmp_path, capsys):
     spec.write_text("subshift alphabet=0,1\nstream all_words_min_len 5\n")
     window = tmp_path / "w.window"
     window.write_text("window 4 2\n0101\n0101\n")
-    # the five words drawn are all longer than the rows
+    # no stream word is short enough to occur in the rows
     assert main(["verify", str(spec), str(window), "--budget", "5"]) == 0
     assert capsys.readouterr().out == "BUDGET_EXHAUSTED_CLEAN\n"
+
+
+def test_verify_answers_a_stream_whose_words_are_past_sys_maxsize_letters(tmp_path, capsys):
+    spec = tmp_path / "spec.subshift"
+    spec.write_text("subshift alphabet=0,1\nstream all_words_min_len 99999999999999999999\n")
+    window = tmp_path / "w.window"
+    window.write_text("window 2 1\n01\n")
+    assert main(["verify", str(spec), str(window)]) == 0
+    assert capsys.readouterr() == ("BUDGET_EXHAUSTED_CLEAN\n", "")
 
 
 def test_verify_rejects_a_tiling_that_does_not_validate(tmp_path, spec_file, capsys):
@@ -329,10 +338,11 @@ def test_verify_rejects_empty_stream_word(tmp_path, capsys):
     spec.write_text("subshift alphabet=0,1\nstream all_words_min_len 0\n")
     window = tmp_path / "w.window"
     window.write_text("window 2 1\n01\n")
+    # the spec is refused when it is read, by every command
     assert main(["verify", str(spec), str(window)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: forbidden words must be nonempty\n"
+    assert capsys.readouterr() == ("", "error: line 2: forbidden words must be nonempty\n")
+    assert main(["compile", str(spec), "--kind", "subshift1d"]) == 2
+    assert capsys.readouterr() == ("", "error: line 2: forbidden words must be nonempty\n")
 
 
 def test_verify_rejects_a_forbid_line_after_a_stream(tmp_path, capsys):

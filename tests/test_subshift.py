@@ -1,4 +1,3 @@
-import itertools
 import sys
 import tracemalloc
 
@@ -7,11 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import naive_first_match, naive_words
-from shiftforge.errors import InvalidInput, InvalidSpec, UnsupportedSpec
+from shiftforge.errors import InvalidInput, InvalidSpec, ParseError, UnsupportedSpec
 from shiftforge.subshift import (BUDGET_EXHAUSTED_CLEAN, CLEAN, VIOLATION,
                                  ExplicitWords, Subshift1dSpec, WordStream,
-                                 all_words_min_len, check_sequence, lift_1d,
-                                 make_stream)
+                                 check_sequence, lift_1d)
+from shiftforge.textio import parse_subshift
 
 words_strategy = st.lists(st.text(alphabet="ab", min_size=1, max_size=4),
                           min_size=0, max_size=6)
@@ -20,14 +19,10 @@ text_strategy = st.text(alphabet="ab", max_size=30)
 
 def first_match(words, s):
     """check_sequence's hit as (word, start), or None; `words` may repeat,
-    so they reach it both as a stream and as a deduplicated list."""
-    got = []
-    for source in (WordStream("words", lambda: iter(words)),
-                   ExplicitWords(tuple(dict.fromkeys(words)))):
-        v = check_sequence(Subshift1dSpec(("a", "b"), source), s)
-        got.append(None if v.kind == CLEAN else (v.match, v.x))
-    assert got[0] == got[1]
-    return got[0]
+    so they reach it as a deduplicated list."""
+    spec = Subshift1dSpec(("a", "b"), ExplicitWords(tuple(dict.fromkeys(words))))
+    v = check_sequence(spec, s)
+    return None if v.kind == CLEAN else (v.match, v.x)
 
 
 @settings(max_examples=300, deadline=None)
@@ -43,10 +38,9 @@ def test_matcher_tie_break_earliest_then_shortest():
     assert first_match(["b", "ab"], "ab") == ("ab", 0)
 
 
-def test_matcher_rejects_empty_word():
-    spec = Subshift1dSpec(("a",), WordStream("empty", lambda: iter(["a", ""])))
-    with pytest.raises(InvalidSpec, match="forbidden words must be nonempty"):
-        check_sequence(spec, "a")
+def test_stream_rejects_empty_word():
+    with pytest.raises(InvalidSpec, match="^forbidden words must be nonempty$"):
+        WordStream(0)
 
 
 def test_explicit_words_must_be_distinct_and_nonempty():
@@ -90,8 +84,7 @@ def test_check_sequence_budget_fits_in_sys_maxsize():
 
 
 def test_check_sequence_stream_budget():
-    stream = WordStream("all>=2", lambda: all_words_min_len(("a", "b"), 2))
-    spec = Subshift1dSpec(("a", "b"), stream)
+    spec = Subshift1dSpec(("a", "b"), WordStream(2))
     # infinite stream: a clean string can only be budget-limited clean
     assert check_sequence(spec, "a", budget=10).kind == BUDGET_EXHAUSTED_CLEAN
     assert check_sequence(spec, "ab", budget=10).kind == VIOLATION
@@ -102,18 +95,38 @@ def test_check_sequence_stream_budget():
 @example(words=["aa", "bb"], s="ab")
 def test_word_sources_agree_at_every_budget(words, s):
     words = tuple(dict.fromkeys(words))
+    spec = Subshift1dSpec(("a", "b"), ExplicitWords(words))
     for budget in range(1, len(words) + 2):
-        verdicts = {check_sequence(Subshift1dSpec(("a", "b"), source), s, budget)
-                    for source in (WordStream("words", lambda: iter(words)),
-                                   ExplicitWords(words))}
-        assert len(verdicts) == 1
-        if budget >= len(words):  # the source is finished, not cut off
-            assert verdicts.pop().kind != BUDGET_EXHAUSTED_CLEAN
+        v = check_sequence(spec, s, budget)
+        hit = naive_first_match(words[:budget], s)
+        if hit is not None:
+            assert (v.kind, v.match, v.x) == (VIOLATION, *hit)
+        elif budget >= len(words):  # the source is finished, not cut off
+            assert v.kind == CLEAN
+        else:
+            assert v.kind == BUDGET_EXHAUSTED_CLEAN
+
+
+@settings(max_examples=100, deadline=None)
+@given(letters=st.sets(st.sampled_from("abc"), min_size=1),
+       min_len=st.integers(1, 4), s=st.text(alphabet="abc", max_size=5))
+@example(letters={"a", "b"}, min_len=2, s="aba")
+def test_stream_verdicts_agree_with_naive_words_at_every_budget(letters, min_len, s):
+    alphabet = tuple(letters | set(s))
+    words = naive_words(alphabet, min_len, len(s))
+    spec = Subshift1dSpec(alphabet, WordStream(min_len))
+    # a stream always has more words, so a clean answer is budget-limited
+    for budget in range(1, len(words) + 2):
+        v = check_sequence(spec, s, budget)
+        hit = naive_first_match(words[:budget], s)
+        if hit is None:
+            assert v.kind == BUDGET_EXHAUSTED_CLEAN
+        else:
+            assert (v.kind, v.match, v.x) == (VIOLATION, *hit)
 
 
 def test_check_sequence_stream_repeatable():
-    stream = WordStream("all>=1", lambda: all_words_min_len(("a", "b"), 1))
-    spec = Subshift1dSpec(("a", "b"), stream)
+    spec = Subshift1dSpec(("a", "b"), WordStream(1))
     first = check_sequence(spec, "ba", budget=3)
     second = check_sequence(spec, "ba", budget=3)
     assert first == second
@@ -121,10 +134,8 @@ def test_check_sequence_stream_repeatable():
 
 def test_check_sequence_holds_only_words_that_fit_in_the_string():
     # 400 stream words of 10,000 letters are 4 MB; none can occur in a
-    # 3-letter string, so none is kept, and the peak is about one word's
-    # letter tuple
-    spec = Subshift1dSpec(("0", "1"),
-                          make_stream("all_words_min_len", ("0", "1"), ["10000"]))
+    # 3-letter string, so none is drawn, not even one word's letter tuple
+    spec = Subshift1dSpec(("0", "1"), WordStream(10000))
     tracemalloc.start()
     try:
         verdict = check_sequence(spec, "010", budget=400)
@@ -132,41 +143,36 @@ def test_check_sequence_holds_only_words_that_fit_in_the_string():
     finally:
         tracemalloc.stop()
     assert verdict.kind == BUDGET_EXHAUSTED_CLEAN
-    assert peak < 1_500_000
+    assert peak < 10_000
 
 
 def test_all_words_min_len_order():
-    it = all_words_min_len(("b", "a"), 1)
-    assert [next(it) for _ in range(6)] == ["a", "b", "aa", "ab", "ba", "bb"]
+    words = WordStream(1).words_upto(("b", "a"), 2)
+    assert list(words) == ["a", "b", "aa", "ab", "ba", "bb"]
     with pytest.raises(InvalidSpec, match="alphabet must be nonempty"):
-        next(all_words_min_len((), 0))
+        Subshift1dSpec((), WordStream(1))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sets(st.sampled_from("01abc"), min_size=1).map(tuple),
-       st.integers(0, 3), st.integers(0, 3))
+       st.integers(1, 3), st.integers(0, 3))
 def test_all_words_min_len_matches_naive_enumeration(alphabet, min_len, extra):
     max_len = min_len + extra
-    want = naive_words(alphabet, min_len, max_len)
-    it = all_words_min_len(alphabet, min_len)
-    assert list(itertools.islice(it, len(want))) == want
-    # the stream goes on with the least longer word
-    assert next(it) == min(alphabet) * (max_len + 1)
+    assert (list(WordStream(min_len).words_upto(alphabet, max_len))
+            == naive_words(alphabet, min_len, max_len))
 
 
-def test_make_stream_registry():
-    s = make_stream("all_words_min_len", ("a",), ["2"])
-    assert next(s.generate()) == "aa"
-    with pytest.raises(InvalidSpec):
-        make_stream("nope", ("a",), [])
-    with pytest.raises(InvalidSpec):
-        make_stream("all_words_min_len", ("a",), ["x"])
+def test_stream_lines_name_the_one_generator():
+    spec = parse_subshift("subshift alphabet=a\nstream all_words_min_len 2\n")
+    assert spec.source == WordStream(2)
+    for line in ("stream nope 2", "stream all_words_min_len x"):
+        with pytest.raises(ParseError, match="^line 2: "):
+            parse_subshift(f"subshift alphabet=a\n{line}\n")
 
 
 def test_lift_rejects_streams():
-    stream = WordStream("all>=2", lambda: all_words_min_len(("a", "b"), 2))
     with pytest.raises(UnsupportedSpec):
-        lift_1d(Subshift1dSpec(("a", "b"), stream))
+        lift_1d(Subshift1dSpec(("a", "b"), WordStream(2)))
 
 
 def test_lift_pattern_inventory():

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -76,9 +78,24 @@ def test_subshift_round_trip_explicit():
 def test_subshift_stream_round_trip():
     text = "subshift alphabet=a,b\nstream all_words_min_len 2\n"
     spec = parse_subshift(text)
-    assert isinstance(spec.source, WordStream)
-    assert next(spec.source.generate()) == "aa"
-    assert "stream all_words_min_len 2" in serialize_subshift(spec)
+    assert spec.source == WordStream(2)
+    assert next(spec.source.words_upto(spec.alphabet, 2)) == "aa"
+    assert serialize_subshift(spec) == text
+
+
+def _subshift_specs(alphabet):
+    words = st.lists(st.text("".join(alphabet), min_size=1, max_size=4),
+                     unique=True, max_size=5)
+    return st.builds(Subshift1dSpec, st.just(alphabet), st.one_of(
+        words.map(lambda ws: ExplicitWords(tuple(ws))),
+        st.integers(min_value=1, max_value=10**30).map(WordStream)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.sampled_from("01ab"), min_size=1).map(tuple).flatmap(_subshift_specs))
+@example(Subshift1dSpec(("0", "1"), WordStream(sys.maxsize + 1)))
+def test_subshift_specs_round_trip(spec):
+    assert parse_subshift(serialize_subshift(spec)) == spec
 
 
 def test_subshift_sources_are_exclusive():

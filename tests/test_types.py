@@ -1,5 +1,5 @@
 """The package's value types are immutable named tuples that compare and
-hash by value and keep their constructors' checks; only the three types
+hash by value and keep their constructors' checks; only the two types
 that need a dataclass-only feature are dataclasses."""
 
 import dataclasses
@@ -17,7 +17,7 @@ from shiftforge.errors import InvalidInput, InvalidSpec
 from shiftforge.macrotile import MacroTileSet
 from shiftforge.render import RenderSpec
 from shiftforge.solve import SAT, UNSAT, BoundaryConstraint, SearchBudget
-from shiftforge.subshift import VIOLATION, ExplicitWords, Subshift1dSpec, Verdict
+from shiftforge.subshift import VIOLATION, ExplicitWords, Subshift1dSpec, Verdict, WordStream
 
 ONE = make_tileset("one", [(0, 0, 0, 0)])
 
@@ -52,22 +52,24 @@ VALUE_TYPES = [
       "decode must be total on the tile set")),
     (lambda: ExplicitWords(("ab", "b")),
      (lambda: ExplicitWords(("ab", "ab")), InvalidSpec, "forbidden words must be distinct")),
+    (lambda: WordStream(3),
+     (lambda: WordStream(0), InvalidSpec, "forbidden words must be nonempty")),
     (lambda: Subshift1dSpec(("a", "b"), ExplicitWords(("ab",))),
      (lambda: Subshift1dSpec(("a",), ExplicitWords(("ab",))), InvalidSpec,
       "forbidden word 'ab' uses letters outside alphabet")),
 ]
 
 
-def test_the_package_defines_exactly_three_dataclasses():
-    # SearchResult is copied with dataclasses.replace by its callers, a
+def test_the_package_defines_exactly_two_dataclasses():
+    # SearchResult is copied with dataclasses.replace by its callers, and a
     # TileSet keeps its support table in an instance dict and is weakly
-    # referenced, and a WordStream compares by name only
+    # referenced
     found = set()
     for info in pkgutil.iter_modules(shiftforge.__path__):
         module = importlib.import_module(f"shiftforge.{info.name}")
         found |= {name for name, obj in vars(module).items()
                   if dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__}
-    assert found == {"SearchResult", "TileSet", "WordStream"}
+    assert found == {"SearchResult", "TileSet"}
 
 
 @pytest.mark.parametrize("build, bad", VALUE_TYPES,
