@@ -2,12 +2,16 @@
 
 Exit codes: 0 success, 2 parse/usage error, 3 unsupported input,
 4 a tiling that fails validation (`render`, `verify`).
+
+`_write` is the CLI's one writer: every output file goes through it.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -29,9 +33,24 @@ EXIT_UNSUPPORTED = 3
 EXIT_VALIDATION = 4
 
 
+def _write(path: str, data: str | bytes) -> None:
+    """Write `data` to `path` in place: open without O_TRUNC, write, then
+    cut a regular file to the new length (/dev/null and FIFOs cannot be
+    cut).  The file keeps its inode, mode and symlink target, and ext4
+    starts no writeback on close, as it does for a file truncated to zero.
+    The trade-off: a process that dies mid-write can leave new bytes
+    followed by old ones, not a prefix of the new bytes.  Nothing is
+    fsynced, so neither is durable."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb" if isinstance(data, bytes) else "w") as f:
+        f.write(data)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            f.truncate()
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        _write(out, text)
     else:
         sys.stdout.write(text)
 
@@ -44,6 +63,9 @@ def _int_arg(tok: str, what: str) -> int:
     try:
         return int(tok)
     except ValueError:
+        # a sign and decimal digits fail only past int()'s digit limit
+        if (tok[1:] if tok[:1] in ("+", "-") else tok).isdecimal():
+            raise InvalidInput(f"{what} has too many digits") from None
         raise InvalidInput(f"{what} must be an integer, got {tok!r}") from None
 
 
@@ -93,7 +115,7 @@ def cmd_render(args) -> int:
     ts, _ = parse_tileset(Path(args.tileset).read_text())
     tiling = parse_tiling(Path(args.tiling).read_text())
     data = render(ts, tiling, RenderSpec(args.cell_pixels, args.format))
-    Path(args.out).write_bytes(data)
+    _write(args.out, data)
     return EXIT_OK
 
 
@@ -146,10 +168,10 @@ def cmd_macro(args) -> int:
         return EXIT_OK
     print(f"macro tiles: {len(result.blocks)}")
     if args.out:
-        Path(args.out).write_text(serialize_tileset(result.tileset))
+        _write(args.out, serialize_tileset(result.tileset))
     if args.map_out:
         flat = (";".join(" ".join(map(str, row)) for row in b.cells) for b in result.blocks)
-        Path(args.map_out).write_text("".join(f"macro {i} {f}\n" for i, f in enumerate(flat)))
+        _write(args.map_out, "".join(f"macro {i} {f}\n" for i, f in enumerate(flat)))
     return EXIT_OK
 
 

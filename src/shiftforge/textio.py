@@ -71,6 +71,9 @@ def _int(tok: str, what: str, ln: int) -> int:
     try:
         return int(tok)
     except ValueError:
+        # a sign and decimal digits fail only past int()'s digit limit
+        if (tok[1:] if tok[:1] in ("+", "-") else tok).isdecimal():
+            raise ParseError(f"integer {what} has too many digits", ln) from None
         raise ParseError(f"expected integer {what}, got {tok!r}", ln) from None
 
 
@@ -189,8 +192,9 @@ def parse_subshift(text: str) -> Subshift1dSpec:
         elif not args[1].isdecimal():
             raise ParseError("all_words_min_len takes one integer parameter", ln)
         else:
+            min_len = _int(args[1], "min-len", ln)
             try:
-                stream = WordStream(int(args[1]))
+                stream = WordStream(min_len)
             except ShiftforgeError as exc:
                 raise ParseError(str(exc), ln) from None
     return Subshift1dSpec(alphabet, stream or ExplicitWords(tuple(words)))
@@ -224,7 +228,7 @@ def parse_tm(text: str) -> TmSpec:
         if directive == "tm":
             spec = _kv(args[0], "states", ln)
             if spec.isdecimal():
-                states = tuple(f"q{i}" for i in range(int(spec)))
+                states = tuple(f"q{i}" for i in range(_int(spec, "state count", ln)))
             else:
                 states = tuple(spec.split(","))
             start = _kv(args[1], "start", ln)

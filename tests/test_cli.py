@@ -1,4 +1,7 @@
+import builtins
 import io
+import os
+import stat
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -431,6 +434,14 @@ TM_HEAD = "tm states=q0,q1 start=q0 blank=0\n"
     ({"t": ONE_TILE}, ["macro", "t", str(10**10)], "a grid must have at most sys.maxsize cells"),
     ({"t": ONE_TILE}, ["solve", "t", "--mode", "rect", "2", "2", "--budget-ms", str(10**400)],
      "max_millis must be at most sys.maxsize"),
+    # int() refuses more than 4,300 digits; the message does not echo them
+    ({"s": f"subshift alphabet=a,b\nstream all_words_min_len {'9' * 5000}\n",
+      "w": "window 2 1\nab\n"}, ["verify", "s", "w"],
+     "line 2: integer min-len has too many digits"),
+    ({"m": f"tm states={'9' * 5000} start=q0 blank=0\n"}, ["compile", "m", "--kind", "tm"],
+     "line 1: integer state count has too many digits"),
+    ({"t": ONE_TILE}, ["solve", "t", "--mode", "rect", "9" * 5000, "1"],
+     "rect dimension has too many digits"),
 ])
 def test_each_input_error_has_its_own_line(tmp_path, monkeypatch, capsys, files, argv,
                                            message):
@@ -605,3 +616,114 @@ def test_evidence_clock_budget_that_does_not_fit_is_a_usage_error(capsys):
     argv = ["evidence", "--max-square", "1", "--max-period", "1", "--budget-ms", NINES]
     assert main(argv) == 2
     assert_one_error_line(capsys)
+
+
+# --- outputs are overwritten in place ---------------------------------------------
+
+# a command for every flag that names an output file; "OUT" stands for its path
+OUTPUT_ARGVS = {
+    "compile": ["compile", "spec.subshift", "--kind", "subshift1d", "--out", "OUT"],
+    "solve": ["solve", "tiles.txt", "--mode", "torus", "2", "2", "--out", "OUT"],
+    "evidence": ["evidence", "--tileset", "tiles.txt", "--max-square", "3",
+                 "--max-period", "2", "--out", "OUT"],
+    "robinson-export": ["robinson", "export", "--out", "OUT"],
+    "macro-out": ["macro", "tiles.txt", "2", "--out", "OUT"],
+    "macro-map-out": ["macro", "tiles.txt", "2", "--map-out", "OUT"],
+    "render": ["render", "tiles.txt", "torus.tiling", "--format", "ppm", "--out", "OUT"],
+}
+
+
+@pytest.fixture
+def output_inputs(tmp_path, monkeypatch, spec_file, tiles_file):
+    """Runs the test in `tmp_path`, which holds every input of OUTPUT_ARGVS."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "tiles.txt", "--mode", "torus", "2", "2",
+                 "--out", "torus.tiling"]) == 0
+
+
+def run_output(flag, out, capsys):
+    """(exit code, stdout, stderr) of the `flag` command writing to `out`."""
+    code = main([out if a == "OUT" else a for a in OUTPUT_ARGVS[flag]])
+    return (code, *capsys.readouterr())
+
+
+def fresh_output(flag, tmp_path, capsys):
+    assert run_output(flag, "fresh.out", capsys)[0] == 0
+    return (tmp_path / "fresh.out").read_bytes()
+
+
+@pytest.mark.parametrize("flag", OUTPUT_ARGVS)
+def test_an_output_over_longer_junk_equals_a_fresh_one(output_inputs, tmp_path, capsys,
+                                                        flag):
+    fresh = fresh_output(flag, tmp_path, capsys)
+    (tmp_path / "old.out").write_bytes(b"#" * (len(fresh) + 4096))
+    assert run_output(flag, "old.out", capsys)[0] == 0
+    assert (tmp_path / "old.out").read_bytes() == fresh
+
+
+@pytest.mark.parametrize("flag", OUTPUT_ARGVS)
+def test_an_output_to_dev_null_succeeds(output_inputs, capsys, flag):
+    assert run_output(flag, os.devnull, capsys)[0] == 0
+
+
+@pytest.mark.parametrize("flag", OUTPUT_ARGVS)
+def test_an_existing_output_keeps_its_inode_and_mode(output_inputs, tmp_path, capsys, flag):
+    old = tmp_path / "old.out"
+    old.write_text("junk\n")
+    old.chmod(0o600)
+    before = old.stat()
+    assert run_output(flag, "old.out", capsys)[0] == 0
+    after = old.stat()
+    assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o600)
+
+
+@pytest.mark.parametrize("flag", OUTPUT_ARGVS)
+def test_a_symlinked_output_writes_through_to_its_target(output_inputs, tmp_path, capsys,
+                                                         flag):
+    fresh = fresh_output(flag, tmp_path, capsys)
+    (tmp_path / "target.out").write_bytes(b"#" * (len(fresh) + 4096))
+    (tmp_path / "link.out").symlink_to("target.out")
+    assert run_output(flag, "link.out", capsys)[0] == 0
+    assert (tmp_path / "link.out").is_symlink()
+    assert (tmp_path / "target.out").read_bytes() == fresh
+
+
+@pytest.mark.parametrize("flag", OUTPUT_ARGVS)
+@pytest.mark.parametrize("out,error", [
+    ("adir", "[Errno 21] Is a directory: 'adir'"),
+    ("missing/x.out", "[Errno 2] No such file or directory: 'missing/x.out'"),
+])
+def test_an_output_path_that_cannot_be_a_file_is_one_error_line(output_inputs, tmp_path,
+                                                                capsys, flag, out, error):
+    (tmp_path / "adir").mkdir()
+    code, _, err = run_output(flag, out, capsys)
+    assert (code, err) == (2, f"error: {error}\n")
+
+
+def test_no_output_is_opened_with_truncation(output_inputs, tmp_path, monkeypatch, capsys):
+    """Each output is opened once, by `os.open` without O_TRUNC; nothing
+    opens a path for writing with `open`, which would truncate it."""
+    opened = []
+    os_open, io_open = os.open, io.open
+
+    def record_os_open(path, flags, *rest, **kw):
+        if flags & (os.O_WRONLY | os.O_RDWR):
+            opened.append((os.fspath(path), flags))
+        return os_open(path, flags, *rest, **kw)
+
+    def record_open(file, mode="r", *rest, **kw):
+        if not isinstance(file, int) and set(mode) & set("wax+"):
+            opened.append((os.fspath(file), "open " + mode))
+        return io_open(file, mode, *rest, **kw)
+
+    for flag in OUTPUT_ARGVS:
+        (tmp_path / f"{flag}.out").write_text("junk\n")
+    for module, name, wrapper in [(os, "open", record_os_open), (io, "open", record_open),
+                                  (builtins, "open", record_open)]:
+        monkeypatch.setattr(module, name, wrapper)
+    for flag in OUTPUT_ARGVS:
+        assert run_output(flag, f"{flag}.out", capsys)[0] == 0
+    monkeypatch.undo()
+    assert [path for path, _ in opened] == [f"{flag}.out" for flag in OUTPUT_ARGVS]
+    for path, flags in opened:
+        assert isinstance(flags, int) and not flags & os.O_TRUNC, (path, flags)
