@@ -4,6 +4,8 @@ Exit codes: 0 success, 2 parse/usage error, 3 unsupported input,
 4 a tiling that fails validation (`render`, `verify`).
 
 `_write` is the CLI's one writer: every output file goes through it.
+`textio._int` is its one integer reader, of flags and file tokens alike;
+argparse lets its ParseError through, so a bad integer is one error line.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .macrotile import BUDGET_EXCEEDED, macro_tiles
 from .render import RenderSpec, render
 from .solve import SAT, SearchBudget, solve_rectangle, solve_torus
 from .subshift import DEFAULT_STREAM_BUDGET, VIOLATION, check_sequence, lift_1d
-from .textio import (is_window, parse_sft, parse_subshift, parse_tiling,
+from .textio import (_int, is_window, parse_sft, parse_subshift, parse_tiling,
                      parse_tileset, parse_tm, parse_window, serialize_compilation,
                      serialize_tileset, serialize_tiling)
 
@@ -59,16 +61,6 @@ def _budget(args) -> SearchBudget:
     return SearchBudget(max_nodes=args.budget_nodes, max_millis=args.budget_ms)
 
 
-def _int_arg(tok: str, what: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        # a sign and decimal digits fail only past int()'s digit limit
-        if (tok[1:] if tok[:1] in ("+", "-") else tok).isdecimal():
-            raise InvalidInput(f"{what} has too many digits") from None
-        raise InvalidInput(f"{what} must be an integer, got {tok!r}") from None
-
-
 def cmd_compile(args) -> int:
     text = Path(args.input).read_text()
     if args.kind == "sft":
@@ -87,7 +79,7 @@ def cmd_solve(args) -> int:
     mode = args.mode[0]
     if mode not in ("rect", "torus", "domino"):
         raise InvalidInput(f"unknown solve mode {mode!r}")
-    dims = [_int_arg(x, f"{mode} dimension") for x in args.mode[1:]]
+    dims = [_int(x, f"{mode} dimension") for x in args.mode[1:]]
     if mode in ("rect", "torus"):
         if len(dims) != 2:
             raise InvalidInput("rect mode takes width and height" if mode == "rect"
@@ -205,16 +197,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
     budget = SearchBudget()
 
+    def integer(p, name, **kw):
+        p.add_argument(name, type=functools.partial(_int, what=name), **kw)
+
     def common(p):
-        p.add_argument("--budget-nodes", type=int, default=budget.max_nodes)
-        p.add_argument("--budget-ms", type=int, default=budget.max_millis)
+        integer(p, "--budget-nodes", default=budget.max_nodes)
+        integer(p, "--budget-ms", default=budget.max_millis)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("compile", help="compile a spec into a tile set")
     p.add_argument("input")
     p.add_argument("--kind", required=True, choices=["sft", "subshift1d", "tm"])
-    p.add_argument("--tape-width", type=int, default=8,
-                   help="tape cells for --kind tm")
+    integer(p, "--tape-width", default=8, help="tape cells for --kind tm")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("solve", help="solve rectangle/torus/domino instances")
@@ -226,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="render a tiling to PPM or SVG")
     p.add_argument("tileset")
     p.add_argument("tiling")
-    p.add_argument("--cell-pixels", type=int, default=16)
+    integer(p, "--cell-pixels", default=16)
     p.add_argument("--format", choices=["ppm", "svg"], default="ppm")
     p.add_argument("--out", required=True)
 
@@ -235,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("artifact")
     p.add_argument("--tileset", default=None,
                    help="compiled tile-set file with decode lines (for tilings)")
-    p.add_argument("--budget", type=int, default=DEFAULT_STREAM_BUDGET)
+    integer(p, "--budget", default=DEFAULT_STREAM_BUDGET)
 
     p = sub.add_parser("robinson", help="built-in aperiodic set operations")
     rsub = p.add_subparsers(dest="robinson_command", required=True)
@@ -244,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("macro", help="enumerate n x n macro-tiles")
     p.add_argument("tileset")
-    p.add_argument("n", type=int)
-    p.add_argument("--max-tiles", type=int, default=None)
+    integer(p, "n")
+    integer(p, "--max-tiles", default=None)
     p.add_argument("--map-out", default=None,
                    help="sidecar file mapping macro ids to blocks")
     common(p)
@@ -253,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evidence", help="square/torus aperiodicity evidence suite")
     p.add_argument("--tileset", default=None,
                    help="tile-set file (default: the built-in aperiodic set)")
-    p.add_argument("--max-square", type=int, default=8)
-    p.add_argument("--max-period", type=int, default=4)
+    integer(p, "--max-square", default=8)
+    integer(p, "--max-period", default=4)
     common(p)
 
     return top

@@ -67,12 +67,17 @@ def _read_grid(lines, what: str, args: list[str], ln: int) -> Grid:
     raise ParseError(f"{what} rows missing at end of file", ln)
 
 
-def _int(tok: str, what: str, ln: int) -> int:
+def _decimal(tok: str) -> bool:
+    """An optional sign, then decimal digits."""
+    return (tok[1:] if tok[:1] in ("+", "-") else tok).isdecimal()
+
+
+def _int(tok: str, what: str, ln: int | None = None) -> int:
     try:
         return int(tok)
     except ValueError:
         # a sign and decimal digits fail only past int()'s digit limit
-        if (tok[1:] if tok[:1] in ("+", "-") else tok).isdecimal():
+        if _decimal(tok):
             raise ParseError(f"integer {what} has too many digits", ln) from None
         raise ParseError(f"expected integer {what}, got {tok!r}", ln) from None
 
@@ -286,11 +291,11 @@ def serialize_tiling(t: Grid) -> str:
 
 def parse_tiling(text: str) -> Grid:
     """Rows of tile indices, bottom-up; an optional leading verdict line
-    (as written by the solver) is accepted and ignored."""
+    (as written by the solver: one token, not decimal) is ignored."""
     rows: list[list[int]] = []
     for ln, line in _lines(text):
         toks = line.split()
-        if not rows and len(toks) == 1 and not toks[0].lstrip("-").isdigit():
+        if not rows and len(toks) == 1 and not _decimal(toks[0]):
             continue  # verdict line
         rows.append([_int(t, "tile index", ln) for t in toks])
     if not rows:

@@ -175,6 +175,13 @@ def test_render_ppm_and_validation_failure(tmp_path, tiles_file, capsys):
                  "--cell-pixels", "4", "--out", str(out)]) == 0
     assert out.read_bytes().startswith(b"P6\n8 8\n255\n")
 
+    # a 1-wide tiling whose first row is a signed index keeps that row
+    signed = tmp_path / "signed.tiling"
+    signed.write_text("+0\n0\n")
+    assert main(["render", str(tiles_file), str(signed),
+                 "--cell-pixels", "1", "--out", str(out)]) == 0
+    assert out.read_bytes().startswith(b"P6\n1 2\n255\n")
+
     bad = tmp_path / "bad.tiling"
     bad.write_text("9\n")  # tile index out of range
     rc = main(["render", str(tiles_file), str(bad), "--out", str(out)])
@@ -441,7 +448,7 @@ TM_HEAD = "tm states=q0,q1 start=q0 blank=0\n"
     ({"m": f"tm states={'9' * 5000} start=q0 blank=0\n"}, ["compile", "m", "--kind", "tm"],
      "line 1: integer state count has too many digits"),
     ({"t": ONE_TILE}, ["solve", "t", "--mode", "rect", "9" * 5000, "1"],
-     "rect dimension has too many digits"),
+     "integer rect dimension has too many digits"),
 ])
 def test_each_input_error_has_its_own_line(tmp_path, monkeypatch, capsys, files, argv,
                                            message):
@@ -469,11 +476,46 @@ def test_help_exits_through_argparse_and_leaves_the_parser_as_it_was(spec_file, 
         sft_to_wang(lift_1d(parse_subshift(SUBSHIFT_11))))
 
 
+# every integer argument, by the name its errors give, in an argv where "N" stands for it
+INTEGER_ARGVS = {
+    "--budget-nodes": ["solve", "t", "--mode", "rect", "2", "2", "--budget-nodes", "N"],
+    "--budget-ms": ["solve", "t", "--mode", "rect", "2", "2", "--budget-ms", "N"],
+    "--tape-width": ["compile", "s", "--kind", "tm", "--tape-width", "N"],
+    "--cell-pixels": ["render", "t", "g", "--out", "x.ppm", "--cell-pixels", "N"],
+    "--budget": ["verify", "s", "w", "--budget", "N"],
+    "n": ["macro", "t", "N"],
+    "--max-tiles": ["macro", "t", "2", "--max-tiles", "N"],
+    "--max-square": ["evidence", "--max-square", "N"],
+    "--max-period": ["evidence", "--max-period", "N"],
+    "rect dimension": ["solve", "t", "--mode", "rect", "N", "1"],
+    "torus dimension": ["solve", "t", "--mode", "torus", "1", "N"],
+    "domino dimension": ["solve", "t", "--mode", "domino", "N"],
+}
+
+
+@pytest.mark.parametrize("what", INTEGER_ARGVS)
+@pytest.mark.parametrize("tok,message", [
+    ("9" * 5000, "integer {} has too many digits"),
+    ("-" + "9" * 5000, "integer {} has too many digits"),
+    ("abc", "expected integer {}, got 'abc'"),
+], ids=["long", "long-negative", "abc"])
+def test_every_bad_integer_argument_is_one_short_error_line(tmp_path, monkeypatch, capsys,
+                                                            what, tok, message):
+    monkeypatch.chdir(tmp_path)
+    for name, text in {"t": ONE_TILE, "g": "0\n", "s": SUBSHIFT_11,
+                       "w": "window 2 1\n01\n"}.items():
+        (tmp_path / name).write_text(text)
+    assert main([tok if a == "N" else a for a in INTEGER_ARGVS[what]]) == 2
+    assert capsys.readouterr() == ("", f"error: {message.format(what)}\n")
+
+
 # --- every argv ends in an exit code, and the same one every time ---------------
 
 # Sizes stay at or below 6: `solve --mode torus 99999999 99999999` still
 # allocates the whole grid before any budget check.
 SMALL = st.sampled_from([str(i) for i in range(-1, 7)])
+# an integer flag's value may also be no integer, or one past int()'s digit limit
+INTEGER = SMALL | st.sampled_from(["abc", "9" * 5000])
 
 
 @pytest.fixture(scope="module")
@@ -517,7 +559,7 @@ def argvs(files):
         path, small, kind, mode, out,
         st.tuples(st.sampled_from(["--tape-width", "--budget-nodes", "--budget-ms",
                                    "--cell-pixels", "--budget", "--max-tiles",
-                                   "--max-square", "--max-period"]), SMALL),
+                                   "--max-square", "--max-period"]), INTEGER),
         st.tuples(st.just("--format"), st.sampled_from(["ppm", "svg", "png"])),
         st.tuples(st.just("--tileset"), st.sampled_from(inputs)),
         st.sampled_from(["export", "--kind", "--mode", "--bogus", "-x"]).map(lambda t: [t]),

@@ -148,6 +148,12 @@ def test_tiling_round_trip_with_verdict_line():
     assert parse_tiling("0 1\n2 3\n") == t
 
 
+@pytest.mark.parametrize("first", ["+0", "-0"])
+def test_a_first_row_of_one_signed_index_is_a_row_not_a_verdict(first):
+    assert parse_tiling(f"{first}\n0\n") == Grid.from_rows([[0], [0]])
+    assert parse_tiling(f"SAT\n{first}\n0\n") == Grid.from_rows([[0], [0]])
+
+
 def test_tiling_parse_errors():
     with pytest.raises(ParseError):
         parse_tiling("SAT\n")
