@@ -2,8 +2,8 @@
 compilers to Wang tile sets, exact tiling solvers, and a built-in
 aperiodic tile set with its evidence suite."""
 
-from .aperiodic import (ROBINSON_TILE_COUNT, EvidenceReport, RobinsonSet,
-                        aperiodicity_evidence, robinson_tileset)
+from .aperiodic import (ROBINSON_TILE_COUNT, EvidenceReport, aperiodicity_evidence,
+                        robinson_tileset)
 from .compilers import (TileCompilation, TmSpec, sft_to_wang, tm_initial_boundary,
                         tm_to_tileset)
 from .core import Grid, SftSpec, Tile, TileSet, make_tileset, validate_tiling

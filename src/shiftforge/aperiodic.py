@@ -35,6 +35,7 @@ from __future__ import annotations
 import time
 from typing import NamedTuple
 
+from .compilers import TileCompilation
 from .core import TileSet, make_tileset
 from .errors import InvalidInput
 from .solve import SAT, UNKNOWN, UNSAT, SearchBudget, solve_rectangle, solve_torus
@@ -45,11 +46,6 @@ _OPP = {"N": "S", "S": "N", "E": "W", "W": "E"}
 
 # a signal is (direction, multiplicity, side bit); horizontal signals have
 # direction in {E, W} and side in {N, S}, vertical ones the other way round
-
-
-class RobinsonSet(NamedTuple):
-    tileset: TileSet
-    tile_roles: tuple[str, ...]
 
 
 def _signal_tiles():
@@ -82,8 +78,9 @@ def _signal_tiles():
     return out
 
 
-def robinson_tileset() -> RobinsonSet:
-    """Deterministic construction of the nested-squares set as Wang tiles."""
+def robinson_tileset() -> TileCompilation:
+    """Deterministic construction of the nested-squares set as Wang tiles,
+    with one role per tile and no decode."""
     # which parities may host which role: odd-odd cells are first-level
     # crosses, their vertical neighbors absorb the columns' collisions,
     # their horizontal neighbors the rows'; even-even cells recurse and
@@ -113,7 +110,7 @@ def robinson_tileset() -> RobinsonSet:
 
     entries.sort()
     ts = make_tileset("robinson", [e[0] for e in entries], names=list(color_ids))
-    return RobinsonSet(ts, tuple(e[1] for e in entries))
+    return TileCompilation(ts, None, tuple(e[1] for e in entries))
 
 
 class EvidenceReport(NamedTuple):

@@ -147,8 +147,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_robinson(args) -> int:
-    rs = robinson_tileset()
-    _emit(serialize_tileset(rs.tileset, provenance=rs.tile_roles), args.out)
+    _emit(serialize_compilation(robinson_tileset()), args.out)
     return EXIT_OK
 
 

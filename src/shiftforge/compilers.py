@@ -69,21 +69,23 @@ class TmSpec(_TmFields):
 
 class _CompilationFields(NamedTuple):
     tileset: TileSet
-    decode: tuple[str, ...]  # tile index -> decoded letter / cell description
-    provenance: tuple[str, ...]  # tile index -> human-readable origin
+    # tile index -> decoded letter / cell description, or None where no tile decodes
+    decode: tuple[str, ...] | None
+    tile_roles: tuple[str, ...]  # tile index -> what the tile is, in words
 
 
 class TileCompilation(_CompilationFields):
-    """A tile set together with its per-tile decoding and origin notes."""
+    """A built tile set together with its per-tile decoding, if any, and
+    one line per tile saying what the tile is."""
 
     __slots__ = ()
 
-    def __new__(cls, tileset, decode, provenance):
-        if len(decode) != len(tileset.tiles):
+    def __new__(cls, tileset, decode, tile_roles):
+        if decode is not None and len(decode) != len(tileset.tiles):
             raise InvalidSpec("decode must be total on the tile set")
-        if len(provenance) != len(tileset.tiles):
-            raise InvalidSpec("provenance must be total on the tile set")
-        return super().__new__(cls, tileset, decode, provenance)
+        if len(tile_roles) != len(tileset.tiles):
+            raise InvalidSpec("tile roles must be total on the tile set")
+        return super().__new__(cls, tileset, decode, tile_roles)
 
 
 def legal_blocks(spec: SftSpec, kb: int) -> list[Block]:
@@ -158,7 +160,7 @@ def sft_to_wang(spec: SftSpec) -> TileCompilation:
 
 
 def _compilation(name: str, entries: list, names: list) -> TileCompilation:
-    """Sort (tile, decode, provenance) entries once and build the
+    """Sort (tile, decode, role) entries once and build the
     compilation whose colors are named by `names`, in id order."""
     entries.sort()
     ts = make_tileset(name, [e[0] for e in entries], names=names)
@@ -201,7 +203,7 @@ def tm_to_tileset(tm: TmSpec, tape_width: int) -> TileCompilation:
               for mv in "RL"}
 
     color_ids: dict[tuple, int] = {}
-    entries = []  # ((n,e,s,w), decode, provenance)
+    entries = []  # ((n,e,s,w), decode, role)
 
     def cid(key: tuple) -> int:
         return color_ids.setdefault(key, len(color_ids))

@@ -103,7 +103,7 @@ def serialize_tileset(ts: TileSet, decode: tuple[str, ...] | None = None,
 
 
 def serialize_compilation(comp: TileCompilation) -> str:
-    return serialize_tileset(comp.tileset, comp.decode, comp.provenance)
+    return serialize_tileset(comp.tileset, comp.decode, comp.tile_roles)
 
 
 def parse_tileset(text: str) -> tuple[TileSet, tuple[str, ...] | None]:

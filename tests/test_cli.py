@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftforge import cli
+from shiftforge.aperiodic import robinson_tileset
 from shiftforge.cli import main
 from shiftforge.compilers import sft_to_wang
 from shiftforge.solve import solve_rectangle
 from shiftforge.subshift import lift_1d
-from shiftforge.textio import parse_subshift, serialize_compilation
+from shiftforge.textio import parse_subshift, serialize_compilation, serialize_tileset
 from test_solve import stop_the_clock_after_propagating
 
 SUBSHIFT_11 = "subshift alphabet=0,1\nforbid 11\n"
@@ -200,6 +201,20 @@ def test_robinson_export_and_evidence(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "largest SAT square: 3" in out
     assert "consistent with aperiodicity" in out
+
+
+def test_robinson_export_writes_the_library_set_with_its_roles_and_no_decode(tmp_path):
+    exported = tmp_path / "rob.tiles"
+    assert main(["robinson", "export", "--out", str(exported)]) == 0
+    rs = robinson_tileset()
+    text = exported.read_text()
+    assert text == serialize_tileset(rs.tileset, provenance=rs.tile_roles)
+    lines = text.splitlines()
+    assert lines[0].startswith("tileset robinson colors=")
+    assert [l for l in lines if l.startswith("# tile ")] == [
+        f"# tile {i}: {role}" for i, role in enumerate(rs.tile_roles)]
+    assert len(rs.tile_roles) == 104
+    assert not any(l.startswith("decode ") for l in lines)
 
 
 def test_evidence_defaults_to_the_builtin_set(capsys):

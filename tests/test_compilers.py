@@ -122,8 +122,8 @@ def test_binary_k5_lift_blocks_are_constant_columns_of_legal_words():
 def test_decode_is_bottom_left_letter():
     spec = SftSpec(("0", "1"), (Grid.from_rows(["11"]),))
     comp = sft_to_wang(spec)
-    for i, prov in enumerate(comp.provenance):
-        rows = prov.removeprefix("block ").split("|")
+    for i, role in enumerate(comp.tile_roles):
+        rows = role.removeprefix("block ").split("|")
         assert comp.decode[i] == rows[0][0]
 
 
@@ -291,7 +291,7 @@ def test_random_machine_diagrams_match_the_simulator(start):
     assert other.tileset.colors == comp.tileset.colors
     # tiles exist for exactly the tape ends some column touches
     ends = {"LR"} if n == 1 else {"L", "R"} | ({"I"} if n > 2 else set())
-    assert {p[p.rindex("[") + 1:-1] for p in comp.provenance} == ends
+    assert {p[p.rindex("[") + 1:-1] for p in comp.tile_roles} == ends
     configs = tm_run(tm, w, n, head=head)
     assume(configs is not None)  # the head left the tape or the run kept going
 
@@ -363,7 +363,21 @@ def test_initial_boundary_validates_input():
 
 def test_compilation_decode_must_be_total():
     comp = tm_to_tileset(HALT_NOW, 2)
-    with pytest.raises(InvalidSpec):
-        TileCompilation(comp.tileset, comp.decode[:-1], comp.provenance)
-    with pytest.raises(InvalidSpec, match="provenance must be total on the tile set"):
-        TileCompilation(comp.tileset, comp.decode, comp.provenance[:-1])
+    with pytest.raises(InvalidSpec, match="decode must be total on the tile set"):
+        TileCompilation(comp.tileset, comp.decode[:-1], comp.tile_roles)
+    with pytest.raises(InvalidSpec, match="tile roles must be total on the tile set"):
+        TileCompilation(comp.tileset, comp.decode, comp.tile_roles[:-1])
+    with pytest.raises(InvalidSpec, match="tile roles must be total on the tile set"):
+        TileCompilation(comp.tileset, None, comp.tile_roles[:-1])
+
+
+def test_a_compilation_without_decode_writes_roles_and_no_decode_lines():
+    comp = tm_to_tileset(HALT_NOW, 2)
+    text = serialize_compilation(TileCompilation(comp.tileset, None, comp.tile_roles))
+    lines = text.splitlines()
+    assert not any(line.startswith("decode ") for line in lines)
+    assert [line for line in lines if line.startswith("# tile ")] == [
+        f"# tile {i}: {role}" for i, role in enumerate(comp.tile_roles)]
+    # the same file with its decode lines dropped
+    assert text == "".join(line + "\n" for line in serialize_compilation(comp).splitlines()
+                           if not line.startswith("decode "))

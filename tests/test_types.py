@@ -10,7 +10,7 @@ import re
 import pytest
 
 import shiftforge
-from shiftforge.aperiodic import EvidenceReport, RobinsonSet
+from shiftforge.aperiodic import EvidenceReport
 from shiftforge.compilers import TileCompilation, TmSpec
 from shiftforge.core import Grid, SftSpec, Tile, make_tileset
 from shiftforge.errors import InvalidInput, InvalidSpec
@@ -32,7 +32,9 @@ def _machine(start="q0"):
 VALUE_TYPES = [
     (lambda: Tile(0, 1, 2, 3), None),
     (lambda: BoundaryConstraint(south=(0, 1), forced_cells=((0, 0, 1),)), None),
-    (lambda: RobinsonSet(ONE, ("role",)), None),
+    (lambda: TileCompilation(ONE, None, ("role",)),
+     (lambda: TileCompilation(ONE, None, ()), InvalidSpec,
+      "tile roles must be total on the tile set")),
     (lambda: EvidenceReport(((1, SAT),), ((1, 1, UNSAT),), 2, 1), None),
     (lambda: MacroTileSet((Grid.from_rows([(0,)]),), ONE), None),
     (lambda: Verdict(VIOLATION, "ab", 1), None),
