@@ -1,7 +1,10 @@
 """Command-line surface: compile specs, solve tilings, render, verify.
 
 Exit codes: 0 success, 2 parse/usage error, 3 unsupported input,
-4 a tiling that fails validation (`render`, `verify`).
+4 a tiling that fails validation (`render`, `verify`).  The `cmd_*`
+functions return nothing; `main` alone picks the exit code, from the
+exception a command raises or 0 when it returns.  `--help` still exits
+through argparse's SystemExit.
 
 `_write` is the CLI's one writer: every output file goes through it.
 `textio._int` is its one integer reader, of flags and file tokens alike;
@@ -61,7 +64,7 @@ def _budget(args) -> SearchBudget:
     return SearchBudget(max_nodes=args.budget_nodes, max_millis=args.budget_ms)
 
 
-def cmd_compile(args) -> int:
+def cmd_compile(args) -> None:
     text = Path(args.input).read_text()
     if args.kind == "sft":
         comp = sft_to_wang(parse_sft(text))
@@ -70,10 +73,9 @@ def cmd_compile(args) -> int:
     else:
         comp = tm_to_tileset(parse_tm(text), args.tape_width)
     _emit(serialize_compilation(comp), args.out)
-    return EXIT_OK
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> None:
     ts, _ = parse_tileset(Path(args.tileset).read_text())
     budget = _budget(args)
     mode = args.mode[0]
@@ -100,18 +102,16 @@ def cmd_solve(args) -> int:
         else:
             body = f"UNDETERMINED completed_n={rep.completed_n}\n"
     _emit(body, args.out)
-    return EXIT_OK
 
 
-def cmd_render(args) -> int:
+def cmd_render(args) -> None:
     ts, _ = parse_tileset(Path(args.tileset).read_text())
     tiling = parse_tiling(Path(args.tiling).read_text())
     data = render(ts, tiling, RenderSpec(args.cell_pixels, args.format))
     _write(args.out, data)
-    return EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> None:
     spec = parse_subshift(Path(args.spec).read_text())
     artifact = Path(args.artifact).read_text()
     if is_window(artifact):
@@ -136,37 +136,34 @@ def cmd_verify(args) -> int:
         for y in range(window.height - 1):
             if window.cells[y][x] != window.cells[y + 1][x]:
                 print(f"VIOLATION vertical mismatch at column {x} rows {y},{y + 1}")
-                return EXIT_OK
+                return
     # the columns are constant, so every row equals row 0
     v = check_sequence(spec, "".join(window.cells[0]), budget=args.budget)
     if v.kind == VIOLATION:
         print(f"VIOLATION {v.match} at row 0 position {v.x}")
     else:
         print(v.kind)
-    return EXIT_OK
 
 
-def cmd_robinson(args) -> int:
+def cmd_robinson(args) -> None:
     _emit(serialize_compilation(robinson_tileset()), args.out)
-    return EXIT_OK
 
 
-def cmd_macro(args) -> int:
+def cmd_macro(args) -> None:
     ts, _ = parse_tileset(Path(args.tileset).read_text())
     result = macro_tiles(ts, args.n, budget=_budget(args), max_tiles=args.max_tiles)
     if result == BUDGET_EXCEEDED:
         print(BUDGET_EXCEEDED)
-        return EXIT_OK
+        return
     print(f"macro tiles: {len(result.blocks)}")
     if args.out:
         _write(args.out, serialize_tileset(result.tileset))
     if args.map_out:
         flat = (";".join(" ".join(map(str, row)) for row in b.cells) for b in result.blocks)
         _write(args.map_out, "".join(f"macro {i} {f}\n" for i, f in enumerate(flat)))
-    return EXIT_OK
 
 
-def cmd_evidence(args) -> int:
+def cmd_evidence(args) -> None:
     if args.tileset:
         ts, _ = parse_tileset(Path(args.tileset).read_text())
     else:
@@ -174,7 +171,6 @@ def cmd_evidence(args) -> int:
     report = aperiodicity_evidence(ts, args.max_square, args.max_period,
                                    budget=_budget(args))
     _emit(format_evidence(report), args.out)
-    return EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
@@ -256,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return globals()[f"cmd_{args.command}"](args)
+        globals()[f"cmd_{args.command}"](args)
+        return EXIT_OK
     except (ShiftforgeError, OSError, UnicodeDecodeError, OverflowError,
             MemoryError) as exc:
         # str(MemoryError()) is empty

@@ -43,15 +43,18 @@ class TmSpec(_TmFields):
     __slots__ = ()
 
     def __new__(cls, states, start, tape_alphabet, blank, transitions, halting):
+        # the text format writes both as comma-separated lists, and each
+        # name as a whitespace-delimited token
+        for x in states + tape_alphabet:
+            if x.split() != [x] or "," in x:
+                raise InvalidSpec("states and tape symbols must be nonempty, with no "
+                                  f"',' or whitespace; got {x!r}")
         if len(set(states)) != len(states):
             raise InvalidSpec("duplicate states")
         if start not in states:
             raise InvalidSpec("start state not in state set")
         if blank not in tape_alphabet:
             raise InvalidSpec("blank symbol not in tape alphabet")
-        # the text format writes both as comma-separated lists
-        if any("," in x for x in states + tape_alphabet):
-            raise InvalidSpec("states and tape symbols must not contain ','")
         for q in halting:
             if q not in states:
                 raise InvalidSpec(f"halting state {q!r} not in state set")

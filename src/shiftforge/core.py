@@ -193,7 +193,8 @@ def check_alphabet(alphabet: tuple[str, ...]) -> None:
     """Letters are distinct single characters, because grids and words
     store one letter per character; there must be at least one.  `#` is
     not a letter: the text formats read a line starting with it as a
-    comment."""
+    comment.  Nor are `,` and whitespace: the spec headers write the
+    alphabet as one comma-separated token."""
     if not alphabet:
         raise InvalidSpec("alphabet must be nonempty")
     if "#" in alphabet:
@@ -201,6 +202,9 @@ def check_alphabet(alphabet: tuple[str, ...]) -> None:
     for a in alphabet:
         if len(a) != 1:
             raise InvalidSpec(f"alphabet letter {a!r} must be a single character")
+        if a == "," or a.isspace():
+            raise InvalidSpec(f"alphabet letter {a!r} cannot be written: the header "
+                              "lists the letters as one comma-separated token")
     if len(set(alphabet)) != len(alphabet):
         raise InvalidSpec("alphabet letters must be distinct")
 

@@ -194,8 +194,6 @@ def parse_subshift(text: str) -> Subshift1dSpec:
             words.append(args[0])
         elif args[0] != "all_words_min_len":
             raise ParseError(f"unknown stream generator {args[0]!r}", ln)
-        elif not args[1].isdecimal():
-            raise ParseError("all_words_min_len takes one integer parameter", ln)
         else:
             min_len = _int(args[1], "min-len", ln)
             try:

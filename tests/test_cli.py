@@ -445,7 +445,13 @@ TM_HEAD = "tm states=q0,q1 start=q0 blank=0\n"
      "start state not in state set"),
     ({"s": "subshift alphabet=0,1\nstream all_words_min_len ²\n"},
      ["compile", "s", "--kind", "subshift1d"],
-     "line 2: all_words_min_len takes one integer parameter"),
+     "line 2: expected integer min-len, got '²'"),
+    # a machine name the tile-set format could not write back in a decode line
+    ({"m": "tm states=q0,q1 start=q0 blank=\nrule q0 1 -> q1 1 R\nhalt q1\n"},
+     ["compile", "m", "--kind", "tm"],
+     "states and tape symbols must be nonempty, with no ',' or whitespace; got ''"),
+    ({"m": "tm states=q0,q1 start=q0 blank=1\ntape ,1\n"}, ["compile", "m", "--kind", "tm"],
+     "states and tape symbols must be nonempty, with no ',' or whitespace; got ''"),
     # the mode is checked before its dimensions are parsed
     ({"t": ONE_TILE}, ["solve", "t", "--mode", "bogus", "x"], "unknown solve mode 'bogus'"),
     # sizes past sys.maxsize are refused before anything is allocated

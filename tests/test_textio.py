@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from shiftforge.compilers import TmSpec, sft_to_wang, tm_to_tileset
 from shiftforge.core import Grid, SftSpec, make_tileset
-from shiftforge.errors import ParseError, ShiftforgeError
-from shiftforge.subshift import ExplicitWords, Subshift1dSpec, WordStream
+from shiftforge.errors import InvalidSpec, ParseError, ShiftforgeError
+from shiftforge.subshift import ExplicitWords, Subshift1dSpec, WordStream, lift_1d
 from shiftforge.textio import (parse_sft, parse_subshift, parse_tileset,
                                parse_tiling, parse_tm, parse_window,
                                serialize_compilation, serialize_sft,
@@ -55,6 +55,28 @@ def test_sft_round_trip():
     assert spec2 == spec
 
 
+# `,` and whitespace are one character but cannot be written in a header
+LETTERS = st.sets(st.sampled_from("01ab, \t"), min_size=1).map(tuple)
+
+
+def _sft_specs(alphabet):
+    rows = st.integers(1, 2).flatmap(lambda w: st.lists(
+        st.text("".join(alphabet), min_size=w, max_size=w), min_size=1, max_size=2))
+    return st.tuples(st.just(alphabet), st.lists(rows.map(Grid.from_rows), max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(LETTERS.flatmap(_sft_specs))
+@example((("a", ","), [Grid.from_rows([",a"])]))
+def test_sft_specs_reject_or_round_trip(alphabet_patterns):
+    alphabet, patterns = alphabet_patterns
+    try:
+        spec = SftSpec(alphabet, tuple(patterns))
+    except InvalidSpec:
+        return
+    assert parse_sft(serialize_sft(spec)) == spec
+
+
 def test_sft_pattern_rows_are_bottom_up():
     spec = parse_sft("sft alphabet=a,b\nforbid 1 2\na\nb\n")
     p = spec.forbidden[0]
@@ -86,16 +108,28 @@ def test_subshift_stream_round_trip():
 def _subshift_specs(alphabet):
     words = st.lists(st.text("".join(alphabet), min_size=1, max_size=4),
                      unique=True, max_size=5)
-    return st.builds(Subshift1dSpec, st.just(alphabet), st.one_of(
+    return st.tuples(st.just(alphabet), st.one_of(
         words.map(lambda ws: ExplicitWords(tuple(ws))),
         st.integers(min_value=1, max_value=10**30).map(WordStream)))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sets(st.sampled_from("01ab"), min_size=1).map(tuple).flatmap(_subshift_specs))
-@example(Subshift1dSpec(("0", "1"), WordStream(sys.maxsize + 1)))
-def test_subshift_specs_round_trip(spec):
+@given(LETTERS.flatmap(_subshift_specs))
+@example((("0", "1"), WordStream(sys.maxsize + 1)))
+@example(((",", "a"), ExplicitWords((",a",))))
+@example(((" ", "a"), ExplicitWords(("a",))))
+def test_subshift_specs_round_trip(alphabet_source):
+    try:
+        spec = Subshift1dSpec(*alphabet_source)
+    except InvalidSpec:
+        return
     assert parse_subshift(serialize_subshift(spec)) == spec
+
+
+@pytest.mark.parametrize("token,min_len", [("+3", 3), ("1_000", 1000)])
+def test_min_len_is_read_like_every_other_integer(token, min_len):
+    spec = parse_subshift(f"subshift alphabet=a,b\nstream all_words_min_len {token}\n")
+    assert spec.source == WordStream(min_len)
 
 
 def test_subshift_sources_are_exclusive():
@@ -189,6 +223,10 @@ def test_decode_lines_name_each_tile_once():
      "line 1: decode before tileset header"),
     (parse_subshift, "subshift alphabet=0,1\nstream all_words_min_len 5\nforbid 11\n",
      "line 3: only one word source allowed"),
+    (parse_subshift, "subshift alphabet=0,1\nstream all_words_min_len x\n",
+     "line 2: expected integer min-len, got 'x'"),
+    (parse_subshift, "subshift alphabet=0,1\nstream all_words_min_len -1\n",
+     "line 2: forbidden words must be nonempty"),
     (parse_sft, "sft alphabet=a\nforbid 1 2\nb\n\n",
      "line 2: pattern rows missing at end of file"),
     (parse_sft, "sft alphabet=a\nforbid 2 1\n\na\n", "line 4: pattern row must have 2 letters"),
@@ -251,8 +289,8 @@ FORMATS = {
     "tm": (parse_tm, serialize_tm, texts(
         st.builds("tm states={} start={} blank={}".format,
                   st.sampled_from(["q0,q1", "2", "q0", "a,0"]),
-                  st.sampled_from(["q0", "q0", "q1", "a"]), NAMES),
-        line(st.one_of(st.sampled_from(["0", "0,1", "0,#", "1,a"]).map("tape {}".format),
+                  st.sampled_from(["q0", "q0", "q1", "a"]), st.one_of(NAMES, st.just(""))),
+        line(st.one_of(st.sampled_from(["0", "0,1", "0,#", "1,a", ",1"]).map("tape {}".format),
                        st.builds("rule {} {} -> {} {} {}".format, NAMES, NAMES, NAMES, NAMES,
                                  st.sampled_from(["L", "R", "X"])),
                        NAMES.map("halt {}".format))))),
@@ -279,3 +317,29 @@ def test_formats_reject_or_round_trip(kind_text):
     except ShiftforgeError:
         return
     assert parse(serialize(v)) == v
+
+
+COMPILERS = {
+    "sft": sft_to_wang,
+    "subshift": lambda spec: sft_to_wang(lift_1d(spec)),
+    "tm": lambda tm: tm_to_tileset(tm, 3),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(COMPILERS)).flatmap(
+    lambda kind: st.tuples(st.just(kind), FORMATS[kind][2])))
+# an empty blank would compile to `decode` lines with no letter
+@example(("tm", "tm states=q0,q1 start=q0 blank=\nrule q0 1 -> q1 1 R\nhalt q1\n"))
+def test_compilations_read_back(kind_text):
+    """Any spec text that parses and compiles gives a tile-set text that
+    reads back to the same tiles, color count and decoding."""
+    kind, text = kind_text
+    try:
+        comp = COMPILERS[kind](FORMATS[kind][0](text))
+    except ShiftforgeError:
+        return
+    ts, decode = parse_tileset(serialize_compilation(comp))
+    assert ts.tiles == comp.tileset.tiles
+    assert len(ts.colors) == len(comp.tileset.colors)
+    assert decode == comp.decode
