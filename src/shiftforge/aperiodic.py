@@ -35,8 +35,8 @@ from __future__ import annotations
 import time
 from typing import NamedTuple
 
-from .compilers import TileCompilation
-from .core import TileSet, make_tileset
+from .compilers import TileCompilation, _compilation
+from .core import TileSet
 from .errors import InvalidInput
 from .solve import SAT, UNKNOWN, UNSAT, SearchBudget, solve_rectangle, solve_torus
 
@@ -96,7 +96,7 @@ def robinson_tileset() -> TileCompilation:
     def cid(key: tuple) -> int:
         return color_ids.setdefault(key, len(color_ids))
 
-    entries = []  # ((n,e,s,w), role)
+    entries = []  # ((n,e,s,w), None, role): tiles are distinct, so no None is compared
     for kind, w, e, s, n, desc in _signal_tiles():
         for (px, py) in allowed[kind]:
             # every edge carries both cell parities (x-parity flips across
@@ -106,11 +106,9 @@ def robinson_tileset() -> TileCompilation:
             east = cid(("h", px, py, e))
             south = cid(("v", px, 1 - py, s))
             north = cid(("v", px, py, n))
-            entries.append(((north, east, south, west), f"{desc} at parity ({px},{py})"))
-
-    entries.sort()
-    ts = make_tileset("robinson", [e[0] for e in entries], names=list(color_ids))
-    return TileCompilation(ts, None, tuple(e[1] for e in entries))
+            entries.append(((north, east, south, west), None,
+                            f"{desc} at parity ({px},{py})"))
+    return _compilation("robinson", entries, list(color_ids))
 
 
 class EvidenceReport(NamedTuple):

@@ -120,7 +120,7 @@ def cmd_verify(args) -> None:
         if not args.tileset:
             raise InvalidInput("verifying a tiling requires --tileset with decode lines")
         ts, decode = parse_tileset(Path(args.tileset).read_text())
-        if decode is None:
+        if not decode:
             raise InvalidInput("tile-set file has no decode lines")
         tiling = parse_tiling(artifact)
         if not validate_tiling(ts, tiling):
@@ -131,14 +131,15 @@ def cmd_verify(args) -> None:
     strays = [a for row in window.cells for a in row if a not in spec.alphabet]
     if strays:
         raise InvalidInput(f"letter {strays[0]!r} outside the spec's alphabet")
-    # lifted semantics: columns constant, every row avoids the word source
+    # lifted semantics: columns constant, every row avoids the word source.
+    # Row 0 is checked first, so a bad budget is refused whatever the columns
+    v = check_sequence(spec, "".join(window.cells[0]), budget=args.budget)
     for x in range(window.width):
         for y in range(window.height - 1):
             if window.cells[y][x] != window.cells[y + 1][x]:
                 print(f"VIOLATION vertical mismatch at column {x} rows {y},{y + 1}")
                 return
     # the columns are constant, so every row equals row 0
-    v = check_sequence(spec, "".join(window.cells[0]), budget=args.budget)
     if v.kind == VIOLATION:
         print(f"VIOLATION {v.match} at row 0 position {v.x}")
     else:

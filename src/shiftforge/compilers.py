@@ -72,19 +72,19 @@ class TmSpec(_TmFields):
 
 class _CompilationFields(NamedTuple):
     tileset: TileSet
-    # tile index -> decoded letter / cell description, or None where no tile decodes
-    decode: tuple[str, ...] | None
+    # tile index -> decoded letter / cell description, or () where no tile decodes
+    decode: tuple[str, ...]
     tile_roles: tuple[str, ...]  # tile index -> what the tile is, in words
 
 
 class TileCompilation(_CompilationFields):
-    """A built tile set together with its per-tile decoding, if any, and
-    one line per tile saying what the tile is."""
+    """A built tile set together with its per-tile decoding, empty where
+    no tile decodes, and one line per tile saying what the tile is."""
 
     __slots__ = ()
 
     def __new__(cls, tileset, decode, tile_roles):
-        if decode is not None and len(decode) != len(tileset.tiles):
+        if decode and len(decode) != len(tileset.tiles):
             raise InvalidSpec("decode must be total on the tile set")
         if len(tile_roles) != len(tileset.tiles):
             raise InvalidSpec("tile roles must be total on the tile set")
@@ -163,11 +163,12 @@ def sft_to_wang(spec: SftSpec) -> TileCompilation:
 
 
 def _compilation(name: str, entries: list, names: list) -> TileCompilation:
-    """Sort (tile, decode, role) entries once and build the
+    """Sort (tile, decode or None, role) entries once and build the
     compilation whose colors are named by `names`, in id order."""
     entries.sort()
     ts = make_tileset(name, [e[0] for e in entries], names=names)
-    return TileCompilation(ts, tuple(e[1] for e in entries), tuple(e[2] for e in entries))
+    decode = tuple(e[1] for e in entries if e[1] is not None)
+    return TileCompilation(ts, decode, tuple(e[2] for e in entries))
 
 
 # --- Turing-machine space-time diagrams --------------------------------------

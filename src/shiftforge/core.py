@@ -47,6 +47,10 @@ class TileSet:
     tiles: tuple[Tile, ...]
 
     def __post_init__(self):
+        # the text format writes the name as one whitespace-delimited token
+        if self.name.split() != [self.name]:
+            raise InvalidSpec(f"tile-set names must be nonempty, with no whitespace; "
+                              f"got {self.name!r}")
         n = len(self.colors)
         if len(set(self.tiles)) != len(self.tiles):
             raise InvalidSpec(f"tileset {self.name!r}: duplicate tiles")

@@ -91,14 +91,14 @@ def _kv(tok: str, key: str, ln: int) -> str:
 # --- tile sets ----------------------------------------------------------------
 
 
-def serialize_tileset(ts: TileSet, decode: tuple[str, ...] | None = None,
+def serialize_tileset(ts: TileSet, decode: tuple[str, ...] = (),
                       provenance: tuple[str, ...] | None = None) -> str:
     out = [f"tileset {ts.name} colors={len(ts.colors)}"]
     for i, t in enumerate(ts.tiles):
         if provenance is not None:
             out.append(f"# tile {i}: {provenance[i]}")
         out.append(f"tile {t.north} {t.east} {t.south} {t.west}")
-    out.extend(f"decode {i} {letter}" for i, letter in enumerate(decode or ()))
+    out.extend(f"decode {i} {letter}" for i, letter in enumerate(decode))
     return "\n".join(out) + "\n"
 
 
@@ -106,8 +106,11 @@ def serialize_compilation(comp: TileCompilation) -> str:
     return serialize_tileset(comp.tileset, comp.decode, comp.tile_roles)
 
 
-def parse_tileset(text: str) -> tuple[TileSet, tuple[str, ...] | None]:
-    """Returns (tileset, decode or None when no decode lines present)."""
+def parse_tileset(text: str) -> tuple[TileSet, tuple[str, ...]]:
+    """A `tileset <name> colors=<n>` header, then `tile <north> <east>
+    <south> <west>` lines, distinct tiles of colors in [0, <n>), and
+    optionally `decode <tile-index> <letter>` lines, one per tile.  Returns
+    the tile set and its decoding by tile index, () without decode lines."""
     tiles: dict[tuple[int, int, int, int], None] = {}  # in file order
     decode: list[tuple[int, str]] = []  # (tile index, letter)
     for ln, directive, args in _directives(_lines(text), {
@@ -131,9 +134,7 @@ def parse_tileset(text: str) -> tuple[TileSet, tuple[str, ...] | None]:
         else:
             decode.append((_int(args[0], "tile index", ln), args[1]))
     ts = make_tileset(name, list(tiles), num_colors=num_colors)
-    if not decode:
-        return ts, None
-    if sorted(i for i, _ in decode) != list(range(len(tiles))):
+    if decode and sorted(i for i, _ in decode) != list(range(len(tiles))):
         raise ParseError("decode lines must cover tile indices exactly once")
     return ts, tuple(letter for _, letter in sorted(decode))
 
@@ -150,6 +151,9 @@ def serialize_sft(spec: SftSpec) -> str:
 
 
 def parse_sft(text: str) -> SftSpec:
+    """A `sft alphabet=<comma-list>` header, then `forbid <width> <height>`
+    lines, each followed by its pattern's <height> rows of <width>
+    letters, bottom row first."""
     lines = _lines(text)
     patterns: list[Grid] = []
     for ln, directive, args in _directives(lines, {
@@ -218,6 +222,12 @@ def serialize_tm(tm: TmSpec) -> str:
 
 
 def parse_tm(text: str) -> TmSpec:
+    """A `tm states=<comma-list> start=<state> blank=<symbol>` header, at
+    most one `tape <comma-list>` line, `rule <state> <read> -> <state'>
+    <write> <L|R>` lines, one per (state, read) pair, and `halt <state>`
+    lines.  `states=` is always a list, so `states=2` names the one state
+    `2`.  Without a tape line the tape alphabet is the blank and every
+    symbol a rule reads or writes, sorted."""
     forms = {
         "tm": "tm states=<...> start=<s> blank=<b>",
         "tape": "tape <comma-list>",
@@ -229,11 +239,7 @@ def parse_tm(text: str) -> TmSpec:
     halting: set[str] = set()
     for ln, directive, args in _directives(_lines(text), forms):
         if directive == "tm":
-            spec = _kv(args[0], "states", ln)
-            if spec.isdecimal():
-                states = tuple(f"q{i}" for i in range(_int(spec, "state count", ln)))
-            else:
-                states = tuple(spec.split(","))
+            states = tuple(_kv(args[0], "states", ln).split(","))
             start = _kv(args[1], "start", ln)
             blank = _kv(args[2], "blank", ln)
         elif directive == "tape":
@@ -275,6 +281,8 @@ def is_window(text: str) -> bool:
 
 
 def parse_window(text: str) -> Grid:
+    """A `window <width> <height>` header, then <height> rows of <width>
+    letters, bottom row first."""
     lines = _lines(text)
     for ln, _, args in _directives(lines, {"window": "window <width> <height>"}):
         window = _read_grid(lines, "window", args, ln)

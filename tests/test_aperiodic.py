@@ -11,6 +11,7 @@ from shiftforge.core import make_tileset, validate_tiling
 from shiftforge.errors import InvalidInput
 from shiftforge.solve import (SAT, UNKNOWN, UNSAT, SearchBudget, solve_rectangle,
                               solve_torus)
+from shiftforge.textio import parse_tileset, serialize_compilation
 
 
 def test_tile_count_and_normal_form():
@@ -24,6 +25,13 @@ def test_tile_count_and_normal_form():
 
 def test_construction_is_deterministic():
     assert robinson_tileset() == robinson_tileset()
+
+
+def test_the_set_decodes_nothing_and_reads_back_so():
+    rs = robinson_tileset()
+    assert rs.decode == ()
+    ts, decode = parse_tileset(serialize_compilation(rs))
+    assert (ts.tiles, decode) == (rs.tileset.tiles, ())
 
 
 def test_roles_stay_aligned_with_tiles():

@@ -112,6 +112,21 @@ def test_verify_reports_a_budget_limited_clean_window(tmp_path, capsys):
     assert capsys.readouterr().out == "BUDGET_EXHAUSTED_CLEAN\n"
 
 
+@pytest.mark.parametrize("window", ["window 2 1\n01\n", "window 2 2\n00\n01\n"],
+                         ids=["constant-columns", "mismatched-columns"])
+@pytest.mark.parametrize("budget, message", [
+    ("0", "budget must be positive"),
+    ("-1", "budget must be positive"),
+    (str(10**20), "budget must be at most sys.maxsize"),
+])
+def test_verify_refuses_a_bad_budget_before_judging_the_window(tmp_path, spec_file, capsys,
+                                                                window, budget, message):
+    w = tmp_path / "w.window"
+    w.write_text(window)
+    assert main(["verify", str(spec_file), str(w), "--budget", budget]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_verify_answers_a_stream_whose_words_are_past_sys_maxsize_letters(tmp_path, capsys):
     spec = tmp_path / "spec.subshift"
     spec.write_text("subshift alphabet=0,1\nstream all_words_min_len 99999999999999999999\n")
@@ -466,8 +481,9 @@ TM_HEAD = "tm states=q0,q1 start=q0 blank=0\n"
     ({"s": f"subshift alphabet=a,b\nstream all_words_min_len {'9' * 5000}\n",
       "w": "window 2 1\nab\n"}, ["verify", "s", "w"],
      "line 2: integer min-len has too many digits"),
+    # a state list of one 5,000-digit name
     ({"m": f"tm states={'9' * 5000} start=q0 blank=0\n"}, ["compile", "m", "--kind", "tm"],
-     "line 1: integer state count has too many digits"),
+     "start state not in state set"),
     ({"t": ONE_TILE}, ["solve", "t", "--mode", "rect", "9" * 5000, "1"],
      "integer rect dimension has too many digits"),
 ])

@@ -373,7 +373,7 @@ def test_compilation_decode_must_be_total():
 
 def test_a_compilation_without_decode_writes_roles_and_no_decode_lines():
     comp = tm_to_tileset(HALT_NOW, 2)
-    text = serialize_compilation(TileCompilation(comp.tileset, None, comp.tile_roles))
+    text = serialize_compilation(TileCompilation(comp.tileset, (), comp.tile_roles))
     lines = text.splitlines()
     assert not any(line.startswith("decode ") for line in lines)
     assert [line for line in lines if line.startswith("# tile ")] == [

@@ -19,6 +19,12 @@ def test_tileset_rejects_out_of_range_side():
         make_tileset("t", [(0, 0, 0, 5)], num_colors=2)
 
 
+@pytest.mark.parametrize("name", ["", "my set", "tab\tset", "line\n"])
+def test_tileset_rejects_a_name_the_text_format_cannot_write(name):
+    with pytest.raises(InvalidSpec, match="tile-set names must be nonempty"):
+        make_tileset(name, [(0, 0, 0, 0)])
+
+
 def test_tileset_rejects_duplicate_tiles():
     with pytest.raises(InvalidSpec):
         make_tileset("t", [(0, 0, 0, 0), (0, 0, 0, 0)])

@@ -28,7 +28,7 @@ def test_tileset_round_trip_with_decode():
 def test_tileset_round_trip_without_decode():
     ts = make_tileset("plain", [(0, 1, 0, 1)])
     ts2, decode = parse_tileset(serialize_tileset(ts))
-    assert decode is None
+    assert decode == ()
     assert ts2.tiles == ts.tiles
 
 
@@ -139,17 +139,23 @@ def test_subshift_sources_are_exclusive():
         parse_subshift("subshift alphabet=a\nstream unknown_gen\n")
 
 
-def test_tm_round_trip():
-    tm = TmSpec(("q0", "q1"), "q0", ("0", "1"), "0",
-                {("q0", "1"): ("q0", "1", "R"), ("q0", "0"): ("q1", "1", "L")},
-                frozenset(["q1"]))
+@pytest.mark.parametrize("tm", [
+    TmSpec(("q0", "q1"), "q0", ("0", "1"), "0",
+           {("q0", "1"): ("q0", "1", "R"), ("q0", "0"): ("q1", "1", "L")},
+           frozenset(["q1"])),
+    # a decimal state name, written as `states=2`
+    TmSpec(("2",), "2", ("0",), "0", {}, frozenset({"2"})),
+])
+def test_tm_round_trip(tm):
     assert parse_tm(serialize_tm(tm)) == tm
 
 
-def test_tm_states_count_shorthand_and_inferred_tape():
-    tm = parse_tm("tm states=2 start=q0 blank=_\nrule q0 _ -> q1 x R\nhalt q1\n")
+def test_tm_states_list_and_inferred_tape():
+    tm = parse_tm("tm states=q0,q1 start=q0 blank=_\nrule q0 _ -> q1 x R\nhalt q1\n")
     assert tm.states == ("q0", "q1")
     assert tm.tape_alphabet == ("_", "x")
+    # a decimal is a state name, not a count
+    assert parse_tm("tm states=2 start=2 blank=_\n").states == ("2",)
 
 
 def test_tm_parse_errors():
@@ -331,6 +337,8 @@ COMPILERS = {
     lambda kind: st.tuples(st.just(kind), FORMATS[kind][2])))
 # an empty blank would compile to `decode` lines with no letter
 @example(("tm", "tm states=q0,q1 start=q0 blank=\nrule q0 1 -> q1 1 R\nhalt q1\n"))
+# a lift with no tiles decodes nothing, and its file has no decode lines
+@example(("subshift", "subshift alphabet=0,1\nforbid 0\nforbid 1\n"))
 def test_compilations_read_back(kind_text):
     """Any spec text that parses and compiles gives a tile-set text that
     reads back to the same tiles, color count and decoding."""

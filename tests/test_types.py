@@ -32,8 +32,8 @@ def _machine(start="q0"):
 VALUE_TYPES = [
     (lambda: Tile(0, 1, 2, 3), None),
     (lambda: BoundaryConstraint(south=(0, 1), forced_cells=((0, 0, 1),)), None),
-    (lambda: TileCompilation(ONE, None, ("role",)),
-     (lambda: TileCompilation(ONE, None, ()), InvalidSpec,
+    (lambda: TileCompilation(ONE, (), ("role",)),
+     (lambda: TileCompilation(ONE, (), ()), InvalidSpec,
       "tile roles must be total on the tile set")),
     (lambda: EvidenceReport(((1, SAT),), ((1, 1, UNSAT),), 2, 1), None),
     (lambda: MacroTileSet((Grid.from_rows([(0,)]),), ONE), None),
@@ -50,7 +50,7 @@ VALUE_TYPES = [
      (lambda: RenderSpec(format="png"), InvalidInput, "unknown render format 'png'")),
     (_machine, (lambda: _machine("q2"), InvalidSpec, "start state not in state set")),
     (lambda: TileCompilation(ONE, ("a",), ("block a",)),
-     (lambda: TileCompilation(ONE, (), ("block a",)), InvalidSpec,
+     (lambda: TileCompilation(ONE, ("a", "b"), ("block a",)), InvalidSpec,
       "decode must be total on the tile set")),
     (lambda: ExplicitWords(("ab", "b")),
      (lambda: ExplicitWords(("ab", "ab")), InvalidSpec, "forbidden words must be distinct")),
