@@ -75,20 +75,24 @@ class _CompilationFields(NamedTuple):
     # tile index -> decoded letter / cell description, or () where no tile decodes
     decode: tuple[str, ...]
     tile_roles: tuple[str, ...]  # tile index -> what the tile is, in words
+    color_keys: tuple  # color -> its key: an overlap block, a tape payload, a signal
 
 
 class TileCompilation(_CompilationFields):
     """A built tile set together with its per-tile decoding, empty where
-    no tile decodes, and one line per tile saying what the tile is."""
+    no tile decodes, one line per tile saying what the tile is, and the
+    key each color was numbered by."""
 
     __slots__ = ()
 
-    def __new__(cls, tileset, decode, tile_roles):
+    def __new__(cls, tileset, decode, tile_roles, color_keys):
         if decode and len(decode) != len(tileset.tiles):
             raise InvalidSpec("decode must be total on the tile set")
         if len(tile_roles) != len(tileset.tiles):
             raise InvalidSpec("tile roles must be total on the tile set")
-        return super().__new__(cls, tileset, decode, tile_roles)
+        if len(color_keys) != tileset.ncolors:
+            raise InvalidSpec("color keys must be total on the colors")
+        return super().__new__(cls, tileset, decode, tile_roles, color_keys)
 
 
 def legal_blocks(spec: SftSpec, kb: int) -> list[Block]:
@@ -162,13 +166,13 @@ def sft_to_wang(spec: SftSpec) -> TileCompilation:
     return _compilation("sft", entries, names)
 
 
-def _compilation(name: str, entries: list, names: list) -> TileCompilation:
+def _compilation(name: str, entries: list, keys: list) -> TileCompilation:
     """Sort (tile, decode or None, role) entries once and build the
-    compilation whose colors are named by `names`, in id order."""
+    compilation whose colors are numbered by `keys`, in id order."""
     entries.sort()
-    ts = make_tileset(name, [e[0] for e in entries], names=names)
+    ts = make_tileset(name, [e[0] for e in entries])
     decode = tuple(e[1] for e in entries if e[1] is not None)
-    return TileCompilation(ts, decode, tuple(e[2] for e in entries))
+    return TileCompilation(ts, decode, tuple(e[2] for e in entries), tuple(keys))
 
 
 # --- Turing-machine space-time diagrams --------------------------------------
@@ -261,7 +265,7 @@ def tm_initial_boundary(
             raise InvalidInput(f"input symbol {a!r} outside tape alphabet")
     tape = list(w) + [tm.blank] * (n - len(w))
 
-    ids = {key: i for i, key in enumerate(comp.tileset.colors)}
+    ids = {key: i for i, key in enumerate(comp.color_keys)}
     south = []
     for x in range(n):
         tag = _tag_of(x, n)

@@ -35,15 +35,12 @@ class Tile(NamedTuple):
 
 @dataclass(frozen=True)
 class TileSet:
-    """A finite set of Wang tiles over a shared color universe.
-
-    ``colors[i]`` names color i: the key its builder numbered (an overlap
-    block, a tape payload, a signal, a border word), or None for parsed
-    and hand-made sets.
-    """
+    """A finite set of Wang tiles whose sides use colors 0 .. ncolors - 1.
+    What each color stands for is its builder's business, not the set's
+    (see `compilers.TileCompilation.color_keys`)."""
 
     name: str
-    colors: tuple
+    ncolors: int
     tiles: tuple[Tile, ...]
 
     def __post_init__(self):
@@ -51,7 +48,7 @@ class TileSet:
         if self.name.split() != [self.name]:
             raise InvalidSpec(f"tile-set names must be nonempty, with no whitespace; "
                               f"got {self.name!r}")
-        n = len(self.colors)
+        n = self.ncolors
         if len(set(self.tiles)) != len(self.tiles):
             raise InvalidSpec(f"tileset {self.name!r}: duplicate tiles")
         for t in self.tiles:
@@ -68,7 +65,7 @@ class TileSet:
         `Supports`).  An entry depends on neither the grid, its boundary nor
         the budget, so the table is kept with this object, out of its
         equality, hash and repr, and shared by every solve of the set."""
-        return Supports(self.tiles, len(self.colors))
+        return Supports(self.tiles)
 
 
 class Supports(dict):
@@ -76,14 +73,16 @@ class Supports(dict):
     each side of it, in `Tile` field order.  Side k faces side k ^ 2 of
     the tile across it, and per side k the table keeps each tile's color
     there (`colors[k]`), the tiles showing each color there (`mine[k]`) and
-    the solver's closed-walk masks by period (`walks[k]`).  A miss fills the
-    domain's entry for all four sides at once, so a revision looks its
-    domain up once."""
+    the solver's closed-walk masks by period (`walks[k]`).  `mine` is sized
+    by the colors the tiles show, not by the set's declared count.  A miss
+    fills the domain's entry for all four sides at once, so a revision
+    looks its domain up once."""
 
-    def __init__(self, tiles: tuple[Tile, ...], ncolors: int):
+    def __init__(self, tiles: tuple[Tile, ...]):
         super().__init__()
         self.colors = list(zip(*tiles)) or [()] * 4
-        self.mine = [[0] * ncolors for _ in range(4)]
+        shown = 1 + max(map(max, self.colors)) if tiles else 0
+        self.mine = [[0] * shown for _ in range(4)]
         for row, col in zip(self.mine, self.colors):
             for i, c in enumerate(col):
                 row[c] |= 1 << i
@@ -105,20 +104,13 @@ class Supports(dict):
         return sup
 
 
-def make_tileset(
-    name: str,
-    tiles: list[tuple[int, int, int, int]],
-    num_colors: int | None = None,
-    names: tuple | list | None = None,
-) -> TileSet:
-    """Build a TileSet from raw (north, east, south, west) tuples.
-    `names` lists the color names in id order, so its length is the
-    color count; without it every color is unnamed."""
-    if names is None:
-        if num_colors is None:
-            num_colors = 1 + max((max(t) for t in tiles), default=-1)
-        names = (None,) * num_colors
-    return TileSet(name, tuple(names), tuple(map(Tile._make, tiles)))
+def make_tileset(name: str, tiles: list[tuple[int, int, int, int]],
+                 num_colors: int | None = None) -> TileSet:
+    """Build a TileSet from raw (north, east, south, west) tuples; the
+    color count defaults to one past the greatest color shown."""
+    if num_colors is None:
+        num_colors = 1 + max(map(max, zip(*tiles)), default=-1)
+    return TileSet(name, num_colors, tuple(map(Tile._make, tiles)))
 
 
 class _GridFields(NamedTuple):

@@ -77,7 +77,7 @@ def macro_tiles(
     names = sorted({key for keys in keyed for key in keys})
     ids = {key: i for i, key in enumerate(names)}
     ts = make_tileset(f"{tileset.name}^{n}",
-                      [tuple(ids[key] for key in keys) for keys in keyed], names=names)
+                      [tuple(ids[key] for key in keys) for keys in keyed])
     return MacroTileSet(tuple(least.values()), ts)
 
 

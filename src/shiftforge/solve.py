@@ -199,7 +199,6 @@ def _setup(tileset: TileSet, w: int, h: int, wrap: bool,
     if wrap and boundary is not None:
         raise InvalidInput("a torus has no boundary")
     n = len(tileset.tiles)
-    ncolors = len(tileset.colors)
     mine = tileset.supports.mine
     start = (1 << n) - 1
     if wrap:
@@ -222,10 +221,13 @@ def _setup(tileset: TileSet, w: int, h: int, wrap: bool,
             old = dom[edge]
             if len(seq) != len(old):
                 raise InvalidInput(f"{name} boundary sequence has wrong length")
-            if min(seq) < 0 or max(seq) >= ncolors:
-                bad = next(c for c in seq if not 0 <= c < ncolors)
+            top = max(seq)
+            if min(seq) < 0 or top >= tileset.ncolors:
+                bad = next(c for c in seq if not 0 <= c < tileset.ncolors)
                 raise InvalidInput(f"boundary color {bad} outside universe")
-            dom[edge] = map(and_, old, map(mine[k].__getitem__, seq))
+            # a color that no tile shows empties the edge
+            dom[edge] = (map(and_, old, map(mine[k].__getitem__, seq))
+                         if top < len(mine[k]) else [0] * len(old))
         for x, y, ti in boundary.forced_cells:
             if not (0 <= x < w and 0 <= y < h):
                 raise InvalidInput(f"forced cell ({x}, {y}) outside rectangle")

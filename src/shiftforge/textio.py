@@ -93,7 +93,7 @@ def _kv(tok: str, key: str, ln: int) -> str:
 
 def serialize_tileset(ts: TileSet, decode: tuple[str, ...] = (),
                       provenance: tuple[str, ...] | None = None) -> str:
-    out = [f"tileset {ts.name} colors={len(ts.colors)}"]
+    out = [f"tileset {ts.name} colors={ts.ncolors}"]
     for i, t in enumerate(ts.tiles):
         if provenance is not None:
             out.append(f"# tile {i}: {provenance[i]}")

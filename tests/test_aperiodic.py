@@ -19,7 +19,7 @@ def test_tile_count_and_normal_form():
     assert len(rs.tileset.tiles) == ROBINSON_TILE_COUNT
     tiles = rs.tileset.tiles
     assert all(a < b for a, b in zip(tiles, tiles[1:]))
-    assert {c for t in tiles for c in t.sides()} == set(range(len(rs.tileset.colors)))
+    assert {c for t in tiles for c in t.sides()} == set(range(len(rs.color_keys)))
     assert len(rs.tile_roles) == ROBINSON_TILE_COUNT
 
 
@@ -36,11 +36,11 @@ def test_the_set_decodes_nothing_and_reads_back_so():
 
 def test_roles_stay_aligned_with_tiles():
     rs = robinson_tileset()
-    # parity is recoverable from both the role text and the color names;
+    # parity is recoverable from both the role text and the color keys;
     # they must agree tile by tile
     for tile, role in zip(rs.tileset.tiles, rs.tile_roles):
         px, py = map(int, role.rsplit("(", 1)[1][:3:2])
-        assert rs.tileset.colors[tile.north][:3] == ("v", px, py)
+        assert rs.color_keys[tile.north][:3] == ("v", px, py)
 
 
 def signal_kind(west, east, south, north):

@@ -682,13 +682,21 @@ NINES = "9" * 400
     # w * h domains cannot be allocated; the request fails at once, so
     # the test allocates nothing
     (1, ["--mode", "torus", "99999999", "99999999", "--budget-nodes", "5"]),
-    (10_000_000_000_000_000_000, ["--mode", "rect", "1", "1"]),
-], ids=["budget-ms", "torus-overflow", "torus-memory", "colors"])
+], ids=["budget-ms", "torus-overflow", "torus-memory"])
 def test_solve_sizes_that_do_not_fit_are_usage_errors(tmp_path, capsys, colors, argv):
     tiles = tmp_path / "one.tiles"
     tiles.write_text(f"tileset t colors={colors}\ntile 0 0 0 0\n")
     assert main(["solve", str(tiles), *argv]) == 2
     assert_one_error_line(capsys)
+
+
+def test_a_color_count_past_any_index_solves_like_a_small_one(tmp_path, capsys):
+    # only the colors the tiles show are indexed, so a count no list could
+    # hold is read, checked and left at that
+    tiles = tmp_path / "one.tiles"
+    tiles.write_text("tileset t colors=10000000000000000000000\ntile 0 0 0 0\n")
+    assert main(["solve", str(tiles), "--mode", "rect", "1", "1"]) == 0
+    assert capsys.readouterr() == ("SAT\n0\n", "")
 
 
 def test_evidence_clock_budget_that_does_not_fit_is_a_usage_error(capsys):

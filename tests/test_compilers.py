@@ -288,7 +288,7 @@ def test_random_machine_diagrams_match_the_simulator(start):
     flipped = tm._replace(transitions=dict(reversed(tm.transitions.items())))
     other = tm_to_tileset(flipped, n)
     assert serialize_compilation(other) == serialize_compilation(comp)
-    assert other.tileset.colors == comp.tileset.colors
+    assert other.color_keys == comp.color_keys
     # tiles exist for exactly the tape ends some column touches
     ends = {"LR"} if n == 1 else {"L", "R"} | ({"I"} if n > 2 else set())
     assert {p[p.rindex("[") + 1:-1] for p in comp.tile_roles} == ends
@@ -364,16 +364,19 @@ def test_initial_boundary_validates_input():
 def test_compilation_decode_must_be_total():
     comp = tm_to_tileset(HALT_NOW, 2)
     with pytest.raises(InvalidSpec, match="decode must be total on the tile set"):
-        TileCompilation(comp.tileset, comp.decode[:-1], comp.tile_roles)
+        TileCompilation(comp.tileset, comp.decode[:-1], comp.tile_roles, comp.color_keys)
     with pytest.raises(InvalidSpec, match="tile roles must be total on the tile set"):
-        TileCompilation(comp.tileset, comp.decode, comp.tile_roles[:-1])
+        TileCompilation(comp.tileset, comp.decode, comp.tile_roles[:-1], comp.color_keys)
     with pytest.raises(InvalidSpec, match="tile roles must be total on the tile set"):
-        TileCompilation(comp.tileset, None, comp.tile_roles[:-1])
+        TileCompilation(comp.tileset, None, comp.tile_roles[:-1], comp.color_keys)
+    with pytest.raises(InvalidSpec, match="color keys must be total on the colors"):
+        TileCompilation(comp.tileset, comp.decode, comp.tile_roles, comp.color_keys[:-1])
 
 
 def test_a_compilation_without_decode_writes_roles_and_no_decode_lines():
     comp = tm_to_tileset(HALT_NOW, 2)
-    text = serialize_compilation(TileCompilation(comp.tileset, (), comp.tile_roles))
+    text = serialize_compilation(TileCompilation(comp.tileset, (), comp.tile_roles,
+                                                comp.color_keys))
     lines = text.splitlines()
     assert not any(line.startswith("decode ") for line in lines)
     assert [line for line in lines if line.startswith("# tile ")] == [

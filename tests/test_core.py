@@ -10,7 +10,7 @@ from shiftforge.errors import InvalidSpec, MalformedInput
 
 def test_make_tileset_infers_color_universe():
     ts = make_tileset("t", [(0, 1, 0, 1), (2, 0, 2, 0)])
-    assert len(ts.colors) == 3
+    assert ts.ncolors == 3
     assert ts.tiles == (Tile(0, 1, 0, 1), Tile(2, 0, 2, 0))
 
 

@@ -148,7 +148,7 @@ def tile_set_pairs(draw):
     source = draw(tile_sets())
     if draw(st.booleans()):
         return source, draw(tile_sets())
-    n = len(source.colors)
+    n = source.ncolors
     relabel = draw(st.permutations(range(n)))
     tiles = draw(st.permutations([t.sides() for t in source.tiles]))
     return source, make_tileset("p", [tuple(relabel[c] for c in t) for t in tiles],

@@ -19,10 +19,11 @@ from shiftforge.aperiodic import aperiodicity_evidence, robinson_tileset
 from shiftforge.compilers import tm_initial_boundary, tm_to_tileset
 from shiftforge.core import Supports, make_tileset, validate_tiling
 from shiftforge.errors import InvalidInput
-from shiftforge.macrotile import find_simulation
+from shiftforge.macrotile import find_simulation, macro_tiles
 from shiftforge.solve import (SAT, UNKNOWN, UNSAT, BoundaryConstraint,
                               SearchBudget, SearchResult, count_rectangle,
                               enumerate_tilings, solve_rectangle, solve_torus)
+from shiftforge.textio import parse_tileset, serialize_tileset
 from test_compilers import INCREMENTER, counter, run_and_check
 
 
@@ -95,6 +96,10 @@ def test_boundary_constraint_forces_edges():
     assert r.status == SAT and r.tiling.cells == ((1,),)
     r = solve_rectangle(ts, 1, 1, boundary=BoundaryConstraint(west=(0,), east=(1,)))
     assert r.status == UNSAT
+    # a color that is declared but shown by no tile empties its edge
+    wide = make_tileset("w", ts.tiles, num_colors=10**22)
+    r = solve_rectangle(wide, 2, 1, boundary=BoundaryConstraint(west=(10**21,)))
+    assert r == SearchResult(UNSAT)
 
 
 def test_boundary_forced_cells():
@@ -168,6 +173,25 @@ def test_an_empty_start_domain_is_unsat_before_any_propagation(monkeypatch):
             tracemalloc.stop()
         assert r == SearchResult(UNSAT)
         assert peak < 1_000_000
+
+
+def test_a_declared_color_allocates_nothing():
+    # colors that no tile shows cost neither the set nor its support table,
+    # so a header of a million colors reads, solves and writes like one of 1
+    text = "tileset t colors=1000000\ntile 0 0 0 0\n"
+    tracemalloc.start()
+    try:
+        ts, _ = parse_tileset(text)
+        results = (solve_rectangle(ts, 2, 2).status, solve_torus(ts, 2, 2).status,
+                   aperiodicity_evidence(ts, 2, 2).periodic_found,
+                   len(macro_tiles(ts, 2).tileset.tiles))
+        written = serialize_tileset(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert results == (SAT, SAT, (1, 1), 1)
+    assert written == text
+    assert peak < 1_000_000
 
 
 def test_node_budget_gives_unknown():

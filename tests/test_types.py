@@ -32,8 +32,8 @@ def _machine(start="q0"):
 VALUE_TYPES = [
     (lambda: Tile(0, 1, 2, 3), None),
     (lambda: BoundaryConstraint(south=(0, 1), forced_cells=((0, 0, 1),)), None),
-    (lambda: TileCompilation(ONE, (), ("role",)),
-     (lambda: TileCompilation(ONE, (), ()), InvalidSpec,
+    (lambda: TileCompilation(ONE, (), ("role",), ("c",)),
+     (lambda: TileCompilation(ONE, (), (), ("c",)), InvalidSpec,
       "tile roles must be total on the tile set")),
     (lambda: EvidenceReport(((1, SAT),), ((1, 1, UNSAT),), 2, 1), None),
     (lambda: MacroTileSet((Grid.from_rows([(0,)]),), ONE), None),
@@ -49,8 +49,8 @@ VALUE_TYPES = [
     (lambda: RenderSpec(4, "svg"),
      (lambda: RenderSpec(format="png"), InvalidInput, "unknown render format 'png'")),
     (_machine, (lambda: _machine("q2"), InvalidSpec, "start state not in state set")),
-    (lambda: TileCompilation(ONE, ("a",), ("block a",)),
-     (lambda: TileCompilation(ONE, ("a", "b"), ("block a",)), InvalidSpec,
+    (lambda: TileCompilation(ONE, ("a",), ("block a",), ("c",)),
+     (lambda: TileCompilation(ONE, ("a", "b"), ("block a",), ("c",)), InvalidSpec,
       "decode must be total on the tile set")),
     (lambda: ExplicitWords(("ab", "b")),
      (lambda: ExplicitWords(("ab", "ab")), InvalidSpec, "forbidden words must be distinct")),
